@@ -80,9 +80,7 @@ def _split_top(s: str, sep: str) -> list:
             depth -= 1
         elif depth == 0 and s.startswith("family:", i) and cur and cur[-1] == "=":
             # a nested descriptor swallows the rest of this part
-            j = i
             cur.extend(s[i:])
-            i = len(s)
             parts.append("".join(cur))
             cur = []
             break

@@ -11,19 +11,16 @@ campaign layer relies on for byte-identical output.
     ctx = make_field(3, 2)        # GF(9), modulus t^2 + 1
     ctx.mul(4, 7); ctx.inv(5); ctx.pow(2, -3)
 
-Arithmetic is installed on the context as precomputed tables (full q*q
-tables for q <= 256, log/antilog beyond that), so hot loops can grab
-`mul = ctx.mul` once and work on raw ints.  Contexts are immutable after
-construction.  Fields larger than q = 2^16 are out of scope.
+Arithmetic is installed on the context as precomputed dense q*q tables,
+so hot loops can grab `mul = ctx.mul` once and work on raw ints.
+Contexts are immutable after construction.  make_field rejects fields
+larger than q = 256; no campaign goes past q = 16.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-DEFAULT_MAX_Q = 1 << 16
-_TABLE_MAX_Q = 256  # build dense q*q add/mul tables up to here
 
 
 def is_prime(n: int) -> bool:
@@ -248,77 +245,36 @@ class FieldCtx:
 
         qm1 = q - 1
 
-        if q <= _TABLE_MAX_Q:
-            if p == 2:
-                add_tab = [x ^ y for x in range(q) for y in range(q)]
-            elif r == 1:
-                add_tab = [(x + y) % p for x in range(p) for y in range(p)]
-            else:
-                digs = [_digits(c, p, r) for c in range(q)]
-                add_tab = [
-                    _encode([(a + b) % p for a, b in zip(digs[x], digs[y])], p)
-                    for x in range(q)
-                    for y in range(q)
-                ]
-            mul_tab = [0] * (q * q)
-            for x in range(1, q):
-                row = x * q
-                lx = log[x]
-                for y in range(1, q):
-                    mul_tab[row + y] = exp[(lx + log[y]) % qm1]
-            inv_tab = [0] * q
-            for x in range(1, q):
-                inv_tab[x] = exp[(qm1 - log[x]) % qm1]
-            self.add = lambda x, y, _t=add_tab, _q=q: _t[x * _q + y]
-            self.mul = lambda x, y, _t=mul_tab, _q=q: _t[x * _q + y]
-            self.sub = lambda x, y, _t=add_tab, _n=neg, _q=q: _t[x * _q + _n[y]]
-
-            def inv(x, _t=inv_tab):
-                if x == 0:
-                    raise ZeroDivisionError("inverse of 0")
-                return _t[x]
-
-            self.inv = inv
+        if p == 2:
+            add_tab = [x ^ y for x in range(q) for y in range(q)]
+        elif r == 1:
+            add_tab = [(x + y) % p for x in range(p) for y in range(p)]
         else:
-            if p == 2:
-                self.add = lambda x, y: x ^ y
-                self.sub = self.add
-            elif r == 1:
-                self.add = lambda x, y, _p=p: (x + y) % _p
-                self.sub = lambda x, y, _p=p: (x - y) % _p
-            else:
-                def add(x, y, _p=p, _r=r):
-                    return _encode(
-                        [(a + b) % _p for a, b in zip(_digits(x, _p, _r), _digits(y, _p, _r))],
-                        _p,
-                    )
+            digs = [_digits(c, p, r) for c in range(q)]
+            add_tab = [
+                _encode([(a + b) % p for a, b in zip(digs[x], digs[y])], p)
+                for x in range(q)
+                for y in range(q)
+            ]
+        mul_tab = [0] * (q * q)
+        for x in range(1, q):
+            row = x * q
+            lx = log[x]
+            for y in range(1, q):
+                mul_tab[row + y] = exp[(lx + log[y]) % qm1]
+        inv_tab = [0] * q
+        for x in range(1, q):
+            inv_tab[x] = exp[(qm1 - log[x]) % qm1]
+        self.add = lambda x, y, _t=add_tab, _q=q: _t[x * _q + y]
+        self.mul = lambda x, y, _t=mul_tab, _q=q: _t[x * _q + y]
+        self.sub = lambda x, y, _t=add_tab, _n=neg, _q=q: _t[x * _q + _n[y]]
 
-                self.add = add
-                self.sub = lambda x, y, _n=neg: add(x, _n[y])
+        def inv(x, _t=inv_tab):
+            if x == 0:
+                raise ZeroDivisionError("inverse of 0")
+            return _t[x]
 
-            if r == 1:
-                self.mul = lambda x, y, _p=p: (x * y) % _p
-
-                def inv(x, _p=p):
-                    if x == 0:
-                        raise ZeroDivisionError("inverse of 0")
-                    return pow(x, _p - 2, _p)
-
-                self.inv = inv
-            else:
-                def mul(x, y, _e=exp, _l=log, _m=qm1):
-                    if x == 0 or y == 0:
-                        return 0
-                    return _e[(_l[x] + _l[y]) % _m]
-
-                self.mul = mul
-
-                def inv(x, _e=exp, _l=log, _m=qm1):
-                    if x == 0:
-                        raise ZeroDivisionError("inverse of 0")
-                    return _e[(_m - _l[x]) % _m]
-
-                self.inv = inv
+        self.inv = inv
 
         self.neg = lambda x, _n=neg: _n[x]
 
@@ -357,14 +313,14 @@ class FieldCtx:
         return f"FieldCtx(q={self.q}, p={self.p}, r={self.r}, modulus_code={self.modulus_code})"
 
 
-def make_field(p: int, r: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:
+def make_field(p: int, r: int) -> FieldCtx:
     """Build GF(p^r) with the smallest-code monic irreducible modulus."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if r < 1:
         raise ValueError(f"degree r = {r} must be >= 1")
-    if p**r > max_q:
-        raise ValueError(f"q = {p}^{r} exceeds the supported maximum {max_q}")
+    if p**r > 256:
+        raise ValueError(f"q = {p}^{r} exceeds the supported maximum 256")
     for k in itertools.count():
         digits = _digits(k, p, r) + [1]
         if _is_irreducible(digits, p, r):

@@ -18,7 +18,12 @@ byte, is:
     concatenated file is identical to an uninterrupted run (CSV only).
   * Exit status: 0 clean, 1 when any proved bound is violated (that
     means an implementation bug, so it fails loudly), 2 on bad
-    configuration or an internal cross-check failure.
+    configuration, a file that cannot be read or written, a checkpoint
+    that does not fit its output file, or an internal cross-check
+    failure.
+
+Each campaign is one row of CAMPAIGNS: its row producer, columns, row
+total, q limit and CLI subcommand.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -33,8 +38,11 @@ import itertools
 import json
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, fields, replace
+from math import comb
 
 from .families import default_battery, gen_family, parse_set_spec
 from .gf import FieldCtx, make_field, selftest
@@ -58,17 +66,6 @@ from .stabilizer import (
 )
 
 SCHEMA = "slab-v1"
-
-CAMPAIGNS = (
-    "exhaustive-subsets",
-    "two-line-exhaustive",
-    "lineset-exhaustive",
-    "family-verify",
-    "prime-bound-exhaustive",
-    "incidence-report",
-    "triple-audit",
-    "search-extremal",
-)
 
 BOUND_NAMES = ("two_lines", "line_set", "prime_power", "whole_plane", "three_halves")
 INC_BOUND_NAMES = (
@@ -195,18 +192,6 @@ _INCIDENCE_COLUMNS = ["index", "points", "lines", "incidences", "plane_max"] + [
 ]
 
 
-def columns_for(campaign: str) -> list:
-    if campaign == "triple-audit":
-        return list(_AUDIT_COLUMNS)
-    if campaign == "incidence-report":
-        return list(_INCIDENCE_COLUMNS)
-    if campaign == "family-verify":
-        return _stab_columns(("complement_match", "expected_order", "expected_match"))
-    if campaign == "search-extremal":
-        return _stab_columns(("strategy", "subgroup_order", "contains_subgroup"))
-    return _stab_columns()
-
-
 # ---------------------------------------------------------------------------
 # Per-process state.  Workers rebuild the field from (p, r); the parent
 # uses the same path, so serial and pooled runs share every code path.
@@ -219,11 +204,11 @@ def _init_worker(p: int, r: int) -> None:
     _WORK["ctx"] = make_field(p, r)
 
 
-def _ctx(cfg: dict) -> FieldCtx:
+def _ctx(config: CampaignConfig) -> FieldCtx:
     ctx = _WORK.get("ctx")
-    if ctx is None or (ctx.p, ctx.r) != (cfg["p"], cfg["r"]):
+    if ctx is None or (ctx.p, ctx.r) != (config.p, config.r):
         # field changed within this process: every derived cache is stale
-        _init_worker(cfg["p"], cfg["r"])
+        _init_worker(config.p, config.r)
     return _WORK["ctx"]
 
 
@@ -242,12 +227,12 @@ def _spot(ctx: FieldCtx, E: PointSet, stab_order: int, index: int) -> None:
             )
 
 
-def _constants(cfg: dict) -> Constants:
-    return Constants(cfg["c"], cfg["c1"], cfg["c2"], cfg["alpha"], cfg["beta"])
+def _constants(config: CampaignConfig) -> Constants:
+    return Constants(config.c, config.c1, config.c2, config.alpha, config.beta)
 
 
-def _report_row(ctx, index, E, stab_order, cfg) -> tuple:
-    rep = bound_report(ctx, E, _constants(cfg), stab_order=stab_order)
+def _report_row(ctx, index, E, stab_order, config) -> tuple:
+    rep = bound_report(ctx, E, _constants(config), stab_order=stab_order)
     row = {
         "index": index,
         "descriptor": E.text(),
@@ -277,11 +262,11 @@ def _report_row(ctx, index, E, stab_order, cfg) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Row producers, one per campaign.  Each yields (index, row, violations)
-# for indices in [start, stop), purely from (cfg, index).
+# for indices in [start, stop), purely from (config, index).
 
 
-def _gen_exhaustive(cfg, start, stop):
-    ctx = _ctx(cfg)
+def _gen_exhaustive(config, start, stop):
+    ctx = _ctx(config)
     q = ctx.q
     if q <= 4:
         counts = _cached("counts", lambda: all_subset_stabilizer_orders(ctx))
@@ -289,17 +274,17 @@ def _gen_exhaustive(cfg, start, stop):
             E = PointSet(q, mask)
             order = counts[mask]
             _spot(ctx, E, order, mask)
-            yield (mask, *_report_row(ctx, mask, E, order, cfg))
+            yield (mask, *_report_row(ctx, mask, E, order, config))
     else:
         sample = _cached(
-            ("sample", cfg["seed"], cfg["budget"]),
-            lambda: DetRng(cfg["seed"]).sample(1 << (q * q), cfg["budget"]),
+            ("sample", config.seed, config.budget),
+            lambda: DetRng(config.seed).sample(1 << (q * q), config.budget),
         )
         for i in range(start, stop):
             E = PointSet(q, sample[i])
             order = len(stabilizer(ctx, E))
             _spot(ctx, E, order, i)
-            yield (i, *_report_row(ctx, i, E, order, cfg))
+            yield (i, *_report_row(ctx, i, E, order, config))
 
 
 def _two_line_space(ctx):
@@ -309,8 +294,8 @@ def _two_line_space(ctx):
     return pairs, per_line - 1
 
 
-def _gen_two_line(cfg, start, stop):
-    ctx = _ctx(cfg)
+def _gen_two_line(config, start, stop):
+    ctx = _ctx(config)
     q = ctx.q
     pairs, m = _two_line_space(ctx)
     codes = _cached(
@@ -335,24 +320,24 @@ def _gen_two_line(cfg, start, stop):
         E = PointSet(q, bits)
         order = len(stabilizer(ctx, E))
         _spot(ctx, E, order, index)
-        yield (index, *_report_row(ctx, index, E, order, cfg))
+        yield (index, *_report_row(ctx, index, E, order, config))
 
 
-def _lineset_list(ctx, cfg):
+def _lineset_list(ctx, config):
     q = ctx.q
     sets = [tuple(c) for c in itertools.combinations(range(q + 1), 3)]
     sets += [tuple(c) for c in itertools.combinations(range(q + 1), 4)]
     if q + 1 >= 5:
-        for i in range(cfg["budget"]):
-            rng = DetRng(nth_seed(cfg["seed"], i))
+        for i in range(config.budget):
+            rng = DetRng(nth_seed(config.seed, i))
             sets.append(tuple(sorted(rng.sample(q + 1, 5))))
     return sets
 
 
-def _gen_lineset(cfg, start, stop):
-    ctx = _ctx(cfg)
+def _gen_lineset(config, start, stop):
+    ctx = _ctx(config)
     q = ctx.q
-    sets = _cached(("linesets", cfg["seed"], cfg["budget"]), lambda: _lineset_list(ctx, cfg))
+    sets = _cached(("linesets", config.seed, config.budget), lambda: _lineset_list(ctx, config))
     masks = line_nonzero_masks(ctx)
     lines = proj_lines(ctx)
     for index in range(start, stop):
@@ -369,11 +354,11 @@ def _gen_lineset(cfg, start, stop):
             raise AssertionError(
                 f"line-set stabilizer mismatch at index {index}: {len(direct)} != {order}"
             )
-        yield (index, *_report_row(ctx, index, E, order, cfg))
+        yield (index, *_report_row(ctx, index, E, order, config))
 
 
-def _gen_prime_bound(cfg, start, stop):
-    ctx = _ctx(cfg)
+def _gen_prime_bound(config, start, stop):
+    ctx = _ctx(config)
     q = ctx.q
     counts = _cached("counts", lambda: all_subset_stabilizer_orders(ctx))
     masks = line_nonzero_masks(ctx)
@@ -388,7 +373,7 @@ def _gen_prime_bound(cfg, start, stop):
         E = PointSet(q, mask)
         order = counts[mask]
         _spot(ctx, E, order, mask)
-        yield (mask, *_report_row(ctx, mask, E, order, cfg))
+        yield (mask, *_report_row(ctx, mask, E, order, config))
 
 
 _EXPECTED_ORDER = {
@@ -414,15 +399,15 @@ def _expected_order(ctx, spec):
     return fn(ctx, spec) if fn else None
 
 
-def _family_specs(ctx, cfg):
-    if cfg["set_spec"]:
-        return [parse_set_spec(cfg["set_spec"])]
+def _family_specs(ctx, config):
+    if config.set_spec:
+        return [parse_set_spec(config.set_spec)]
     return default_battery(ctx)
 
 
-def _gen_family(cfg, start, stop):
-    ctx = _ctx(cfg)
-    specs = _cached(("battery", cfg["set_spec"]), lambda: _family_specs(ctx, cfg))
+def _gen_family(config, start, stop):
+    ctx = _ctx(config)
+    specs = _cached(("battery", config.set_spec), lambda: _family_specs(ctx, config))
     for index in range(start, stop):
         spec = specs[index]
         E = gen_family(ctx, spec)
@@ -432,7 +417,7 @@ def _gen_family(cfg, start, stop):
         comp_match = stab == stabilizer(ctx, E.complement())
         expected = _expected_order(ctx, spec)
         exp_match = None if expected is None else order == expected
-        row, nviol = _report_row(ctx, index, E, order, cfg)
+        row, nviol = _report_row(ctx, index, E, order, config)
         row["descriptor"] = spec.text()
         row["complement_match"] = comp_match
         row["expected_order"] = expected
@@ -454,13 +439,13 @@ def _decode3(q, code):
     return (code // (q * q), y, z)
 
 
-def _gen_incidence(cfg, start, stop):
-    ctx = _ctx(cfg)
+def _gen_incidence(config, start, stop):
+    ctx = _ctx(config)
     q = ctx.q
     pool = _cached("lines3", lambda: list(all_lines(ctx)))
     cap = 2 * q * q
     for index in range(start, stop):
-        rng = DetRng(nth_seed(cfg["seed"], index))
+        rng = DetRng(nth_seed(config.seed, index))
         npts = 1 + rng.below(min(cap, q**3))
         nlns = 1 + rng.below(min(cap, len(pool)))
         points = {_decode3(q, c) for c in rng.sample(q**3, npts)}
@@ -479,7 +464,7 @@ def _gen_incidence(cfg, start, stop):
             "incidences": inst.incidences,
             "plane_max": inst.plane_max,
         }
-        for brow in incidence_bound_report(ctx, inst, c=cfg["c"]):
+        for brow in incidence_bound_report(ctx, inst, c=config.c):
             row[f"{brow.name}_applicable"] = brow.applicable
             row[f"{brow.name}_observed"] = _f6(brow.observed)
             row[f"{brow.name}_rhs"] = _f6(brow.rhs)
@@ -509,13 +494,13 @@ def random_uniform_class_set(ctx: FieldCtx, seed: int):
     return PointSet.from_codes(q, codes), m0, m1
 
 
-def _audit_row(ctx, index, E, m1, cfg):
+def _audit_row(ctx, index, E, m1, config):
     row = dict.fromkeys(_AUDIT_COLUMNS)
     row["index"] = index
     row["descriptor"] = E.text()
     row["multiplicity"] = m1
     try:
-        aud = triple_count_audit(ctx, E, m1, c=cfg["c"])
+        aud = triple_count_audit(ctx, E, m1, c=config.c)
     except AssertionError as err:
         row["audit_ok"] = False
         row["audit_error"] = str(err)
@@ -539,33 +524,33 @@ def _pick_multiplicity(ctx, E):
     return min(classes, key=lambda k: (-len(classes[k]), k))
 
 
-def _gen_audit(cfg, start, stop):
-    ctx = _ctx(cfg)
-    if cfg["set_spec"]:
-        E = gen_family(ctx, parse_set_spec(cfg["set_spec"]))
-        m1 = cfg["m1"] if cfg["m1"] else _pick_multiplicity(ctx, E)
+def _gen_audit(config, start, stop):
+    ctx = _ctx(config)
+    if config.set_spec:
+        E = gen_family(ctx, parse_set_spec(config.set_spec))
+        m1 = config.m1 if config.m1 else _pick_multiplicity(ctx, E)
         for index in range(start, stop):
-            yield (index, *_audit_row(ctx, index, E, m1, cfg))
+            yield (index, *_audit_row(ctx, index, E, m1, config))
     else:
         for index in range(start, stop):
-            E, _, m1 = random_uniform_class_set(ctx, nth_seed(cfg["seed"], index))
-            yield (index, *_audit_row(ctx, index, E, m1, cfg))
+            E, _, m1 = random_uniform_class_set(ctx, nth_seed(config.seed, index))
+            yield (index, *_audit_row(ctx, index, E, m1, config))
 
 
-def _gen_search(cfg, start, stop):
-    ctx = _ctx(cfg)
+def _gen_search(config, start, stop):
+    ctx = _ctx(config)
     q = ctx.q
     order = sl2_order(q)
     for index in range(start, stop):
-        rng = DetRng(nth_seed(cfg["seed"], index))
-        if cfg["strategy"] == "random":
+        rng = DetRng(nth_seed(config.seed, index))
+        if config.strategy == "random":
             n = 1 + rng.below(q * q - 1)
             E = PointSet.from_codes(q, rng.sample(q * q, n))
             fast = len(stabilizer(ctx, E))
             brute = len(stabilizer_brute(ctx, E))  # every random row gets the oracle
             if fast != brute:
                 raise AssertionError(f"search row {index}: fast {fast} != brute {brute}")
-            row, nviol = _report_row(ctx, f"{index}", E, fast, cfg)
+            row, nviol = _report_row(ctx, f"{index}", E, fast, config)
             row["strategy"] = "random"
             row["subgroup_order"] = None
             row["contains_subgroup"] = None
@@ -585,7 +570,7 @@ def _gen_search(cfg, start, stop):
         for tag, E in ((f"{index}", union), (f"{index}+o", union.with_origin())):
             stab = stabilizer(ctx, E)
             contains = H <= stab
-            row, nviol = _report_row(ctx, tag, E, len(stab), cfg)
+            row, nviol = _report_row(ctx, tag, E, len(stab), config)
             row["strategy"] = "orbit-union"
             row["subgroup_order"] = len(H)
             row["contains_subgroup"] = contains
@@ -597,50 +582,124 @@ def _gen_search(cfg, start, stop):
             yield (index, row, nviol)
 
 
-_PRODUCERS = {
-    "exhaustive-subsets": _gen_exhaustive,
-    "two-line-exhaustive": _gen_two_line,
-    "lineset-exhaustive": _gen_lineset,
-    "family-verify": _gen_family,
-    "prime-bound-exhaustive": _gen_prime_bound,
-    "incidence-report": _gen_incidence,
-    "triple-audit": _gen_audit,
-    "search-extremal": _gen_search,
+def _rank_search_rows(collected: list) -> list:
+    """Dedup by point set, keep candidates meeting two or more lines,
+    order by falling symmetry ratio (first appearance breaks ties)."""
+    seen = set()
+    kept = []
+    for pos, (index, row, nviol) in enumerate(collected):
+        key = row["descriptor"]
+        if key in seen:
+            continue
+        seen.add(key)
+        if row.get("lines_meeting", 0) >= 2 and row.get("ratio_nonzero") is not None:
+            kept.append((-row["ratio_nonzero"], pos, row, nviol))
+    kept.sort(key=lambda t: (t[0], t[1]))
+    return [(row, nviol) for _, _, row, nviol in kept]
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One campaign: everything that sets it apart from the others."""
+
+    command: str  # CLI subcommand that runs it
+    produce: Callable  # (config, start, stop) -> (index, row, violations) items
+    columns: list
+    total: Callable  # (config, ctx) -> number of indices to enumerate
+    max_q: int
+    sampled_max_q: int = 0  # larger q this far runs sampled with allow_sampled
+    rank: Callable | None = None  # rows are held, then ranked, before writing
+
+
+def _two_line_total(config, ctx):
+    pairs, m = _two_line_space(ctx)
+    return len(pairs) * m * m * 2
+
+
+def _lineset_total(config, ctx):
+    q = ctx.q
+    return comb(q + 1, 3) + comb(q + 1, 4) + (config.budget if q + 1 >= 5 else 0)
+
+
+def _budget_total(config, ctx):
+    return config.budget
+
+
+CAMPAIGNS = {
+    "exhaustive-subsets": Campaign(
+        command="exhaustive",
+        produce=_gen_exhaustive,
+        columns=_stab_columns(),
+        total=lambda config, ctx: (1 << (ctx.q * ctx.q)) if ctx.q <= 4 else config.budget,
+        max_q=4,
+        sampled_max_q=5,
+    ),
+    "two-line-exhaustive": Campaign(
+        command="exhaustive",
+        produce=_gen_two_line,
+        columns=_stab_columns(),
+        total=_two_line_total,
+        max_q=5,  # q = 7 would be 222,264 rows
+    ),
+    "lineset-exhaustive": Campaign(
+        command="exhaustive",
+        produce=_gen_lineset,
+        columns=_stab_columns(),
+        total=_lineset_total,
+        max_q=9,
+    ),
+    "family-verify": Campaign(
+        command="family",
+        produce=_gen_family,
+        columns=_stab_columns(("complement_match", "expected_order", "expected_match")),
+        total=lambda config, ctx: len(_family_specs(ctx, config)),
+        max_q=16,
+    ),
+    "prime-bound-exhaustive": Campaign(
+        command="exhaustive",
+        produce=_gen_prime_bound,
+        columns=_stab_columns(),
+        total=lambda config, ctx: 1 << (ctx.q * ctx.q),
+        max_q=4,
+    ),
+    "incidence-report": Campaign(
+        command="incidence",
+        produce=_gen_incidence,
+        columns=_INCIDENCE_COLUMNS,
+        total=_budget_total,
+        max_q=9,
+    ),
+    "triple-audit": Campaign(
+        command="audit",
+        produce=_gen_audit,
+        columns=_AUDIT_COLUMNS,
+        total=lambda config, ctx: 1 if config.set_spec else config.budget,
+        max_q=9,
+    ),
+    "search-extremal": Campaign(
+        command="search",
+        produce=_gen_search,
+        columns=_stab_columns(("strategy", "subgroup_order", "contains_subgroup")),
+        total=_budget_total,
+        max_q=9,
+        rank=_rank_search_rows,
+    ),
 }
 
 
-def _run_range(cfg: dict, start: int, stop: int) -> list:
-    return list(_PRODUCERS[cfg["campaign"]](cfg, start, stop))
+def columns_for(campaign: str) -> list:
+    return list(CAMPAIGNS[campaign].columns)
+
+
+def _run_range(config: CampaignConfig, start: int, stop: int) -> list:
+    return list(CAMPAIGNS[config.campaign].produce(config, start, stop))
 
 
 # ---------------------------------------------------------------------------
-# Planning, guards, and the drive loop
-
-
-def _plan_total(cfg: dict, ctx: FieldCtx) -> int:
-    q = ctx.q
-    name = cfg["campaign"]
-    if name == "exhaustive-subsets":
-        return (1 << (q * q)) if q <= 4 else cfg["budget"]
-    if name == "two-line-exhaustive":
-        pairs, m = _two_line_space(ctx)
-        return len(pairs) * m * m * 2
-    if name == "lineset-exhaustive":
-        extra = cfg["budget"] if q + 1 >= 5 else 0
-        from math import comb
-
-        return comb(q + 1, 3) + comb(q + 1, 4) + extra
-    if name == "family-verify":
-        return len(_family_specs(ctx, cfg))
-    if name == "prime-bound-exhaustive":
-        return 1 << (q * q)
-    if name == "triple-audit":
-        return 1 if cfg["set_spec"] else cfg["budget"]
-    return cfg["budget"]  # incidence-report, search-extremal
+# Guards and the drive loop
 
 
 def _validate(config: CampaignConfig, ctx: FieldCtx) -> None:
-    q = ctx.q
     name = config.campaign
     if name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)}")
@@ -650,22 +709,12 @@ def _validate(config: CampaignConfig, ctx: FieldCtx) -> None:
         raise ValueError("budget must be >= 0")
     if config.resume and config.fmt != "csv":
         raise ValueError("resume is only supported for csv output")
-    if name == "exhaustive-subsets" and q > 4:
-        if q != 5 or not config.allow_sampled:
-            raise ValueError(
-                "exhaustive-subsets needs q <= 4; q = 5 runs sampled with --allow-sampled"
-            )
-    if name == "prime-bound-exhaustive" and q > 4:
-        raise ValueError("prime-bound-exhaustive needs q <= 4")
-    if name == "two-line-exhaustive":
-        total = _plan_total({"campaign": name, "budget": config.budget}, ctx)
-        if total > 200_000:
-            raise ValueError(f"two-line-exhaustive space too large ({total} rows)")
-    if name == "family-verify" and q > 16:
-        raise ValueError("family-verify needs q <= 16")
-    if name in ("lineset-exhaustive", "incidence-report", "triple-audit", "search-extremal"):
-        if q > 9:
-            raise ValueError(f"{name} needs q <= 9")
+    spec = CAMPAIGNS[name]
+    if ctx.q > (max(spec.max_q, spec.sampled_max_q) if config.allow_sampled else spec.max_q):
+        hint = ""
+        if spec.sampled_max_q:
+            hint = f"; q <= {spec.sampled_max_q} runs sampled with --allow-sampled"
+        raise ValueError(f"{name} needs q <= {spec.max_q}{hint}")
 
 
 def _echo(config: CampaignConfig) -> str:
@@ -742,42 +791,38 @@ def _write_ckpt(path: str, echo: str, next_start: int, offset: int, acc: _Acc) -
     os.replace(tmp, path)
 
 
+# CampaignConfig fields that steer a run but cannot change a row
+_RUN_FIELDS = ("workers", "out", "fmt", "resume", "allow_sampled")
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run one campaign: write the result file, return rows and summary."""
     ctx = make_field(config.p, config.r)
     _validate(config, ctx)
+    spec = CAMPAIGNS[config.campaign]
     if config.workers is None:
         config = replace(config, workers=int(os.environ.get("SL2LAB_WORKERS", "1")))
     out = config.out or _default_out(config)
-    cfg = {
-        "p": config.p,
-        "r": config.r,
-        "campaign": config.campaign,
-        "set_spec": config.set_spec,
-        "m1": config.m1,
-        "strategy": config.strategy,
-        "c": config.c,
-        "c1": config.c1,
-        "c2": config.c2,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "budget": config.budget,
-        "seed": config.seed,
-    }
-    total = _plan_total(cfg, ctx)
+    total = spec.total(config, ctx)
     echo = _echo(config)
-    cols = columns_for(config.campaign)
-    is_search = config.campaign == "search-extremal"
+    cols = spec.columns
     ckpt_path = out + ".ckpt"
+    # ranked and JSON rows are held until the end, so only plain CSV
+    # runs write checkpoints
+    buffered = spec.rank is not None or config.fmt == "json"
 
     start = 0
     acc = _Acc()
     mode = "w"
-    if config.resume and not is_search and config.fmt == "csv" and os.path.exists(ckpt_path):
+    if config.resume and not buffered and os.path.exists(ckpt_path):
         with open(ckpt_path) as fh:
             state = json.load(fh)
         if state["echo"] != echo:
             raise ValueError("checkpoint does not match this configuration")
+        if not os.path.isfile(out):
+            raise ValueError(f"cannot resume: {out} is missing")
+        if os.path.getsize(out) < state["offset"]:
+            raise ValueError(f"cannot resume: {out} is shorter than its checkpoint offset")
         start = state["next_start"]
         acc = _Acc.from_dict(state["acc"])
         # drop any rows written after the last completed chunk
@@ -785,72 +830,55 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             raw.truncate(state["offset"])
         mode = "a"
 
-    collected = []  # search rows (for ranking) or json rows
-    buffer_rows = is_search or config.fmt == "json"
+    collected = []  # buffered (index, row, violations) items
     written = []
-
-    def emit(fh, writer, batch):
-        for index, row, nviol in batch:
-            if buffer_rows:
-                collected.append((index, row, nviol))
-            else:
-                acc.update(row, nviol)
-                writer.writerow([_fmt(row.get(c)) for c in cols])
-                written.append(row)
-
-    fh = writer = None
-    if config.fmt == "csv":
-        fh = open(out, mode, newline="")
-        writer = csv.writer(fh, lineterminator="\n")
-        if mode == "w":
-            fh.write(echo + "\n")
-            writer.writerow(cols)
-
-    try:
-        use_pool = config.workers > 1 and total - start > CHUNK
-        if use_pool:
-            with ProcessPoolExecutor(
+    starts = range(start, total, CHUNK)
+    stops = [min(s + CHUNK, total) for s in starts]
+    with ExitStack() as stack:
+        writer = None
+        if config.fmt == "csv":
+            fh = stack.enter_context(open(out, mode, newline=""))
+            writer = csv.writer(fh, lineterminator="\n")
+            if mode == "w":
+                fh.write(echo + "\n")
+                writer.writerow(cols)
+        run = map
+        if config.workers > 1 and total - start > CHUNK:
+            pool = ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_init_worker,
                 initargs=(config.p, config.r),
-            ) as pool:
-                spans = [
-                    (s, min(s + CHUNK, total)) for s in range(start, total, CHUNK)
-                ]
-                futures = [pool.submit(_run_range, cfg, s, e) for s, e in spans]
-                for (s, e), fut in zip(spans, futures):
-                    emit(fh, writer, fut.result())
-                    if fh is not None and not buffer_rows:
-                        fh.flush()
-                        _write_ckpt(ckpt_path, echo, e, fh.tell(), acc)
-        else:
-            for s in range(start, total, CHUNK):
-                e = min(s + CHUNK, total)
-                emit(fh, writer, _run_range(cfg, s, e))
-                if fh is not None and not buffer_rows:
-                    fh.flush()
-                    _write_ckpt(ckpt_path, echo, e, fh.tell(), acc)
+            )
+            run = stack.enter_context(pool).map
+        batches = run(_run_range, itertools.repeat(config), starts, stops)
+        for stop, batch in zip(stops, batches):
+            if buffered:
+                collected.extend(batch)
+                continue
+            for _, row, nviol in batch:
+                acc.update(row, nviol)
+                writer.writerow([_fmt(row.get(c)) for c in cols])
+                written.append(row)
+            fh.flush()
+            _write_ckpt(ckpt_path, echo, stop, fh.tell(), acc)
 
-        if is_search:
-            ranked = _rank_search_rows(collected)
-            for row, nviol in ranked:
-                acc.update(row, nviol)
-                written.append(row)
-                if writer is not None:
-                    writer.writerow([_fmt(row.get(c)) for c in cols])
-        elif buffer_rows:
-            for index, row, nviol in collected:
-                acc.update(row, nviol)
-                written.append(row)
-    finally:
-        if fh is not None:
-            fh.close()
+        if spec.rank is not None:
+            held = spec.rank(collected)
+        else:
+            held = [(row, nviol) for _, row, nviol in collected]
+        for row, nviol in held:
+            acc.update(row, nviol)
+            written.append(row)
+            if writer is not None:
+                writer.writerow([_fmt(row.get(c)) for c in cols])
 
     if config.fmt == "json":
         doc = {
             "schema": SCHEMA,
             "campaign": config.campaign,
-            "config": {k: v for k, v in cfg.items() if v is not None},
+            "config": {
+                k: v for k, v in asdict(config).items() if v is not None and k not in _RUN_FIELDS
+            },
             "rows": written,
             "summary": acc.to_dict(),
         }
@@ -864,22 +892,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     summary["campaign"] = config.campaign
     summary["total_indices"] = total
     return CampaignResult(rows=written, summary=summary, out=out)
-
-
-def _rank_search_rows(collected: list) -> list:
-    """Dedup by point set, keep candidates meeting two or more lines,
-    order by falling symmetry ratio (first appearance breaks ties)."""
-    seen = set()
-    kept = []
-    for pos, (index, row, nviol) in enumerate(collected):
-        key = row["descriptor"]
-        if key in seen:
-            continue
-        seen.add(key)
-        if row.get("lines_meeting", 0) >= 2 and row.get("ratio_nonzero") is not None:
-            kept.append((-row["ratio_nonzero"], pos, row, nviol))
-    kept.sort(key=lambda t: (t[0], t[1]))
-    return [(row, nviol) for _, _, row, nviol in kept]
 
 
 def search_extremal(config: CampaignConfig) -> list:
@@ -909,6 +921,18 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--resume", action="store_true")
 
 
+def _campaign_parser(subs, command: str, help: str) -> argparse.ArgumentParser:
+    """The subcommand that runs the table's campaigns for `command`; when
+    there are several, --campaign picks one and the first is the default."""
+    names = [name for name, spec in CAMPAIGNS.items() if spec.command == command]
+    sub = subs.add_parser(command, help=help)
+    _add_common(sub)
+    if len(names) > 1:
+        sub.add_argument("--campaign", default=names[0], choices=names)
+    sub.set_defaults(run=_cmd_campaign, campaign=names[0])
+    return sub
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2lab",
@@ -920,39 +944,26 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--p", type=int, required=True)
     f.add_argument("--r", type=int, default=1)
     f.add_argument("--selftest", action="store_true", help="exhaustive axiom check")
+    f.set_defaults(run=_cmd_field)
 
     s = subs.add_parser("stab", help="symmetry set and bound report for one set")
     _add_common(s)
     s.add_argument("--set", dest="set_spec", required=True)
+    s.set_defaults(run=_cmd_stab)
 
-    fam = subs.add_parser("family", help="family-verify campaign")
-    _add_common(fam)
+    fam = _campaign_parser(subs, "family", "family-verify campaign")
     fam.add_argument("--set", dest="set_spec", default=None)
 
-    ex = subs.add_parser("exhaustive", help="exhaustive sweeps")
-    _add_common(ex)
-    ex.add_argument(
-        "--campaign",
-        default="exhaustive-subsets",
-        choices=(
-            "exhaustive-subsets",
-            "two-line-exhaustive",
-            "lineset-exhaustive",
-            "prime-bound-exhaustive",
-        ),
-    )
+    ex = _campaign_parser(subs, "exhaustive", "exhaustive sweeps")
     ex.add_argument("--allow-sampled", action="store_true")
 
-    inc = subs.add_parser("incidence", help="random incidence instances and bounds")
-    _add_common(inc)
+    _campaign_parser(subs, "incidence", "random incidence instances and bounds")
 
-    aud = subs.add_parser("audit", help="triple-count audit campaign")
-    _add_common(aud)
+    aud = _campaign_parser(subs, "audit", "triple-count audit campaign")
     aud.add_argument("--set", dest="set_spec", default=None)
     aud.add_argument("--m1", type=int, default=None)
 
-    se = subs.add_parser("search", help="extremal-ratio search")
-    _add_common(se)
+    se = _campaign_parser(subs, "search", "extremal-ratio search")
     se.add_argument("--strategy", choices=("orbit-union", "random"), default="orbit-union")
     return parser
 
@@ -993,31 +1004,15 @@ def _cmd_stab(args) -> int:
     return 1 if bad else 0
 
 
-def _campaign_from_args(args, campaign: str) -> CampaignConfig:
+def _campaign_from_args(args) -> CampaignConfig:
+    # a field without a flag on this subcommand keeps its default
     return CampaignConfig(
-        p=args.p,
-        r=args.r,
-        campaign=campaign,
-        set_spec=getattr(args, "set_spec", None),
-        m1=getattr(args, "m1", None),
-        strategy=getattr(args, "strategy", "orbit-union"),
-        c=args.c,
-        c1=args.c1,
-        c2=args.c2,
-        alpha=args.alpha,
-        beta=args.beta,
-        budget=args.budget,
-        seed=args.seed,
-        workers=args.workers,
-        out=args.out,
-        fmt=args.fmt,
-        resume=args.resume,
-        allow_sampled=getattr(args, "allow_sampled", False),
+        **{f.name: getattr(args, f.name, f.default) for f in fields(CampaignConfig)}
     )
 
 
-def _cmd_campaign(args, campaign: str) -> int:
-    result = run_campaign(_campaign_from_args(args, campaign))
+def _cmd_campaign(args) -> int:
+    result = run_campaign(_campaign_from_args(args))
     s = result.summary
     line = f"campaign={s['campaign']} rows={s['rows']} violations={s['violations']}"
     if s["max_ratio"] is not None:
@@ -1032,22 +1027,8 @@ def _cmd_campaign(args, campaign: str) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "field":
-            return _cmd_field(args)
-        if args.command == "stab":
-            return _cmd_stab(args)
-        if args.command == "family":
-            return _cmd_campaign(args, "family-verify")
-        if args.command == "exhaustive":
-            return _cmd_campaign(args, args.campaign)
-        if args.command == "incidence":
-            return _cmd_campaign(args, "incidence-report")
-        if args.command == "audit":
-            return _cmd_campaign(args, "triple-audit")
-        if args.command == "search":
-            return _cmd_campaign(args, "search-extremal")
-        raise ValueError(f"unknown command {args.command!r}")
-    except ValueError as err:
+        return args.run(args)
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AssertionError as err:

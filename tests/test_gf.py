@@ -196,7 +196,9 @@ def test_make_field_guards():
     with pytest.raises(ValueError):
         make_field(2, 0)
     with pytest.raises(ValueError):
-        make_field(2, 20)  # beyond max_q
+        make_field(2, 20)  # beyond q = 256
+    with pytest.raises(ValueError):
+        make_field(257, 1)
 
 
 def test_field_cache_identity():

@@ -176,6 +176,36 @@ def test_resume_rejects_config_change(tmp_path, monkeypatch):
                                     seed=9, out=str(out), resume=True))
 
 
+@pytest.mark.parametrize("damage", ["missing", "short"])
+def test_resume_refuses_checkpoint_beyond_output(tmp_path, monkeypatch, capsys, damage):
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    out = tmp_path / "x.csv"
+    real = harness._run_range
+
+    def explode(config, start, stop):
+        if start >= 128:
+            raise RuntimeError("injected crash")
+        return real(config, start, stop)
+
+    monkeypatch.setattr(harness, "_run_range", explode)
+    with pytest.raises(RuntimeError):
+        run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
+                                    out=str(out)))
+    monkeypatch.setattr(harness, "_run_range", real)
+    ckpt = tmp_path / "x.csv.ckpt"
+    if damage == "missing":
+        out.unlink()
+    else:
+        state = json.loads(ckpt.read_text())
+        state["offset"] = out.stat().st_size + 100_000
+        ckpt.write_text(json.dumps(state))
+    before = out.read_bytes() if out.exists() else None
+    code = main(["exhaustive", "--p", "3", "--resume", "--out", str(out)])
+    assert code == 2
+    assert "error: cannot resume" in capsys.readouterr().err
+    assert (out.read_bytes() if out.exists() else None) == before
+
+
 def test_checkpoint_removed_after_clean_run(tmp_path):
     res = run_campaign(cfg(tmp_path, p=2, r=1, campaign="exhaustive-subsets"))
     assert not os.path.exists(res.out + ".ckpt")
@@ -350,6 +380,9 @@ def test_json_output(tmp_path):
     dict(p=11, r=1, campaign="lineset-exhaustive"),
     dict(p=11, r=1, campaign="triple-audit"),
     dict(p=7, r=1, campaign="two-line-exhaustive"),
+    dict(p=17, r=1, campaign="family-verify"),
+    dict(p=11, r=1, campaign="incidence-report"),
+    dict(p=11, r=1, campaign="search-extremal"),
 ])
 def test_config_validation(tmp_path, bad):
     with pytest.raises(ValueError):
@@ -391,6 +424,13 @@ def test_cli_family_campaign(tmp_path, capsys):
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     code = main(["exhaustive", "--p", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    code = main(["family", "--p", "2", "--r", "2",
+                 "--out", str(tmp_path / "missing" / "x.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
