@@ -168,6 +168,8 @@ class FieldCtx:
       modulus          -- modulus digit tuple, degree 0 first, length r+1
       modulus_code     -- its integer code (leading term included)
       primitive        -- smallest code generating the multiplicative group
+      add_table, mul_table -- dense q*q tuples; x + y is add_table[x*q + y]
+                          and x * y is mul_table[x*q + y]
       add, sub, neg, mul, inv, div, pow -- operations on integer codes
 
     The operations are closures over precomputed tables, so they do not
@@ -265,6 +267,8 @@ class FieldCtx:
         inv_tab = [0] * q
         for x in range(1, q):
             inv_tab[x] = exp[(qm1 - log[x]) % qm1]
+        add_tab = self.add_table = tuple(add_tab)
+        mul_tab = self.mul_table = tuple(mul_tab)
         self.add = lambda x, y, _t=add_tab, _q=q: _t[x * _q + y]
         self.mul = lambda x, y, _t=mul_tab, _q=q: _t[x * _q + y]
         self.sub = lambda x, y, _t=add_tab, _n=neg, _q=q: _t[x * _q + _n[y]]

@@ -58,6 +58,7 @@ from .stabilizer import (
     Constants,
     all_subset_stabilizer_orders,
     bound_report,
+    line_partition,
     line_set_stabilizer,
     stabilizer,
     stabilizer_brute,
@@ -516,8 +517,6 @@ def _audit_row(ctx, index, E, m1, config):
 
 
 def _pick_multiplicity(ctx, E):
-    from .stabilizer import line_partition
-
     classes = line_partition(ctx, E.without_origin()).classes
     if not classes:
         raise ValueError("set has no nonzero points to audit")
@@ -707,6 +706,8 @@ def _validate(config: CampaignConfig, ctx: FieldCtx) -> None:
         raise ValueError("format must be csv or json")
     if config.budget < 0:
         raise ValueError("budget must be >= 0")
+    if config.workers < 1:
+        raise ValueError("workers must be >= 1")
     if config.resume and config.fmt != "csv":
         raise ValueError("resume is only supported for csv output")
     spec = CAMPAIGNS[name]
@@ -798,10 +799,10 @@ _RUN_FIELDS = ("workers", "out", "fmt", "resume", "allow_sampled")
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run one campaign: write the result file, return rows and summary."""
     ctx = make_field(config.p, config.r)
-    _validate(config, ctx)
-    spec = CAMPAIGNS[config.campaign]
     if config.workers is None:
         config = replace(config, workers=int(os.environ.get("SL2LAB_WORKERS", "1")))
+    _validate(config, ctx)
+    spec = CAMPAIGNS[config.campaign]
     out = config.out or _default_out(config)
     total = spec.total(config, ctx)
     echo = _echo(config)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import FieldCtx
-from .plane import sl2_elements, sl2_order, MATERIALIZE_LIMIT
+from .plane import MATERIALIZE_LIMIT, mat_apply, sl2_elements, sl2_order
 
 
 def project_matrix(m) -> tuple:
@@ -110,8 +110,6 @@ def all_lines(ctx: FieldCtx):
 
 def transport_set(ctx: FieldCtx, src, dst):
     """All theta in SL2 with theta(src) = dst, by brute filter (size q)."""
-    from .plane import mat_apply
-
     if sl2_order(ctx.q) > MATERIALIZE_LIMIT:
         raise ValueError("field too large for the brute transport filter")
     out = {m for m in sl2_elements(ctx) if mat_apply(ctx, m, src) == dst}

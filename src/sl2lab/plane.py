@@ -10,6 +10,11 @@ Conventions used throughout the package:
   * the q + 1 directions through the origin are canonical tuples
     (1, t) for t in F_q followed by (0, 1), so the y-axis sorts last.
 
+act() is the single place the action on points is computed: it maps a
+packed code to the packed code of its image by reading the field's
+add/mul tables directly, and mat_apply, point_permutation, apply_to_set
+and the stabilizer filters all go through it.
+
 sl2_elements() streams the group in a pinned order (the a = 0 sweep
 first, then lexicographic (a, b, c) with d solved from the determinant),
 which lets campaigns partition work by index range and restart without
@@ -37,11 +42,18 @@ def unpack_point(q: int, code: int):
     return divmod(code, q)
 
 
-def mat_apply(ctx: FieldCtx, m, pt):
+def act(ctx: FieldCtx, m, code: int) -> int:
+    """Packed code of m(x, y), where code = x*q + y packs the point."""
+    q = ctx.q
+    add, mul = ctx.add_table, ctx.mul_table
     a, b, c, d = m
-    x, y = pt
-    add, mul = ctx.add, ctx.mul
-    return (add(mul(a, x), mul(b, y)), add(mul(c, x), mul(d, y)))
+    x, y = divmod(code, q)
+    return add[mul[a * q + x] * q + mul[b * q + y]] * q + add[mul[c * q + x] * q + mul[d * q + y]]
+
+
+def mat_apply(ctx: FieldCtx, m, pt):
+    q = ctx.q
+    return divmod(act(ctx, m, pt[0] * q + pt[1]), q)
 
 
 def mat_mul(ctx: FieldCtx, m, n):
@@ -112,6 +124,20 @@ def sl2_order(q: int) -> int:
     return q**3 - q
 
 
+def _sl2_decode(ctx: FieldCtx, i: int):
+    """Matrix i of the pinned enumeration, for 0 <= i < q^3 - q (unchecked)."""
+    q = ctx.q
+    head = q * (q - 1)
+    if i < head:
+        b_idx, d = divmod(i, q)
+        b = b_idx + 1
+        return (0, b, ctx.neg(ctx.inv(b)), d)
+    a_idx, rem = divmod(i - head, q * q)
+    a = a_idx + 1
+    b, c = divmod(rem, q)
+    return (a, b, c, ctx.mul(ctx.add(1, ctx.mul(b, c)), ctx.inv(a)))
+
+
 def sl2_unrank(ctx: FieldCtx, i: int):
     """The i-th matrix of the pinned SL2 enumeration.
 
@@ -119,44 +145,22 @@ def sl2_unrank(ctx: FieldCtx, i: int):
     c = -1/b forced, d sweeping F_q.  After that: a ascending from 1,
     then (b, c) lexicographic with d = (1 + b c) / a.
     """
-    q = ctx.q
-    head = q * (q - 1)
-    if i < 0 or i >= sl2_order(q):
+    if i < 0 or i >= sl2_order(ctx.q):
         raise IndexError(f"SL2 index {i} out of range")
-    if i < head:
-        b_idx, d = divmod(i, q)
-        b = b_idx + 1
-        return (0, b, ctx.neg(ctx.inv(b)), d)
-    j = i - head
-    a_idx, rem = divmod(j, q * q)
-    a = a_idx + 1
-    b, c = divmod(rem, q)
-    d = ctx.mul(ctx.add(1, ctx.mul(b, c)), ctx.inv(a))
-    return (a, b, c, d)
+    return _sl2_decode(ctx, i)
 
 
 def sl2_elements(ctx: FieldCtx, start: int = 0, stop: int | None = None):
     """Stream SL2(F_q) in the pinned order, optionally an index slice."""
-    q = ctx.q
-    n = sl2_order(q)
+    n = sl2_order(ctx.q)
     if n > STREAM_LIMIT:
         raise ValueError(f"|SL2| = {n} exceeds the streaming guard {STREAM_LIMIT}")
     if stop is None:
         stop = n
     if not (0 <= start <= stop <= n):
         raise IndexError(f"bad slice [{start}, {stop}) of {n}")
-    add, mul, neg, inv = ctx.add, ctx.mul, ctx.neg, ctx.inv
-    head = q * (q - 1)
-    for i in range(start, min(stop, head)):
-        b_idx, d = divmod(i, q)
-        b = b_idx + 1
-        yield (0, b, neg(inv(b)), d)
-    for i in range(max(start, head), stop):
-        j = i - head
-        a_idx, rem = divmod(j, q * q)
-        a = a_idx + 1
-        b, c = divmod(rem, q)
-        yield (a, b, c, mul(add(1, mul(b, c)), inv(a)))
+    for i in range(start, stop):
+        yield _sl2_decode(ctx, i)
 
 
 def sl2_materialize(ctx: FieldCtx):
@@ -174,16 +178,7 @@ def sl2_materialize(ctx: FieldCtx):
 
 def point_permutation(ctx: FieldCtx, m) -> list:
     """Image of every packed point code under m, as a list."""
-    q = ctx.q
-    a, b, c, d = m
-    add, mul = ctx.add, ctx.mul
-    out = [0] * (q * q)
-    for x in range(q):
-        ax, cx = mul(a, x), mul(c, x)
-        row = x * q
-        for y in range(q):
-            out[row + y] = add(ax, mul(b, y)) * q + add(cx, mul(d, y))
-    return out
+    return [act(ctx, m, code) for code in range(ctx.q * ctx.q)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +392,7 @@ class PointSet:
 
 def apply_to_set(ctx: FieldCtx, m, ps: PointSet) -> PointSet:
     """The image point set m(E)."""
-    q = ctx.q
-    a, b, c, d = m
-    add, mul = ctx.add, ctx.mul
     bits = ps.bits & 1  # origin maps to origin
     for code in ps.nonzero_codes:
-        x, y = divmod(code, q)
-        bits |= 1 << (add(mul(a, x), mul(b, y)) * q + add(mul(c, x), mul(d, y)))
-    return PointSet(q, bits)
+        bits |= 1 << act(ctx, m, code)
+    return PointSet(ctx.q, bits)

@@ -12,8 +12,11 @@ symmetry set of the complement.  Two independent routes compute it:
     condition), and keeps the ones that preserve E.  Cost is about
     |E| * q candidates times an O(|E|) check, instead of q^3 filters.
 
-The two must agree exactly; the test suite holds them together on every
-subset of small planes and on random subsets of larger ones.
+Both keep a candidate by the same test (_maps_into: theta sends E's
+nonzero points into E); they stay independent through where their
+candidates come from.  The two must agree exactly; the test suite holds
+them together on every subset of small planes and on random subsets of
+larger ones.
 
 The rest of the module turns theorems about R(E) into checkable
 reports: line partitions, the exact stabilizer of a set of directions,
@@ -41,7 +44,9 @@ from .plane import (
     IDENTITY,
     MATERIALIZE_LIMIT,
     PointSet,
+    act,
     apply_to_set,
+    is_sl2,
     line_apply,
     line_index,
     line_nonzero_masks,
@@ -73,24 +78,26 @@ def _group_spot_check(ctx: FieldCtx, mats: set, samples: int = 64) -> None:
             assert mat_mul(ctx, a, b) in mats
 
 
+def _maps_into(ctx: FieldCtx, m, codes, bits: int) -> bool:
+    """Whether m sends every packed code in codes into the bitset bits.
+
+    With codes = E's nonzero codes and bits = E.bits this is theta(E) = E,
+    since theta is a bijection fixing the origin; both routes filter
+    their candidates with it.
+    """
+    for code in codes:
+        if not (bits >> act(ctx, m, code)) & 1:
+            return False
+    return True
+
+
 def stabilizer_brute(ctx: FieldCtx, E: PointSet) -> set:
     """R(E) by filtering every group element (the oracle route)."""
-    q = ctx.q
-    nz = E.nonzero_codes
-    bits = E.bits
-    add, mul = ctx.add, ctx.mul
+    nz, bits = E.nonzero_codes, E.bits
     source = (
-        sl2_materialize(ctx) if sl2_order(q) <= MATERIALIZE_LIMIT else sl2_elements(ctx)
+        sl2_materialize(ctx) if sl2_order(ctx.q) <= MATERIALIZE_LIMIT else sl2_elements(ctx)
     )
-    out = set()
-    for m in source:
-        a, b, c, d = m
-        for code in nz:
-            x, y = divmod(code, q)
-            if not (bits >> (add(mul(a, x), mul(b, y)) * q + add(mul(c, x), mul(d, y)))) & 1:
-                break
-        else:
-            out.add(m)
+    out = {m for m in source if _maps_into(ctx, m, nz, bits)}
     _group_spot_check(ctx, out)
     return out
 
@@ -146,18 +153,12 @@ def stabilizer_fast(ctx: FieldCtx, E: PointSet) -> set:
         base = mat_apply(ctx, rot, base)
         nz = E.nonzero_codes
     bits = E.bits
-    add, mul = ctx.add, ctx.mul
-    found = set()
-    for code in nz:
-        dst = divmod(code, q)
-        for m in _transport_candidates(ctx, base, dst):
-            a, b, c, d = m
-            for pc in nz:
-                x, y = divmod(pc, q)
-                if not (bits >> (add(mul(a, x), mul(b, y)) * q + add(mul(c, x), mul(d, y)))) & 1:
-                    break
-            else:
-                found.add(m)
+    found = {
+        m
+        for code in nz
+        for m in _transport_candidates(ctx, base, divmod(code, q))
+        if _maps_into(ctx, m, nz, bits)
+    }
     if rot is not None:
         un = mat_inv(ctx, rot)
         found = {mat_mul(ctx, mat_mul(ctx, un, m), rot) for m in found}
@@ -252,8 +253,6 @@ def line_set_stabilizer(ctx: FieldCtx, lines) -> set:
 def subgroup_closure(ctx: FieldCtx, generators, limit: int = 1_000_000) -> frozenset:
     """The subgroup generated by the given matrices (BFS under products)."""
     for g in generators:
-        from .plane import is_sl2
-
         if not is_sl2(ctx, g):
             raise ValueError(f"{g} is not in SL2")
     seen = {IDENTITY}
@@ -302,8 +301,8 @@ def subgroup_orbits(ctx: FieldCtx, generators, limit: int = 1_000_000):
         orbits.append(PointSet.from_codes(q, members))
     assert sum(len(o) for o in orbits) == q * q
     for orbit in orbits:
-        rep = divmod(min(orbit.codes()), q)
-        stab = sum(1 for h in H if mat_apply(ctx, h, rep) == rep)
+        rep = min(orbit.codes())
+        stab = sum(1 for h in H if act(ctx, h, rep) == rep)
         assert len(H) == len(orbit) * stab, "orbit-stabilizer identity"
     return H, orbits
 
@@ -441,8 +440,6 @@ def bound_report(
     def add(name, applicable, rhs, check):
         ratio = (stab_order / rhs) if rhs > 0 else None
         violated = (not check()) if (applicable and check is not None) else None
-        if check is None:
-            violated = None
         rows.append(BoundRow(name, applicable, rhs, ratio, violated))
 
     add("two_lines", lines == 2, float(size_nz), lambda: stab_order <= size_nz)
@@ -576,21 +573,11 @@ def triple_count_audit(
 
     # S: elements permuting the class point sets among themselves
     frozen = {frozenset(cs) for cs in class_sets}
-    add, mul = ctx.add, ctx.mul
-    preservers = []
-    for m in sl2_materialize(ctx):
-        a, b, c_, d = m
-        ok = True
-        for cs in class_sets:
-            img = frozenset(
-                add(mul(a, x), mul(b, y)) * q + add(mul(c_, x), mul(d, y))
-                for x, y in (divmod(code, q) for code in cs)
-            )
-            if img not in frozen:
-                ok = False
-                break
-        if ok:
-            preservers.append(m)
+    preservers = [
+        m
+        for m in sl2_materialize(ctx)
+        if all(frozenset(act(ctx, m, code) for code in cs) in frozen for cs in class_sets)
+    ]
     movers = [m for m in preservers if m[2] != 0]  # these move the x-axis
     fixers = [m for m in preservers if m[2] == 0]
 
@@ -606,13 +593,10 @@ def triple_count_audit(
     transport_total = 0
     fixer_part = 0
     for m in preservers:
-        a, b, c_, d = m
         for code in probes:
-            x, y = divmod(code, q)
-            img = add(mul(a, x), mul(b, y)) * q + add(mul(c_, x), mul(d, y))
-            if img in target_set:
+            if act(ctx, m, code) in target_set:
                 transport_total += 1
-                if c_ == 0:
+                if m[2] == 0:
                     fixer_part += 1
     mover_part = transport_total - fixer_part
 

@@ -383,6 +383,7 @@ def test_json_output(tmp_path):
     dict(p=17, r=1, campaign="family-verify"),
     dict(p=11, r=1, campaign="incidence-report"),
     dict(p=11, r=1, campaign="search-extremal"),
+    dict(p=3, r=1, campaign="incidence-report", budget=5, workers=0),
 ])
 def test_config_validation(tmp_path, bad):
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from sl2lab.gf import make_field
 from sl2lab.plane import (
     IDENTITY,
     PointSet,
+    act,
     apply_to_set,
     basis_map_to,
     is_sl2,
@@ -67,6 +68,17 @@ def test_unrank_agrees_with_iteration(fields):
     assert list(sl2_elements(ctx, 17, 40)) == [sl2_unrank(ctx, i) for i in range(17, 40)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_elements_follow_documented_order(fields, q):
+    # a = 0 block keyed by (b, d), then a != 0 keyed by (a, b, c)
+    def key(m):
+        a, b, c, d = m
+        return (0, b, d) if a == 0 else (1, a, b, c)
+
+    ctx = fields[q]
+    assert list(sl2_elements(ctx)) == sorted(brute_sl2(ctx), key=key)
+
+
 def test_unrank_out_of_range(fields):
     with pytest.raises(IndexError):
         sl2_unrank(fields[3], 24)
@@ -114,6 +126,21 @@ def test_point_permutation(fields, q):
     pi, pj = point_permutation(ctx, mi), point_permutation(ctx, mj)
     pij = point_permutation(ctx, mat_mul(ctx, mi, mj))
     assert pij == [pi[x] for x in pj]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_action_kernel_matches_field_ops(fields, q):
+    # independent of the kernel's table indexing: field ops written out
+    ctx = fields[q]
+    add, mul = ctx.add, ctx.mul
+    for m in brute_sl2(ctx):
+        a, b, c, d = m
+        perm = point_permutation(ctx, m)
+        for x in range(q):
+            for y in range(q):
+                img = (add(mul(a, x), mul(b, y)), add(mul(c, x), mul(d, y)))
+                assert mat_apply(ctx, m, (x, y)) == img
+                assert act(ctx, m, x * q + y) == perm[x * q + y] == img[0] * q + img[1]
 
 
 def test_mat_text_roundtrip(fields):
