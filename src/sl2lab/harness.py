@@ -14,8 +14,10 @@ byte, is:
   * Integers are written exactly; every float column is rounded to six
     significant digits at row-build time so CSV and JSON agree.
   * Exhaustive campaigns checkpoint progress to <out>.ckpt after each
-    chunk; rerunning with --resume appends the remaining rows and the
-    concatenated file is identical to an uninterrupted run (CSV only).
+    chunk, with the sha256 of every byte written so far; rerunning with
+    --resume checks that hash over the kept prefix, appends the
+    remaining rows, and the concatenated file is identical to an
+    uninterrupted run (CSV only).
   * Exit status: 0 clean, 1 when any proved bound is violated (that
     means an implementation bug, so it fails loudly), 2 on bad
     configuration, a file that cannot be read or written, a checkpoint
@@ -24,6 +26,13 @@ byte, is:
 
 Each campaign is one row of CAMPAIGNS: its row producer, columns, row
 total, q limit and CLI subcommand.
+
+Workers (or the parent, in a serial run) render each chunk of rows to
+CSV text with csv.writer; the parent writes that text, folds the rows
+into the summary and checkpoints.  Every stabilizer-report column after
+index/descriptor is memoized per process on (|R(E)|, |E|, the sorted
+line multiplicities of E, whether E lies on a line) and the constants,
+so bound_report and the float formatting run once per distinct key.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -34,6 +43,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -58,6 +69,8 @@ from .stabilizer import (
     Constants,
     all_subset_stabilizer_orders,
     bound_report,
+    contained_in_line,
+    line_counts,
     line_partition,
     line_set_stabilizer,
     stabilizer,
@@ -233,37 +246,52 @@ def _constants(config: CampaignConfig) -> Constants:
 
 
 def _report_row(ctx, index, E, stab_order, config) -> tuple:
-    rep = bound_report(ctx, E, _constants(config), stab_order=stab_order)
-    row = {
-        "index": index,
-        "descriptor": E.text(),
-        "size": rep.size,
-        "size_nonzero": rep.size_nonzero,
-        "lines_meeting": rep.lines_meeting,
-        "stab_order": rep.stab_order,
-        "ratio_full": _f6(rep.ratio_full),
-        "ratio_nonzero": _f6(rep.ratio_nonzero),
-        "contained_line": rep.contained_line,
-        "all_classes_small": rep.all_classes_small,
-        "small": rep.small,
-        "rich": rep.rich,
-        "confirmed": rep.confirmed,
-    }
-    by_name = {r.name: r for r in rep.rows}
-    for name in BOUND_NAMES:
-        r = by_name[name]
-        row[f"{name}_applicable"] = r.applicable
-        row[f"{name}_rhs"] = _f6(r.rhs)
-        row[f"{name}_ratio"] = _f6(r.ratio)
-        row[f"{name}_violated"] = r.violated
-    bad = rep.violations()
-    row["violations"] = ";".join(bad)
-    return row, len(bad)
+    """(row, violations, cells) of one set's report row.
+
+    Every report column after index/descriptor depends on E only through
+    |E|, its sorted nonzero line multiplicities and whether it lies on a
+    line, so the tail is memoized per process on that key (with the
+    constants and the field); bound_report runs once per distinct key.
+    cells is the tail already formatted for CSV; a caller that edits the
+    row (a fresh dict) renders it from its values instead.
+    """
+    memo = _cached(("tails", ctx.q, config.c, config.c1, config.c2, config.alpha, config.beta), dict)
+    mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
+    key = (stab_order, E.size, mults, contained_in_line(ctx, E))
+    entry = memo.get(key)
+    if entry is None:
+        rep = bound_report(ctx, E, _constants(config), stab_order=stab_order)
+        tail = {
+            "size": rep.size,
+            "size_nonzero": rep.size_nonzero,
+            "lines_meeting": rep.lines_meeting,
+            "stab_order": rep.stab_order,
+            "ratio_full": _f6(rep.ratio_full),
+            "ratio_nonzero": _f6(rep.ratio_nonzero),
+            "contained_line": rep.contained_line,
+            "all_classes_small": rep.all_classes_small,
+            "small": rep.small,
+            "rich": rep.rich,
+            "confirmed": rep.confirmed,
+        }
+        by_name = {r.name: r for r in rep.rows}
+        for name in BOUND_NAMES:
+            r = by_name[name]
+            tail[f"{name}_applicable"] = r.applicable
+            tail[f"{name}_rhs"] = _f6(r.rhs)
+            tail[f"{name}_ratio"] = _f6(r.ratio)
+            tail[f"{name}_violated"] = r.violated
+        bad = rep.violations()
+        tail["violations"] = ";".join(bad)
+        entry = memo[key] = (tail, len(bad), tuple(_fmt(v) for v in tail.values()))
+    tail, nviol, cells = entry
+    return {"index": index, "descriptor": E.text(), **tail}, nviol, cells
 
 
 # ---------------------------------------------------------------------------
-# Row producers, one per campaign.  Each yields (index, row, violations)
-# for indices in [start, stop), purely from (config, index).
+# Row producers, one per campaign.  Each yields (index, row, violations,
+# cells) for indices in [start, stop), purely from (config, index); cells
+# is the memoized CSV tail of an unedited report row, else None.
 
 
 def _gen_exhaustive(config, start, stop):
@@ -418,7 +446,7 @@ def _gen_family(config, start, stop):
         comp_match = stab == stabilizer(ctx, E.complement())
         expected = _expected_order(ctx, spec)
         exp_match = None if expected is None else order == expected
-        row, nviol = _report_row(ctx, index, E, order, config)
+        row, nviol, _ = _report_row(ctx, index, E, order, config)
         row["descriptor"] = spec.text()
         row["complement_match"] = comp_match
         row["expected_order"] = expected
@@ -431,7 +459,7 @@ def _gen_family(config, start, stop):
             bad.append("expected_mismatch")
             nviol += 1
         row["violations"] = ";".join(bad)
-        yield (index, row, nviol)
+        yield (index, row, nviol, None)
 
 
 def _decode3(q, code):
@@ -470,7 +498,7 @@ def _gen_incidence(config, start, stop):
             row[f"{brow.name}_observed"] = _f6(brow.observed)
             row[f"{brow.name}_rhs"] = _f6(brow.rhs)
             row[f"{brow.name}_ratio"] = _f6(brow.ratio)
-        yield (index, row, 0)
+        yield (index, row, 0, None)
 
 
 def random_uniform_class_set(ctx: FieldCtx, seed: int):
@@ -529,11 +557,11 @@ def _gen_audit(config, start, stop):
         E = gen_family(ctx, parse_set_spec(config.set_spec))
         m1 = config.m1 if config.m1 else _pick_multiplicity(ctx, E)
         for index in range(start, stop):
-            yield (index, *_audit_row(ctx, index, E, m1, config))
+            yield (index, *_audit_row(ctx, index, E, m1, config), None)
     else:
         for index in range(start, stop):
             E, _, m1 = random_uniform_class_set(ctx, nth_seed(config.seed, index))
-            yield (index, *_audit_row(ctx, index, E, m1, config))
+            yield (index, *_audit_row(ctx, index, E, m1, config), None)
 
 
 def _gen_search(config, start, stop):
@@ -549,11 +577,11 @@ def _gen_search(config, start, stop):
             brute = len(stabilizer_brute(ctx, E))  # every random row gets the oracle
             if fast != brute:
                 raise AssertionError(f"search row {index}: fast {fast} != brute {brute}")
-            row, nviol = _report_row(ctx, f"{index}", E, fast, config)
+            row, nviol, _ = _report_row(ctx, f"{index}", E, fast, config)
             row["strategy"] = "random"
             row["subgroup_order"] = None
             row["contains_subgroup"] = None
-            yield (index, row, nviol)
+            yield (index, row, nviol, None)
             continue
         ngens = 1 + rng.below(2)
         gens = [sl2_unrank(ctx, rng.below(order)) for _ in range(ngens)]
@@ -569,7 +597,7 @@ def _gen_search(config, start, stop):
         for tag, E in ((f"{index}", union), (f"{index}+o", union.with_origin())):
             stab = stabilizer(ctx, E)
             contains = H <= stab
-            row, nviol = _report_row(ctx, tag, E, len(stab), config)
+            row, nviol, _ = _report_row(ctx, tag, E, len(stab), config)
             row["strategy"] = "orbit-union"
             row["subgroup_order"] = len(H)
             row["contains_subgroup"] = contains
@@ -578,7 +606,7 @@ def _gen_search(config, start, stop):
                 row["violations"] = ";".join(
                     x for x in (row["violations"], "orbit_union_containment") if x
                 )
-            yield (index, row, nviol)
+            yield (index, row, nviol, None)
 
 
 def _rank_search_rows(collected: list) -> list:
@@ -690,8 +718,32 @@ def columns_for(campaign: str) -> list:
     return list(CAMPAIGNS[campaign].columns)
 
 
-def _run_range(config: CampaignConfig, start: int, stop: int) -> list:
-    return list(CAMPAIGNS[config.campaign].produce(config, start, stop))
+def _streams_csv(config: CampaignConfig) -> bool:
+    """Plain CSV runs write each chunk as it arrives; ranked and JSON
+    rows are held until the end."""
+    return config.fmt == "csv" and CAMPAIGNS[config.campaign].rank is None
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _run_range(config: CampaignConfig, start: int, stop: int) -> tuple:
+    """The (index, row, violations) items of [start, stop), and their CSV
+    text when the run streams CSV (None otherwise)."""
+    spec = CAMPAIGNS[config.campaign]
+    items = list(spec.produce(config, start, stop))
+    text = None
+    if _streams_csv(config):
+        text = _csv_text(
+            [_fmt(row.get(c)) for c in spec.columns]
+            if cells is None
+            else [str(index), row["descriptor"], *cells]
+            for index, row, _, cells in items
+        )
+    return [item[:3] for item in items], text
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +784,7 @@ def _echo(config: CampaignConfig) -> str:
         f"alpha={_fmt(config.alpha)}",
         f"beta={_fmt(config.beta)}",
     ]
-    if config.campaign == "search-extremal":
+    if "strategy" in CAMPAIGNS[config.campaign].columns:
         parts.append(f"strategy={config.strategy}")
     if config.m1 is not None:
         parts.append(f"m1={config.m1}")
@@ -782,14 +834,21 @@ def _default_out(config: CampaignConfig) -> str:
     return f"{config.campaign}-p{config.p}-r{config.r}.{config.fmt}"
 
 
-def _write_ckpt(path: str, echo: str, next_start: int, offset: int, acc: _Acc) -> None:
+def _write_ckpt(
+    path: str, echo: str, next_start: int, offset: int, sha256: str, acc: _Acc
+) -> None:
+    """sha256 is the digest of the output's first offset bytes."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(
-            {"echo": echo, "next_start": next_start, "offset": offset, "acc": acc.to_dict()},
-            fh,
-        )
+        state = {"echo": echo, "next_start": next_start, "offset": offset, "sha256": sha256}
+        json.dump({**state, "acc": acc.to_dict()}, fh)
     os.replace(tmp, path)
+
+
+def _emit(fh, digest, text: str) -> None:
+    data = text.encode()
+    fh.write(data)
+    digest.update(data)
 
 
 # CampaignConfig fields that steer a run but cannot change a row
@@ -808,13 +867,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     echo = _echo(config)
     cols = spec.columns
     ckpt_path = out + ".ckpt"
-    # ranked and JSON rows are held until the end, so only plain CSV
-    # runs write checkpoints
-    buffered = spec.rank is not None or config.fmt == "json"
+    # only streamed CSV runs write checkpoints
+    buffered = not _streams_csv(config)
 
     start = 0
     acc = _Acc()
-    mode = "w"
+    digest = hashlib.sha256()  # of every byte written to the CSV so far
+    mode = "wb"
     if config.resume and not buffered and os.path.exists(ckpt_path):
         with open(ckpt_path) as fh:
             state = json.load(fh)
@@ -824,25 +883,27 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             raise ValueError(f"cannot resume: {out} is missing")
         if os.path.getsize(out) < state["offset"]:
             raise ValueError(f"cannot resume: {out} is shorter than its checkpoint offset")
+        with open(out, "rb") as raw:
+            digest.update(raw.read(state["offset"]))
+        if state.get("sha256") != digest.hexdigest():
+            raise ValueError(f"cannot resume: {out} does not match its checkpoint hash")
         start = state["next_start"]
         acc = _Acc.from_dict(state["acc"])
         # drop any rows written after the last completed chunk
         with open(out, "r+b") as raw:
             raw.truncate(state["offset"])
-        mode = "a"
+        mode = "ab"
 
     collected = []  # buffered (index, row, violations) items
     written = []
     starts = range(start, total, CHUNK)
     stops = [min(s + CHUNK, total) for s in starts]
     with ExitStack() as stack:
-        writer = None
+        fh = None
         if config.fmt == "csv":
-            fh = stack.enter_context(open(out, mode, newline=""))
-            writer = csv.writer(fh, lineterminator="\n")
-            if mode == "w":
-                fh.write(echo + "\n")
-                writer.writerow(cols)
+            fh = stack.enter_context(open(out, mode))
+            if mode == "wb":
+                _emit(fh, digest, echo + "\n" + _csv_text([cols]))
         run = map
         if config.workers > 1 and total - start > CHUNK:
             pool = ProcessPoolExecutor(
@@ -852,16 +913,16 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             )
             run = stack.enter_context(pool).map
         batches = run(_run_range, itertools.repeat(config), starts, stops)
-        for stop, batch in zip(stops, batches):
+        for stop, (items, text) in zip(stops, batches):
             if buffered:
-                collected.extend(batch)
+                collected.extend(items)
                 continue
-            for _, row, nviol in batch:
+            _emit(fh, digest, text)
+            for _, row, nviol in items:
                 acc.update(row, nviol)
-                writer.writerow([_fmt(row.get(c)) for c in cols])
                 written.append(row)
             fh.flush()
-            _write_ckpt(ckpt_path, echo, stop, fh.tell(), acc)
+            _write_ckpt(ckpt_path, echo, stop, fh.tell(), digest.hexdigest(), acc)
 
         if spec.rank is not None:
             held = spec.rank(collected)
@@ -870,8 +931,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         for row, nviol in held:
             acc.update(row, nviol)
             written.append(row)
-            if writer is not None:
-                writer.writerow([_fmt(row.get(c)) for c in cols])
+        if fh is not None:
+            _emit(fh, digest, _csv_text([_fmt(row.get(c)) for c in cols] for row, _ in held))
 
     if config.fmt == "json":
         doc = {

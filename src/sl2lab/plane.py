@@ -237,6 +237,36 @@ def line_nonzero_masks(ctx: FieldCtx):
     return cached
 
 
+def affine_line_mask(ctx: FieldCtx, a: int, b: int) -> int:
+    """Bitset of the affine line through the distinct packed points a, b.
+
+    Each of the q^2 + q lines is built on first use and cached on ctx,
+    keyed by (slope, intercept) for y = s x + c or (q, x0) for x = x0,
+    so large fields never build lines they do not test.
+    """
+    q = ctx.q
+    x0, y0 = divmod(a, q)
+    x1, y1 = divmod(b, q)
+    sub, mul = ctx.sub, ctx.mul
+    dx = sub(x1, x0)
+    if dx:
+        s = ctx.div(sub(y1, y0), dx)
+        key = (s, sub(y0, mul(s, x0)))
+    else:
+        key = (q, x0)
+    masks = ctx._cache.setdefault("affine_masks", {})
+    mask = masks.get(key)
+    if mask is None:
+        s, c = key
+        if s == q:
+            codes = [c * q + y for y in range(q)]
+        else:
+            codes = [x * q + ctx.add(mul(s, x), c) for x in range(q)]
+        mask = sum(1 << code for code in codes)
+        masks[key] = mask
+    return mask
+
+
 def line_apply(ctx: FieldCtx, m, line):
     """Image direction of an origin line under m, canonicalized."""
     return line_of_point(ctx, mat_apply(ctx, m, line))
@@ -289,6 +319,9 @@ def point_stabilizer(ctx: FieldCtx, pt):
 
 # ---------------------------------------------------------------------------
 # Point sets
+
+
+_POINT_TEXT: dict = {}  # q -> "(x,y)" literal of every packed code
 
 
 class PointSet:
@@ -387,7 +420,11 @@ class PointSet:
 
     def text(self) -> str:
         """Canonical literal: "points:(x,y);(x,y);..." in code order."""
-        return "points:" + ";".join(f"({x},{y})" for x, y in self.points())
+        names = _POINT_TEXT.get(self.q)
+        if names is None:
+            q = self.q
+            names = _POINT_TEXT[q] = tuple(f"({x},{y})" for x in range(q) for y in range(q))
+        return "points:" + ";".join([names[c] for c in self.codes()])
 
 
 def apply_to_set(ctx: FieldCtx, m, ps: PointSet) -> PointSet:

@@ -45,6 +45,7 @@ from .plane import (
     MATERIALIZE_LIMIT,
     PointSet,
     act,
+    affine_line_mask,
     apply_to_set,
     is_sl2,
     line_apply,
@@ -201,13 +202,15 @@ class LinePartition:
         return all(len(v) <= 2 for v in self.classes.values())
 
 
+def line_counts(ctx: FieldCtx, bits: int) -> list:
+    """|L ∩ (E - 0)| for every origin line L, in pencil order."""
+    return [(bits & mask).bit_count() for mask in line_nonzero_masks(ctx)]
+
+
 def line_partition(ctx: FieldCtx, E: PointSet) -> LinePartition:
-    masks = line_nonzero_masks(ctx)
-    lines = proj_lines(ctx)
     by_mult: dict = {}
     covered = 0
-    for line, mask in zip(lines, masks):
-        m = (E.bits & mask).bit_count()
+    for line, m in zip(proj_lines(ctx), line_counts(ctx, E.bits)):
         if m:
             by_mult.setdefault(m, []).append(line)
             covered += m
@@ -344,16 +347,13 @@ def all_subset_stabilizer_orders(ctx: FieldCtx) -> list:
 
 def contained_in_line(ctx: FieldCtx, E: PointSet) -> bool:
     """Whether E lies on a single line of the plane (affine lines count)."""
-    pts = E.points()
-    if len(pts) <= 2:
+    if E.size <= 2:
         return True
-    sub, mul = ctx.sub, ctx.mul
-    (x0, y0), (x1, y1) = pts[0], pts[1]
-    dx, dy = sub(x1, x0), sub(y1, y0)
-    for x, y in pts[2:]:
-        if sub(mul(sub(x, x0), dy), mul(sub(y, y0), dx)) != 0:
-            return False
-    return True
+    bits = E.bits
+    a = (bits & -bits).bit_length() - 1
+    rest = bits & (bits - 1)
+    b = (rest & -rest).bit_length() - 1
+    return bits & ~affine_line_mask(ctx, a, b) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from sl2lab.harness import (
 )
 from sl2lab.plane import PointSet
 from sl2lab.rng import nth_seed
-from sl2lab.stabilizer import all_subset_stabilizer_orders, lines_meeting_count
+from sl2lab.stabilizer import (
+    Constants,
+    all_subset_stabilizer_orders,
+    bound_report,
+    lines_meeting_count,
+)
 
 
 def read_csv(path):
@@ -37,6 +42,50 @@ def read_csv(path):
 def cfg(tmp_path, **kw):
     kw.setdefault("out", str(tmp_path / "out.csv"))
     return CampaignConfig(**kw)
+
+
+def crash_campaign(monkeypatch, config, at):
+    """Run config until the chunk starting at index `at` or later raises,
+    leaving the checkpoint of the chunks before it."""
+    real = harness._run_range
+
+    def explode(config, start, stop):
+        if start >= at:
+            raise RuntimeError("injected crash")
+        return real(config, start, stop)
+
+    monkeypatch.setattr(harness, "_run_range", explode)
+    with pytest.raises(RuntimeError):
+        run_campaign(config)
+    monkeypatch.setattr(harness, "_run_range", real)
+
+
+def direct_report_row(ctx, index, E, stab_order, config):
+    """A report row built straight from bound_report, with no memo."""
+    consts = Constants(config.c, config.c1, config.c2, config.alpha, config.beta)
+    rep = bound_report(ctx, E, consts, stab_order=stab_order)
+    row = {
+        "index": index,
+        "descriptor": "points:" + ";".join(f"({x},{y})" for x, y in E.points()),
+        "size": rep.size,
+        "size_nonzero": rep.size_nonzero,
+        "lines_meeting": rep.lines_meeting,
+        "stab_order": rep.stab_order,
+        "ratio_full": _f6(rep.ratio_full),
+        "ratio_nonzero": _f6(rep.ratio_nonzero),
+        "contained_line": rep.contained_line,
+        "all_classes_small": rep.all_classes_small,
+        "small": rep.small,
+        "rich": rep.rich,
+        "confirmed": rep.confirmed,
+    }
+    for b in rep.rows:
+        row[f"{b.name}_applicable"] = b.applicable
+        row[f"{b.name}_rhs"] = _f6(b.rhs)
+        row[f"{b.name}_ratio"] = _f6(b.ratio)
+        row[f"{b.name}_violated"] = b.violated
+    row["violations"] = ";".join(rep.violations())
+    return row, len(rep.violations())
 
 
 def test_f6_and_fmt():
@@ -74,6 +123,39 @@ def test_echo_line():
     e2 = _echo(CampaignConfig(p=3, r=1, campaign="search-extremal",
                               strategy="random", set_spec="family:full"))
     assert "strategy=random" in e2 and "set=family:full" in e2
+    for name in CAMPAIGNS:
+        echoed = "strategy=" in _echo(CampaignConfig(p=3, r=1, campaign=name))
+        assert echoed == (name == "search-extremal")
+
+
+def test_report_row_memo_matches_direct_report(monkeypatch):
+    calls = []
+    real = harness.bound_report
+    monkeypatch.setattr(harness, "bound_report", lambda *a, **k: calls.append(1) or real(*a, **k))
+    harness._WORK.clear()
+    rows = 0
+    for p, r, step in [(2, 1, 1), (3, 1, 1), (2, 2, 7)]:
+        flags = []
+        # the same process and field under both constant sets: a memo not
+        # keyed on the constants would serve the first set's small/rich
+        for consts in ({}, dict(alpha=1.0, beta=1.5, c1=2)):
+            config = CampaignConfig(p=p, r=r, campaign="exhaustive-subsets", **consts)
+            ctx = harness._ctx(config)
+            table = all_subset_stabilizer_orders(ctx)
+            seen = []
+            for mask in range(0, len(table), step):
+                E = PointSet(ctx.q, mask)
+                row, nviol, cells = harness._report_row(ctx, mask, E, table[mask], config)
+                want, want_nviol = direct_report_row(ctx, mask, E, table[mask], config)
+                assert list(row.items()) == list(want.items())
+                assert nviol == want_nviol
+                assert list(cells) == [_fmt(v) for v in list(want.values())[2:]]
+                seen.append((row["small"], row["rich"], row["confirmed"]))
+                rows += 1
+            flags.append(seen)
+        assert flags[0] != flags[1]
+    # bound_report runs once per distinct key, not once per row
+    assert 0 < len(calls) * 20 < rows
 
 
 def test_family_verify_gf4(tmp_path):
@@ -106,16 +188,27 @@ def test_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_workers_do_not_change_bytes(tmp_path, monkeypatch):
-    # chunk small enough that two workers actually engage on q = 3
+@pytest.mark.parametrize("kw", [
+    dict(campaign="exhaustive-subsets", p=3, r=1),
+    dict(campaign="two-line-exhaustive", p=3, r=1),
+    dict(campaign="lineset-exhaustive", p=5, r=1, budget=40),
+    dict(campaign="prime-bound-exhaustive", p=3, r=1),
+    dict(campaign="incidence-report", p=3, r=1, budget=100),
+    dict(campaign="triple-audit", p=3, r=1, budget=70),
+], ids=lambda kw: kw["campaign"])
+def test_workers_do_not_change_bytes(tmp_path, monkeypatch, kw):
+    # chunk small enough that two workers actually engage
     monkeypatch.setattr(harness, "CHUNK", 64)
     a = tmp_path / "serial.csv"
     b = tmp_path / "pooled.csv"
-    run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
-                                workers=1, out=str(a)))
-    run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
-                                workers=2, out=str(b)))
+    serial = run_campaign(CampaignConfig(workers=1, out=str(a), **kw))
+    pooled = run_campaign(CampaignConfig(workers=2, out=str(b), **kw))
+    assert serial.summary["total_indices"] > 64
     assert a.read_bytes() == b.read_bytes()
+    assert serial.rows == pooled.rows
+    # the rendered cells are the kept rows' values, formatted
+    _, header, body = read_csv(a)
+    assert body == [[_fmt(row.get(c)) for c in header] for row in serial.rows]
 
 
 def test_env_var_sets_workers(tmp_path, monkeypatch):
@@ -136,19 +229,9 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, monkeypatch):
     run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets", out=str(full)))
 
     part = tmp_path / "part.csv"
-    real = harness._run_range
-
-    def explode(cfg_dict, start, stop):
-        if start >= 192:
-            raise RuntimeError("injected crash")
-        return real(cfg_dict, start, stop)
-
-    monkeypatch.setattr(harness, "_run_range", explode)
-    with pytest.raises(RuntimeError):
-        run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
-                                    out=str(part)))
+    crash_campaign(monkeypatch, CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
+                                               out=str(part)), at=192)
     assert os.path.exists(str(part) + ".ckpt")
-    monkeypatch.setattr(harness, "_run_range", real)
     res = run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
                                       out=str(part), resume=True))
     assert part.read_bytes() == full.read_bytes()
@@ -159,18 +242,8 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, monkeypatch):
 def test_resume_rejects_config_change(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "CHUNK", 64)
     out = tmp_path / "x.csv"
-    real = harness._run_range
-
-    def explode(cfg_dict, start, stop):
-        if start >= 128:
-            raise RuntimeError("injected crash")
-        return real(cfg_dict, start, stop)
-
-    monkeypatch.setattr(harness, "_run_range", explode)
-    with pytest.raises(RuntimeError):
-        run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
-                                    out=str(out)))
-    monkeypatch.setattr(harness, "_run_range", real)
+    crash_campaign(monkeypatch, CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
+                                               out=str(out)), at=128)
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
                                     seed=9, out=str(out), resume=True))
@@ -180,18 +253,8 @@ def test_resume_rejects_config_change(tmp_path, monkeypatch):
 def test_resume_refuses_checkpoint_beyond_output(tmp_path, monkeypatch, capsys, damage):
     monkeypatch.setattr(harness, "CHUNK", 64)
     out = tmp_path / "x.csv"
-    real = harness._run_range
-
-    def explode(config, start, stop):
-        if start >= 128:
-            raise RuntimeError("injected crash")
-        return real(config, start, stop)
-
-    monkeypatch.setattr(harness, "_run_range", explode)
-    with pytest.raises(RuntimeError):
-        run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
-                                    out=str(out)))
-    monkeypatch.setattr(harness, "_run_range", real)
+    crash_campaign(monkeypatch, CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
+                                               out=str(out)), at=128)
     ckpt = tmp_path / "x.csv.ckpt"
     if damage == "missing":
         out.unlink()
@@ -204,6 +267,28 @@ def test_resume_refuses_checkpoint_beyond_output(tmp_path, monkeypatch, capsys, 
     assert code == 2
     assert "error: cannot resume" in capsys.readouterr().err
     assert (out.read_bytes() if out.exists() else None) == before
+
+
+@pytest.mark.parametrize("damage", ["flipped", "unhashed"])
+def test_resume_refuses_changed_prefix(tmp_path, monkeypatch, capsys, damage):
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    out = tmp_path / "x.csv"
+    crash_campaign(monkeypatch, CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
+                                               out=str(out)), at=192)
+    ckpt = tmp_path / "x.csv.ckpt"
+    state = json.loads(ckpt.read_text())
+    if damage == "flipped":
+        data = bytearray(out.read_bytes())
+        data[state["offset"] // 2] ^= 1  # one byte inside the checkpointed prefix
+        out.write_bytes(bytes(data))
+    else:
+        del state["sha256"]
+        ckpt.write_text(json.dumps(state))
+    before = out.read_bytes()
+    code = main(["exhaustive", "--p", "3", "--resume", "--out", str(out)])
+    assert code == 2
+    assert "error: cannot resume" in capsys.readouterr().err
+    assert out.read_bytes() == before
 
 
 def test_checkpoint_removed_after_clean_run(tmp_path):

@@ -37,6 +37,7 @@ from sl2lab.plane import (
     sl2_unrank,
     unpack_point,
 )
+from sl2lab.rng import DetRng
 
 
 def brute_sl2(ctx):
@@ -284,6 +285,16 @@ def test_pointset_text():
     ps = PointSet.from_points(4, [(1, 0), (0, 1), (1, 1), (0, 0)])
     assert ps.text() == "points:(0,0);(0,1);(1,0);(1,1)"
     assert PointSet(4).text() == "points:"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16])
+def test_pointset_text_matches_formula(q):
+    n = q * q
+    rng = DetRng(q)
+    masks = range(1 << n) if n <= 9 else [0, (1 << n) - 1, *(rng.bits(n) for _ in range(300))]
+    for bits in masks:
+        ps = PointSet(q, bits)
+        assert ps.text() == "points:" + ";".join(f"({x},{y})" for x, y in ps.points())
 
 
 def test_pointset_dedup_and_range_check():

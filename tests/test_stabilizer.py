@@ -260,6 +260,53 @@ def test_contained_in_line(fields):
         ctx, PointSet.from_points(5, [(1, 0), (0, 1), (2, 4)]))  # x + y = 1
 
 
+def contained_in_line_reference(ctx, E):
+    """The cross-product test: every point lies on the line through the first two."""
+    pts = E.points()
+    if len(pts) <= 2:
+        return True
+    sub, mul = ctx.sub, ctx.mul
+    (x0, y0), (x1, y1) = pts[0], pts[1]
+    dx, dy = sub(x1, x0), sub(y1, y0)
+    return all(sub(mul(sub(x, x0), dy), mul(sub(y, y0), dx)) == 0 for x, y in pts[2:])
+
+
+def near_line_subset(ctx, seed):
+    """A seeded subset that often lies on a line: a few random points, or
+    part of the line through two random points plus maybe one stray."""
+    q = ctx.q
+    rng = DetRng(seed)
+    if rng.below(2):
+        return PointSet.from_codes(q, rng.sample(q * q, rng.below(q + 3)))
+    a, b = rng.sample(q * q, 2)
+    line = [c for c in range(q * q)
+            if contained_in_line_reference(ctx, PointSet.from_codes(q, [a, b, c]))]
+    codes = [c for c in line if rng.below(2)]
+    if rng.below(2):
+        codes.append(rng.below(q * q))
+    return PointSet.from_codes(q, codes)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_contained_in_line_matches_cross_product_exhaustive(fields, q):
+    ctx = fields[q]
+    for bits in range(1 << (q * q)):
+        E = PointSet(q, bits)
+        assert contained_in_line(ctx, E) == contained_in_line_reference(ctx, E)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_contained_in_line_matches_cross_product_random(fields, q):
+    ctx = fields[q]
+    hits = 0
+    for trial in range(500):
+        E = near_line_subset(ctx, nth_seed(3000 + q, trial))
+        want = contained_in_line_reference(ctx, E)
+        assert contained_in_line(ctx, E) == want
+        hits += want and E.size > 2
+    assert hits >= 50  # the sample tests lines, not only scattered sets
+
+
 def test_constants_defaults():
     c = Constants()
     assert (c.c, c.c1, c.c2, c.alpha, c.beta) == (1.0, 1.0, 1.0, 0.5, 0.75)
