@@ -75,6 +75,7 @@ from .stabilizer import (
     line_set_stabilizer,
     stabilizer,
     stabilizer_brute,
+    stabilizer_other_side,
     subgroup_orbits,
     triple_count_audit,
 )
@@ -443,7 +444,7 @@ def _gen_family(config, start, stop):
         stab = stabilizer(ctx, E)
         order = len(stab)
         _spot(ctx, E, order, index)
-        comp_match = stab == stabilizer(ctx, E.complement())
+        comp_match = stab == stabilizer_other_side(ctx, E)
         expected = _expected_order(ctx, spec)
         exp_match = None if expected is None else order == expected
         row, nviol, _ = _report_row(ctx, index, E, order, config)

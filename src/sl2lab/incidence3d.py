@@ -13,7 +13,9 @@ equal: the direction is scaled to make its first nonzero coordinate 1
 (at index `lead`) and the base point is translated to have coordinate 0
 there.  Planes are (normal, offset) pairs with the normal's first
 nonzero coordinate scaled to 1; there are exactly q(q^2 + q + 1) of
-them.
+them.  A line lies in exactly q + 1 planes, one per normal in the
+pencil orthogonal to its direction (normal_pencil, cached per
+direction), so plane richness and coplanarity walk that pencil.
 """
 
 from __future__ import annotations
@@ -175,6 +177,15 @@ def canonical_normals(ctx: FieldCtx):
     )
 
 
+def normal_pencil(ctx: FieldCtx, dir) -> tuple:
+    """The q + 1 canonical normals orthogonal to dir, cached per direction."""
+    pencils = ctx._cache.setdefault("normal_pencils", {})
+    pencil = pencils.get(dir)
+    if pencil is None:
+        pencil = pencils[dir] = tuple(n for n in canonical_normals(ctx) if _dot(ctx, n, dir) == 0)
+    return pencil
+
+
 def plane_count(q: int) -> int:
     return q * (q * q + q + 1)
 
@@ -199,19 +210,17 @@ def plane_points(ctx: FieldCtx, plane):
 def plane_richness(ctx: FieldCtx, lines):
     """(M, witness): the max number of the given lines lying in one plane.
 
-    Each line lies in exactly q + 1 planes (the pencil of normals
-    orthogonal to its direction), so scanning lines x normals is exact
-    without enumerating all q(q^2+q+1) planes; ties break to the
-    lexicographically smallest witness.  Empty input gives (0, None).
+    Each line lies in exactly q + 1 planes (its normal pencil), so
+    counting those per line is exact without enumerating all
+    q(q^2+q+1) planes; ties break to the lexicographically smallest
+    witness.  Empty input gives (0, None).
     """
     counts: dict = {}
-    lines = set(lines)
-    normals = canonical_normals(ctx)
-    for ln in lines:
-        for n in normals:
-            if _dot(ctx, n, ln.dir) == 0:
-                plane = (n, _dot(ctx, n, ln.base))
-                counts[plane] = counts.get(plane, 0) + 1
+    for ln in set(lines):
+        base = ln.base
+        for n in normal_pencil(ctx, ln.dir):
+            plane = (n, _dot(ctx, n, base))
+            counts[plane] = counts.get(plane, 0) + 1
     if not counts:
         return 0, None
     best = max(counts.values())
@@ -233,11 +242,10 @@ def relation(ctx: FieldCtx, l1: Line3, l2: Line3) -> str:
 
 def triple_coplanar(ctx: FieldCtx, l1: Line3, l2: Line3, l3: Line3) -> bool:
     """Whether some plane contains all three lines (exact, O(q) planes)."""
-    for n in canonical_normals(ctx):
-        if _dot(ctx, n, l1.dir) == 0:
-            plane = (n, _dot(ctx, n, l1.base))
-            if plane_contains_line(ctx, plane, l2) and plane_contains_line(ctx, plane, l3):
-                return True
+    for n in normal_pencil(ctx, l1.dir):
+        plane = (n, _dot(ctx, n, l1.base))
+        if plane_contains_line(ctx, plane, l2) and plane_contains_line(ctx, plane, l3):
+            return True
     return False
 
 

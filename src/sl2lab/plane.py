@@ -196,7 +196,7 @@ def proj_lines(ctx: FieldCtx):
 
 def line_index(ctx: FieldCtx, line) -> int:
     """Position of a canonical direction in proj_lines order."""
-    if line[0] == 1:
+    if line[0] == 1 and 0 <= line[1] < ctx.q:
         return line[1]
     if line == (0, 1):
         return ctx.q

@@ -6,17 +6,23 @@ symmetry set of the complement.  Two independent routes compute it:
 
   * stabilizer_brute filters the whole group, testing theta(E) = E
     point by point.  Trustworthy and slow; this is the oracle.
-  * stabilizer_fast picks a base point of E, enumerates for every
-    possible image the q-element family of group elements carrying base
-    to image (solving the two linear equations plus the determinant
-    condition), and keeps the ones that preserve E.  Cost is about
-    |E| * q candidates times an O(|E|) check, instead of q^3 filters.
+  * stabilizer_fast works from group structure.  It takes the side,
+    E minus 0 or its complement minus 0, with fewer points, and a base
+    point in that side's multiplicity class with the fewest points
+    (theta permutes origin lines and keeps |L ∩ E|, so the base can
+    only go to points of its class).  The q elements carrying base to
+    a point (two linear equations plus the determinant condition) are
+    all tested only for the base itself, which gives Stab_R(base); for
+    every other point of the class the first passing candidate g
+    contributes the whole coset g * Stab_R(base).
 
-Both keep a candidate by the same test (_maps_into: theta sends E's
-nonzero points into E); they stay independent through where their
+Both keep a candidate by the same test (_maps_into: theta sends the
+side's points into the side); they stay independent through where their
 candidates come from.  The two must agree exactly; the test suite holds
-them together on every subset of small planes and on random subsets of
-larger ones.
+them together on every subset of small planes, on random subsets and on
+orbit unions of random subgroups of larger ones.  stabilizer_other_side
+runs the transport route on the side stabilizer() did not use, which
+keeps family-verify's complement check a comparison of two computations.
 
 The rest of the module turns theorems about R(E) into checkable
 reports: line partitions, the exact stabilizer of a set of directions,
@@ -52,7 +58,6 @@ from .plane import (
     line_index,
     line_nonzero_masks,
     line_of_point,
-    mat_apply,
     mat_inv,
     mat_mul,
     normalize_two_lines,
@@ -104,18 +109,34 @@ def stabilizer_brute(ctx: FieldCtx, E: PointSet) -> set:
 
 
 def _transport_candidates(ctx: FieldCtx, src, dst):
-    """The q solutions of theta(src) = dst, for src with nonzero first coord.
+    """The q solutions of theta(src) = dst, for nonzero src and dst.
 
-    Solving a*u1 + b*v1 = u2 and c*u1 + d*v1 = v2 under ad - bc = 1
-    leaves the single linear relation u2*d - v2*b = u1; whichever of
-    u2, v2 is nonzero parametrizes the family.
+    With src = (u1, v1), dst = (u2, v2), theta = (a b; c d) must solve
+    a*u1 + b*v1 = u2 and c*u1 + d*v1 = v2 under ad - bc = 1.  For u1 != 0
+    this leaves the single linear relation u2*d - v2*b = u1; on the
+    y-axis (u1 = 0) it fixes b = u2/v1, d = v2/v1 and leaves
+    a*v2 - c*u2 = v1.  Whichever coefficient is nonzero parametrizes the
+    family.
     """
     q = ctx.q
     add, sub, mul, inv, neg = ctx.add, ctx.sub, ctx.mul, ctx.inv, ctx.neg
     u1, v1 = src
     u2, v2 = dst
-    iu1 = inv(u1)
     out = []
+    if u1 == 0:
+        iv1 = inv(v1)
+        b = mul(u2, iv1)
+        d = mul(v2, iv1)
+        if v2 != 0:
+            iv2 = inv(v2)
+            for c in range(q):
+                out.append((mul(add(v1, mul(c, u2)), iv2), b, c, d))
+        else:
+            c = neg(mul(v1, inv(u2)))
+            for a in range(q):
+                out.append((a, b, c, d))
+        return out
+    iu1 = inv(u1)
     if u2 != 0:
         iu2 = inv(u2)
         for b in range(q):
@@ -132,37 +153,63 @@ def _transport_candidates(ctx: FieldCtx, src, dst):
     return out
 
 
-def stabilizer_fast(ctx: FieldCtx, E: PointSet) -> set:
-    """R(E) via transport families from a fixed base point of E.
+def _transport_stabilizer(ctx: FieldCtx, bits: int) -> set:
+    """R of the points in bits, a nonempty bitset without the origin bit.
 
-    The base point is the member of E minus the origin with the
-    smallest packed code; when it sits on the y-axis the whole set is
-    first rotated by normalize_two_lines(y-axis, x-axis) so the base
-    gets a nonzero first coordinate, and the result is conjugated back.
+    It works on bits as given and never switches sides.  The base is
+    the lowest point of the multiplicity class with the fewest points
+    (ties to the smaller multiplicity): theta maps origin lines to
+    origin lines and keeps |L ∩ E|, so it can only carry the base
+    within that class.  The members sending base to dst form either
+    nothing or a coset g * Stab_R(base); all q candidates are tested
+    only for dst = base, and for every other dst the first candidate
+    that passes is multiplied onto that stabilizer.
+    """
+    q = ctx.q
+    codes = PointSet(q, bits).nonzero_codes
+    by_mult: dict = {}
+    for mask in line_nonzero_masks(ctx):
+        hit = bits & mask
+        if hit:
+            k = hit.bit_count()
+            by_mult[k] = by_mult.get(k, 0) | hit
+    rare = min(by_mult.items(), key=lambda kv: (kv[1].bit_count(), kv[0]))[1]
+    dsts = PointSet(q, rare).nonzero_codes
+    base = divmod(dsts[0], q)
+    fixers = [
+        m for m in _transport_candidates(ctx, base, base) if _maps_into(ctx, m, codes, bits)
+    ]
+    found = set(fixers)
+    for dst in dsts[1:]:
+        for g in _transport_candidates(ctx, base, divmod(dst, q)):
+            if _maps_into(ctx, g, codes, bits):
+                found.update(mat_mul(ctx, g, h) for h in fixers)
+                break
+    return found
+
+
+def _sides(ctx: FieldCtx, E: PointSet) -> tuple:
+    """(used, other): the nonzero bitsets of E and of its complement.
+
+    stabilizer_fast works on `used`, the side with fewer points; it is
+    E's side on a tie and whenever the complement has no nonzero point.
+    """
+    mine = E.bits & ~1
+    theirs = ((1 << (ctx.q * ctx.q)) - 2) ^ mine
+    if theirs and theirs.bit_count() < mine.bit_count():
+        return theirs, mine
+    return mine, theirs
+
+
+def stabilizer_fast(ctx: FieldCtx, E: PointSet) -> set:
+    """R(E) by the transport route on the smaller of E and its complement.
+
     Raises ValueError when E minus the origin is empty (the answer
     would be the whole group; see stabilizer()).
     """
-    q = ctx.q
-    nz = E.nonzero_codes
-    if not nz:
+    if not E.nonzero_size:
         raise ValueError("E minus the origin is empty; its symmetry set is all of SL2")
-    base = divmod(nz[0], q)
-    rot = None
-    if base[0] == 0:
-        rot = normalize_two_lines(ctx, (0, 1), (1, 0))
-        E = apply_to_set(ctx, rot, E)
-        base = mat_apply(ctx, rot, base)
-        nz = E.nonzero_codes
-    bits = E.bits
-    found = {
-        m
-        for code in nz
-        for m in _transport_candidates(ctx, base, divmod(code, q))
-        if _maps_into(ctx, m, nz, bits)
-    }
-    if rot is not None:
-        un = mat_inv(ctx, rot)
-        found = {mat_mul(ctx, mat_mul(ctx, un, m), rot) for m in found}
+    found = _transport_stabilizer(ctx, _sides(ctx, E)[0])
     _group_spot_check(ctx, found)
     return found
 
@@ -172,6 +219,17 @@ def stabilizer(ctx: FieldCtx, E: PointSet) -> set:
     if E.nonzero_size == 0:
         return set(sl2_materialize(ctx))
     return stabilizer_fast(ctx, E)
+
+
+def stabilizer_other_side(ctx: FieldCtx, E: PointSet) -> set:
+    """R(E) by the transport route on the side stabilizer() does not use.
+
+    The complement cross-check of family-verify compares this with
+    stabilizer(ctx, E); where that side has no nonzero point the answer
+    is the whole group.
+    """
+    other = _sides(ctx, E)[1]
+    return _transport_stabilizer(ctx, other) if other else set(sl2_materialize(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +281,38 @@ def lines_meeting_count(ctx: FieldCtx, bits: int) -> int:
     return sum(1 for mask in line_nonzero_masks(ctx) if bits & mask)
 
 
+def _line_action(ctx: FieldCtx) -> tuple:
+    """(theta, image index of every direction) for each group element.
+
+    Built once per field with line_apply, the action on directions, so
+    the line-set route shares nothing with the point-set routes.
+    """
+    table = ctx._cache.get("line_action")
+    if table is None:
+        lines = proj_lines(ctx)
+        table = ctx._cache["line_action"] = tuple(
+            (m, tuple(line_index(ctx, line_apply(ctx, m, ln)) for ln in lines))
+            for m in sl2_materialize(ctx)
+        )
+    return table
+
+
 def line_set_stabilizer(ctx: FieldCtx, lines) -> set:
     """All theta permuting the given set of directions among themselves.
 
-    Exact brute filter over the group.  For three or more lines the
-    result is asserted against the 2 m^3 (m-1)^2 cap, which holds for
-    every set of directions.
+    Exact filter over the group's cached action on directions.  For
+    three or more lines the result is asserted against the
+    2 m^3 (m-1)^2 cap, which holds for every set of directions.
     """
     lineset = frozenset(lines)
     if not lineset:
         raise ValueError("need at least one line")
-    for ln in lineset:
-        line_index(ctx, ln)  # validates canonical form
+    picked = [line_index(ctx, ln) for ln in lineset]  # validates canonical form
+    mask = sum(1 << i for i in picked)
     out = set()
-    for m in sl2_materialize(ctx):
-        for ln in lineset:
-            if line_apply(ctx, m, ln) not in lineset:
+    for m, perm in _line_action(ctx):
+        for i in picked:
+            if not (mask >> perm[i]) & 1:
                 break
         else:
             out.add(m)
@@ -419,13 +493,16 @@ def bound_report(
     """Compare |R(E)| against every bound with checkable hypotheses.
 
     stab_order may be supplied by campaigns that already know it (the
-    exhaustive sweeps); otherwise it is computed via stabilizer().
-    Cardinalities: size counts the origin when present, while every
-    line hypothesis and the two-line bound use E minus the origin.
+    exhaustive sweeps); otherwise it is computed via stabilizer(), or
+    read off as |SL2| when E minus 0 or its complement minus 0 is empty,
+    so whole-group sets never build the group.  Cardinalities: size
+    counts the origin when present, while every line hypothesis and the
+    two-line bound use E minus the origin.
     """
     q = ctx.q
     if stab_order is None:
-        stab_order = len(stabilizer(ctx, E))
+        whole_group = E.nonzero_size in (0, q * q - 1)
+        stab_order = sl2_order(q) if whole_group else len(stabilizer(ctx, E))
     part = line_partition(ctx, E)
     lines = part.lines_meeting
     size = E.size

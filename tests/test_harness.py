@@ -1,9 +1,13 @@
 """Campaign harness: determinism, resume, campaign row semantics, CLI."""
 
 import csv
+import importlib
 import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,8 @@ from sl2lab.harness import (
     run_campaign,
     search_extremal,
 )
-from sl2lab.plane import PointSet
+from sl2lab.families import gen_family, parse_set_spec
+from sl2lab.plane import IDENTITY, PointSet
 from sl2lab.rng import nth_seed
 from sl2lab.stabilizer import (
     Constants,
@@ -479,6 +484,43 @@ def test_exhaustive_gf5_requires_sampling_flag(tmp_path):
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="exhaustive-subsets",
                            allow_sampled=True, budget=50))
     assert res.summary["rows"] == 50
+
+
+def test_complement_mismatch_is_reported(tmp_path, monkeypatch):
+    # a fault on the side stabilizer() did not use must surface in the row
+    stabmod = importlib.import_module("sl2lab.stabilizer")
+    real = stabmod._transport_stabilizer
+    ctx = make_field(5, 1)
+    spec = "family:line-origin"
+    other = stabmod._sides(ctx, gen_family(ctx, parse_set_spec(spec)))[1]
+
+    def lossy(ctx, bits):
+        out = real(ctx, bits)
+        if bits == other:
+            out.discard(max(out - {IDENTITY}))
+        return out
+
+    monkeypatch.setattr(stabmod, "_transport_stabilizer", lossy)
+    res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="family-verify",
+                           set_spec=spec, workers=1))
+    row = res.rows[0]
+    assert row["stab_order"] == 20 and row["expected_match"] is True
+    assert row["complement_match"] is False
+    assert row["violations"].split(";") == ["complement_mismatch"]
+    assert res.violations == 1
+
+
+@pytest.mark.parametrize("spec,order", [("family:full", 15813000),
+                                        ("family:line-origin", 62750)])
+def test_cli_stab_large_field(spec, order):
+    # whole-group sets get an order-only answer, so q = 251 returns quickly
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sl2lab.harness", "stab", "--p", "251", "--set", spec],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert f" stab_order={order}\n" in done.stdout
 
 
 def test_cli_field(capsys):

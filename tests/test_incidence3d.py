@@ -14,6 +14,7 @@ from sl2lab.incidence3d import (
     incidence_bound_report,
     line3,
     line_points,
+    normal_pencil,
     on_line,
     plane_contains_line,
     plane_count,
@@ -34,13 +35,17 @@ def all_planes(ctx):
 
 
 def brute_richness(ctx, lines):
+    """(M, witness) over every plane: the richest count and the
+    lexicographically smallest plane reaching it."""
     lines = set(lines)
     if not lines:
-        return 0
-    return max(
-        sum(1 for ln in lines if plane_contains_line(ctx, pl, ln))
+        return 0, None
+    counts = {
+        pl: sum(1 for ln in lines if plane_contains_line(ctx, pl, ln))
         for pl in all_planes(ctx)
-    )
+    }
+    best = max(counts.values())
+    return best, min(pl for pl, c in counts.items() if c == best)
 
 
 def random_lines(ctx, rng, count):
@@ -179,9 +184,21 @@ def test_plane_richness_matches_brute(fields, q):
         rng = DetRng(nth_seed(100 + q, trial))
         lines = random_lines(ctx, rng, 1 + rng.below(3 * q))
         got, witness = plane_richness(ctx, lines)
-        assert got == brute_richness(ctx, lines)
+        assert (got, witness) == brute_richness(ctx, lines)
         assert sum(1 for ln in lines if plane_contains_line(ctx, witness, ln)) == got
     assert plane_richness(ctx, []) == (0, None)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_normal_pencil(fields, q):
+    ctx = fields[q]
+    add, mul = ctx.add, ctx.mul
+    for d in canonical_normals(ctx):  # canonical directions have the same form
+        pencil = normal_pencil(ctx, d)
+        assert len(pencil) == len(set(pencil)) == q + 1
+        for n in pencil:
+            assert add(add(mul(n[0], d[0]), mul(n[1], d[1])), mul(n[2], d[2])) == 0
+        assert normal_pencil(ctx, d) is pencil
 
 
 def test_relation_matches_point_sets(fields):
@@ -223,7 +240,7 @@ def test_build_instance(fields):
     inst = build_instance(ctx, pts, lines)
     assert isinstance(inst, IncidenceInstance)
     assert inst.incidences == count_incidences_brute(ctx, pts, lines)
-    assert inst.plane_max == brute_richness(ctx, lines)
+    assert inst.plane_max == brute_richness(ctx, lines)[0]
     assert inst.class_count is None and inst.multiplicity is None
 
 

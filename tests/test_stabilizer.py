@@ -1,10 +1,12 @@
 """Stabilizer computation: dual routes, closed-form families, bound reports."""
 
+import importlib
 import itertools
 
 import pytest
 
 from sl2lab.gf import make_field, multiplicative_subgroup, subfield_elements
+from sl2lab.incidence3d import transport_set
 from sl2lab.plane import (
     IDENTITY,
     PointSet,
@@ -18,6 +20,8 @@ from sl2lab.plane import (
 from sl2lab.rng import DetRng, nth_seed
 from sl2lab.stabilizer import (
     Constants,
+    _transport_candidates,
+    _transport_stabilizer,
     all_subset_stabilizer_orders,
     bound_report,
     contained_in_line,
@@ -75,10 +79,76 @@ def test_stabilizer_dispatch_and_group_structure(fields):
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_complement_invariance(fields, q):
+    # the transport route on E's side and on the complement's side
     ctx = fields[q]
+    full = (1 << (q * q)) - 2
     for trial in range(8):
         E = random_subset(q, nth_seed(1000 + q, trial))
-        assert stabilizer_fast(ctx, E) == stabilizer_fast(ctx, E.complement())
+        mine = E.bits & ~1
+        assert mine and full ^ mine
+        assert _transport_stabilizer(ctx, mine) == _transport_stabilizer(ctx, full ^ mine)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_transport_candidates_match_brute(fields, q):
+    # every nonzero src, y-axis points included, against the brute filter
+    ctx = fields[q]
+    pts = [divmod(code, q) for code in range(1, q * q)]
+    for src in pts:
+        for dst in pts:
+            got = _transport_candidates(ctx, src, dst)
+            assert len(got) == q
+            assert set(got) == transport_set(ctx, src, dst)
+
+
+def orbit_union(ctx, seed):
+    """(H, E): a seeded random subgroup H and a union of its orbits, so
+    R(E) contains H and the coset step has work to do."""
+    q = ctx.q
+    rng = DetRng(seed)
+    gens = [sl2_unrank(ctx, rng.below(sl2_order(q))) for _ in range(1 + rng.below(2))]
+    H, orbits = subgroup_orbits(ctx, gens)
+    bits = 0
+    for orb in orbits:
+        if rng.below(2):
+            bits |= orb.bits
+    return H, PointSet(q, bits)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_fast_equals_brute_orbit_unions(fields, q):
+    ctx = fields[q]
+    rich = 0
+    for trial in range(16):
+        H, E = orbit_union(ctx, nth_seed(4000 + q, trial))
+        if not E.nonzero_size:
+            continue
+        stab = stabilizer_fast(ctx, E)
+        assert stab == stabilizer_brute(ctx, E)
+        assert H <= stab
+        rich += len(stab) > 2
+    assert rich >= 8
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_fast_equals_brute_on_y_axis(fields, q):
+    # every nonempty subset of the nonzero y-axis: the base is (0, y)
+    ctx = fields[q]
+    for sub in range(1, 1 << (q - 1)):
+        E = PointSet.from_codes(q, [y for y in range(1, q) if sub >> (y - 1) & 1])
+        assert stabilizer_fast(ctx, E) == stabilizer_brute(ctx, E)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_fast_equals_brute_when_complement_smaller(fields, q):
+    ctx = fields[q]
+    for trial in range(20):
+        rng = DetRng(nth_seed(5000 + q, trial))
+        small = PointSet.from_codes(q, rng.sample(q * q, 1 + rng.below(2 * q)))
+        E = small.complement()
+        if trial % 2:
+            E = E.with_origin()
+        assert stabilizer_fast(ctx, E) == stabilizer_brute(ctx, E)
 
 
 @pytest.mark.parametrize("q", [5, 8])
@@ -181,6 +251,30 @@ def test_line_set_stabilizer_matches_brute(fields, q):
     assert len(line_set_stabilizer(ctx, lines)) == sl2_order(q)
     with pytest.raises(ValueError):
         line_set_stabilizer(ctx, [])
+
+
+def test_line_set_stabilizer_validates_and_builds_table_once(monkeypatch):
+    stabmod = importlib.import_module("sl2lab.stabilizer")
+    real = stabmod.line_apply
+    calls = []
+
+    def counted(ctx, m, line):
+        calls.append(ctx.q)
+        return real(ctx, m, line)
+
+    monkeypatch.setattr(stabmod, "line_apply", counted)
+    ctx = make_field(5, 1)  # a fresh context, so no table is cached yet
+    for bad in ([(2, 1)], [(1, 0), (0, 2)], [(1, 5)]):
+        with pytest.raises(ValueError):
+            line_set_stabilizer(ctx, bad)
+    lines = proj_lines(ctx)
+    line_set_stabilizer(ctx, lines[:3])
+    assert len(calls) == sl2_order(5) * 6
+    line_set_stabilizer(ctx, lines[2:])
+    line_set_stabilizer(ctx, [lines[0]])
+    assert len(calls) == sl2_order(5) * 6
+    line_set_stabilizer(make_field(7, 1), [(1, 0)])
+    assert len(calls) == sl2_order(5) * 6 + sl2_order(7) * 8
 
 
 def test_line_set_stabilizer_cap(fields):
