@@ -1,113 +1,2 @@
 """Exact computation in SL2(F_q): symmetry sets of plane subsets,
 their size bounds, and the 3-space incidence geometry behind them."""
-
-from .gf import ElemSet, FieldCtx, make_field, multiplicative_subgroup, subfield_elements
-from .incidence3d import (
-    IncidenceBoundRow,
-    IncidenceInstance,
-    Line3,
-    build_instance,
-    count_incidences,
-    incidence_bound_report,
-    line3,
-    plane_richness,
-    project_matrix,
-    relation,
-    transport_line,
-    transport_set,
-)
-from .plane import (
-    IDENTITY,
-    PointSet,
-    apply_to_set,
-    mat_apply,
-    mat_det,
-    mat_inv,
-    mat_mul,
-    mat_text,
-    normalize_two_lines,
-    parse_mat,
-    parse_point,
-    point_stabilizer,
-    proj_lines,
-    sl2_elements,
-    sl2_materialize,
-    sl2_order,
-    sl2_unrank,
-)
-from .rng import DetRng, nth_seed
-from .stabilizer import (
-    BoundReport,
-    BoundRow,
-    Constants,
-    LinePartition,
-    TripleCountAudit,
-    all_subset_stabilizer_orders,
-    bound_report,
-    contained_in_line,
-    line_partition,
-    line_set_stabilizer,
-    stabilizer,
-    stabilizer_brute,
-    stabilizer_fast,
-    subgroup_closure,
-    subgroup_orbits,
-    triple_count_audit,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "DetRng",
-    "ElemSet",
-    "FieldCtx",
-    "IDENTITY",
-    "IncidenceBoundRow",
-    "IncidenceInstance",
-    "Line3",
-    "PointSet",
-    "BoundReport",
-    "BoundRow",
-    "Constants",
-    "LinePartition",
-    "TripleCountAudit",
-    "all_subset_stabilizer_orders",
-    "apply_to_set",
-    "bound_report",
-    "build_instance",
-    "contained_in_line",
-    "count_incidences",
-    "incidence_bound_report",
-    "line3",
-    "line_partition",
-    "line_set_stabilizer",
-    "make_field",
-    "mat_apply",
-    "mat_det",
-    "mat_inv",
-    "mat_mul",
-    "mat_text",
-    "multiplicative_subgroup",
-    "normalize_two_lines",
-    "nth_seed",
-    "parse_mat",
-    "parse_point",
-    "plane_richness",
-    "point_stabilizer",
-    "proj_lines",
-    "project_matrix",
-    "relation",
-    "sl2_elements",
-    "sl2_materialize",
-    "sl2_order",
-    "sl2_unrank",
-    "stabilizer",
-    "stabilizer_brute",
-    "stabilizer_fast",
-    "subfield_elements",
-    "subgroup_closure",
-    "subgroup_orbits",
-    "transport_line",
-    "transport_set",
-    "triple_count_audit",
-]

@@ -22,21 +22,24 @@ from dataclasses import dataclass
 from .gf import FieldCtx, multiplicative_subgroup, subfield_elements
 from .plane import PointSet, parse_mat, parse_point
 from .rng import DetRng
+from .stabilizer import subgroup_orbits
 
-FAMILY_NAMES = (
-    "empty",
-    "origin",
-    "full",
-    "full-minus-origin",
-    "line-origin",
-    "line-affine",
-    "complement",
-    "axis-subgroup",
-    "subfield-plane",
-    "orbit-union",
-    "random",
-    "explicit",
-)
+# Every family and the parameter keys it accepts; "explicit" is only
+# written as points:...
+FAMILY_KEYS = {
+    "empty": (),
+    "origin": (),
+    "full": (),
+    "full-minus-origin": (),
+    "line-origin": ("dir",),
+    "line-affine": ("x",),
+    "complement": ("of",),
+    "axis-subgroup": ("c",),
+    "subfield-plane": ("sub-r",),
+    "orbit-union": ("gens", "orbits"),
+    "random": ("n", "seed"),
+    "explicit": ("pts",),
+}
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,8 @@ def parse_set_spec(text: str) -> FamilySpec:
     """Parse a descriptor string into a FamilySpec.
 
     Raises ValueError on unknown family names, malformed key=value
-    parts, or text matching neither grammar production.
+    parts, keys the family does not take, or text matching neither
+    grammar production.
     """
     text = text.strip()
     if text.startswith("points:"):
@@ -108,7 +112,7 @@ def parse_set_spec(text: str) -> FamilySpec:
         raise ValueError(f"descriptor must start with family: or points: ({text!r})")
     body = text[len("family:"):]
     head, _, rest = body.partition(":")
-    if head not in FAMILY_NAMES or head == "explicit":
+    if head not in FAMILY_KEYS or head == "explicit":
         raise ValueError(f"unknown family {head!r}")
     params = []
     if rest:
@@ -116,6 +120,8 @@ def parse_set_spec(text: str) -> FamilySpec:
             key, eq, value = part.partition("=")
             if not eq or not key or not value:
                 raise ValueError(f"malformed parameter {part!r} in {text!r}")
+            if key not in FAMILY_KEYS[head]:
+                raise ValueError(f"family {head!r} takes no parameter {key!r}")
             params.append((key, value))
     return FamilySpec(head, tuple(params))
 
@@ -185,8 +191,6 @@ def gen_family(ctx: FieldCtx, spec: FamilySpec) -> PointSet:
         return PointSet.from_codes(q, [x * q + y for x in elems for y in elems])
 
     if name == "orbit-union":
-        from .stabilizer import subgroup_orbits
-
         raw_gens = spec.get("gens")
         raw_orbits = spec.get("orbits")
         if raw_gens is None or raw_orbits is None:

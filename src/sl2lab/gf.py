@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .rng import DetRng
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test; fine for n <= 2^16."""
@@ -186,28 +188,10 @@ class FieldCtx:
         self.modulus_code = _encode(modulus_digits, p)
         self._cache: dict = {}  # geometry layers park derived tables here
 
-        mod_list = list(modulus_digits)
-
-        if p == 2:
-            mod_int = self.modulus_code
-
-            def raw_mul(x, y, _m=mod_int, _r=r):
-                acc = 0
-                while y:
-                    if y & 1:
-                        acc ^= x
-                    y >>= 1
-                    x <<= 1
-                    if x >> _r & 1:
-                        x ^= _m
-                return acc
-
-        else:
-
-            def raw_mul(x, y, _m=mod_list, _p=p, _r=r):
-                a = _digits(x, _p, _r)
-                b = _digits(y, _p, _r)
-                return _encode(_prem(_pmul(a, b, _p), _m, _p), _p)
+        def raw_mul(x, y, _m=self.modulus, _p=p, _r=r):
+            a = _digits(x, _p, _r)
+            b = _digits(y, _p, _r)
+            return _encode(_prem(_pmul(a, b, _p), _m, _p), _p)
 
         def raw_pow(x, e):
             acc, base = 1, x
@@ -236,14 +220,8 @@ class FieldCtx:
         for i, v in enumerate(exp):
             log[v] = i
         assert len(set(exp)) == q - 1, "primitive element order defect"
-        self._exp = exp
-        self._log = log
 
-        if p == 2:
-            neg = list(range(q))
-        else:
-            neg = [_encode([(p - d) % p for d in _digits(c, p, r)], p) for c in range(q)]
-        self._neg_tab = neg
+        neg = [_encode([(p - d) % p for d in _digits(c, p, r)], p) for c in range(q)]
 
         qm1 = q - 1
 
@@ -297,12 +275,6 @@ class FieldCtx:
             return _e[(_l[x] * e) % _m]
 
         self.pow = powf
-
-    def elements(self):
-        return range(self.q)
-
-    def element_digits(self, code: int) -> tuple:
-        return tuple(_digits(code, self.p, self.r))
 
     def __eq__(self, other):
         return (
@@ -400,8 +372,6 @@ def selftest(ctx: FieldCtx, rng_seed: int = 0) -> None:
     Axioms run over all (x, y, z) triples for q <= 64 and over 10^5
     seeded random triples beyond that.
     """
-    from .rng import DetRng
-
     q, add, mul, inv, neg = ctx.q, ctx.add, ctx.mul, ctx.inv, ctx.neg
     for x in range(1, q):
         assert mul(x, inv(x)) == 1, f"inverse defect at {x}"

@@ -91,6 +91,8 @@ INC_BOUND_NAMES = (
     "projection_scale",
 )
 
+STRATEGIES = ("orbit-union", "random")  # search-extremal candidate generators
+
 CHUNK = 4096
 SPOT_EVERY = 100  # brute-oracle recheck on every index divisible by this
 MAX_Q_BRUTE_SPOT = 9
@@ -715,10 +717,6 @@ CAMPAIGNS = {
 }
 
 
-def columns_for(campaign: str) -> list:
-    return list(CAMPAIGNS[campaign].columns)
-
-
 def _streams_csv(config: CampaignConfig) -> bool:
     """Plain CSV runs write each chunk as it arrives; ranked and JSON
     rows are held until the end."""
@@ -757,6 +755,8 @@ def _validate(config: CampaignConfig, ctx: FieldCtx) -> None:
         raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)}")
     if config.fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
+    if config.strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}")
     if config.budget < 0:
         raise ValueError("budget must be >= 0")
     if config.workers < 1:
@@ -957,13 +957,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     return CampaignResult(rows=written, summary=summary, out=out)
 
 
-def search_extremal(config: CampaignConfig) -> list:
-    """Ranked extremal-candidate rows (also written to config.out)."""
-    if config.campaign != "search-extremal":
-        config = replace(config, campaign="search-extremal")
-    return run_campaign(config).rows
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -1027,7 +1020,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--m1", type=int, default=None)
 
     se = _campaign_parser(subs, "search", "extremal-ratio search")
-    se.add_argument("--strategy", choices=("orbit-union", "random"), default="orbit-union")
+    se.add_argument("--strategy", choices=STRATEGIES, default="orbit-union")
     return parser
 
 

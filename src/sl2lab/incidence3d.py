@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import FieldCtx
-from .plane import MATERIALIZE_LIMIT, mat_apply, sl2_elements, sl2_order
+from .plane import mat_apply, sl2_materialize
 
 
 def project_matrix(m) -> tuple:
@@ -112,9 +112,7 @@ def all_lines(ctx: FieldCtx):
 
 def transport_set(ctx: FieldCtx, src, dst):
     """All theta in SL2 with theta(src) = dst, by brute filter (size q)."""
-    if sl2_order(ctx.q) > MATERIALIZE_LIMIT:
-        raise ValueError("field too large for the brute transport filter")
-    out = {m for m in sl2_elements(ctx) if mat_apply(ctx, m, src) == dst}
+    out = {m for m in sl2_materialize(ctx) if mat_apply(ctx, m, src) == dst}
     assert len(out) == ctx.q
     return out
 
@@ -186,10 +184,6 @@ def normal_pencil(ctx: FieldCtx, dir) -> tuple:
     return pencil
 
 
-def plane_count(q: int) -> int:
-    return q * (q * q + q + 1)
-
-
 def plane_contains_line(ctx: FieldCtx, plane, line: Line3) -> bool:
     normal, offset = plane
     return _dot(ctx, normal, line.dir) == 0 and _dot(ctx, normal, line.base) == offset
@@ -255,34 +249,27 @@ def triple_coplanar(ctx: FieldCtx, l1: Line3, l2: Line3, l3: Line3) -> bool:
 
 @dataclass(frozen=True)
 class IncidenceInstance:
-    """A point set, line set, their incidence count and plane richness.
-
-    class_count/multiplicity carry the line-partition shape of the
-    plane-set problem the instance came from, when there is one; they
-    feed the derived stabilizer-cap columns.
-    """
+    """A point set, line set, their incidence count and plane richness."""
 
     points: frozenset
     lines: frozenset
     incidences: int
     plane_max: int
-    class_count: int | None = None
-    multiplicity: int | None = None
 
 
-def build_instance(ctx: FieldCtx, points, lines, class_count=None, multiplicity=None):
+def build_instance(ctx: FieldCtx, points, lines):
     pts = frozenset(points)
     lns = frozenset(lines)
     inc = count_incidences(ctx, pts, lns)
     rich, _ = plane_richness(ctx, lns)
-    return IncidenceInstance(pts, lns, inc, rich, class_count, multiplicity)
+    return IncidenceInstance(pts, lns, inc, rich)
 
 
 @dataclass(frozen=True)
 class IncidenceBoundRow:
     name: str
     applicable: bool
-    observed: float | None
+    observed: float
     rhs: float
     ratio: float | None
 
@@ -302,7 +289,7 @@ def incidence_bound_report(ctx: FieldCtx, inst: IncidenceInstance, c: float = 1.
     rows = []
 
     def add(name, applicable, observed, rhs):
-        ratio = (observed / rhs) if (observed is not None and rhs > 0) else None
+        ratio = observed / rhs if rhs > 0 else None
         rows.append(IncidenceBoundRow(name, applicable, observed, rhs, ratio))
 
     add(
@@ -325,10 +312,4 @@ def incidence_bound_report(ctx: FieldCtx, inst: IncidenceInstance, c: float = 1.
     # projection row since its conclusion degrades when this is large
     if np_ > 0:
         add("projection_scale", projection_ok, np_**-2.0 * nl**13, float(p) ** 15)
-
-    if inst.class_count is not None and inst.multiplicity is not None:
-        m0, m1 = inst.class_count, inst.multiplicity
-        add("cap_balanced", True, None, float(q * q * m1))
-        add("cap_rich_plane", True, None, float((m0 * m1) ** (5 / 3)))
-        add("cap_projection", True, None, float(m0**1.75 * m1**2.75))
     return rows

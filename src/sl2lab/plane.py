@@ -17,29 +17,18 @@ and the stabilizer filters all go through it.
 
 sl2_elements() streams the group in a pinned order (the a = 0 sweep
 first, then lexicographic (a, b, c) with d solved from the determinant),
-which lets campaigns partition work by index range and restart without
-changing output.
+and sl2_unrank(i) is its i-th element, so sampled group elements do not
+depend on how work is partitioned.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from .gf import FieldCtx
 
 IDENTITY = (1, 0, 0, 1)
 
-# Guards for whole-group work; override per call when you know better.
-STREAM_LIMIT = 10**9
+# sl2_materialize refuses a larger group, which is every q > 215.
 MATERIALIZE_LIMIT = 10**7
-
-
-def pack_point(q: int, pt) -> int:
-    return pt[0] * q + pt[1]
-
-
-def unpack_point(q: int, code: int):
-    return divmod(code, q)
 
 
 def act(ctx: FieldCtx, m, code: int) -> int:
@@ -82,11 +71,6 @@ def mat_inv(ctx: FieldCtx, m):
 
 def is_sl2(ctx: FieldCtx, m) -> bool:
     return all(0 <= e < ctx.q for e in m) and mat_det(ctx, m) == 1
-
-
-def mat_text(m) -> str:
-    a, b, c, d = m
-    return f"[{a},{b};{c},{d}]"
 
 
 def parse_mat(text: str):
@@ -150,16 +134,9 @@ def sl2_unrank(ctx: FieldCtx, i: int):
     return _sl2_decode(ctx, i)
 
 
-def sl2_elements(ctx: FieldCtx, start: int = 0, stop: int | None = None):
-    """Stream SL2(F_q) in the pinned order, optionally an index slice."""
-    n = sl2_order(ctx.q)
-    if n > STREAM_LIMIT:
-        raise ValueError(f"|SL2| = {n} exceeds the streaming guard {STREAM_LIMIT}")
-    if stop is None:
-        stop = n
-    if not (0 <= start <= stop <= n):
-        raise IndexError(f"bad slice [{start}, {stop}) of {n}")
-    for i in range(start, stop):
+def sl2_elements(ctx: FieldCtx):
+    """Stream SL2(F_q) in the pinned order."""
+    for i in range(sl2_order(ctx.q)):
         yield _sl2_decode(ctx, i)
 
 
@@ -287,34 +264,6 @@ def normalize_two_lines(ctx: FieldCtx, l1, l2):
     det = ctx.sub(ctx.mul(ux, vy), ctx.mul(uy, vx))
     idet = ctx.inv(det)
     return (ctx.mul(vy, idet), ctx.neg(ctx.mul(vx, idet)), ctx.neg(uy), ux)
-
-
-def basis_map_to(ctx: FieldCtx, pt):
-    """A deterministic g in SL2 with g(1, 0) = pt (pt must be nonzero)."""
-    u, v = pt
-    if u != 0:
-        return (u, 0, v, ctx.inv(u))
-    if v == 0:
-        raise ValueError("no SL2 element maps (1, 0) to the origin")
-    return (0, ctx.neg(ctx.inv(v)), v, 0)
-
-
-def point_stabilizer(ctx: FieldCtx, pt):
-    """All theta in SL2 with theta(pt) = pt, in closed form (size q).
-
-    The stabilizer of (1, 0) is the unipotent family (1 a; 0 1); for any
-    other nonzero point conjugate that family by basis_map_to.  Asking
-    for the origin returns the whole group with a warning, since every
-    linear map fixes it.
-    """
-    if pt == (0, 0):
-        warnings.warn("stabilizer of the origin is all of SL2", stacklevel=2)
-        return set(sl2_materialize(ctx))
-    g = basis_map_to(ctx, pt)
-    gi = mat_inv(ctx, g)
-    out = {mat_mul(ctx, mat_mul(ctx, g, (1, a, 0, 1)), gi) for a in range(ctx.q)}
-    assert len(out) == ctx.q
-    return out
 
 
 # ---------------------------------------------------------------------------

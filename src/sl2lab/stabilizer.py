@@ -34,11 +34,10 @@ the |R(E)| <= 16 c^2 (m0 m1)^{3/2} cap, identity by identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf import FieldCtx
 from .incidence3d import (
-    build_instance,
     count_incidences,
     plane_richness,
     project_matrix,
@@ -48,7 +47,6 @@ from .incidence3d import (
 )
 from .plane import (
     IDENTITY,
-    MATERIALIZE_LIMIT,
     PointSet,
     act,
     affine_line_mask,
@@ -63,7 +61,6 @@ from .plane import (
     normalize_two_lines,
     point_permutation,
     proj_lines,
-    sl2_elements,
     sl2_materialize,
     sl2_order,
 )
@@ -100,10 +97,7 @@ def _maps_into(ctx: FieldCtx, m, codes, bits: int) -> bool:
 def stabilizer_brute(ctx: FieldCtx, E: PointSet) -> set:
     """R(E) by filtering every group element (the oracle route)."""
     nz, bits = E.nonzero_codes, E.bits
-    source = (
-        sl2_materialize(ctx) if sl2_order(ctx.q) <= MATERIALIZE_LIMIT else sl2_elements(ctx)
-    )
-    out = {m for m in source if _maps_into(ctx, m, nz, bits)}
+    out = {m for m in sl2_materialize(ctx) if _maps_into(ctx, m, nz, bits)}
     _group_spot_check(ctx, out)
     return out
 
@@ -251,9 +245,6 @@ class LinePartition:
     def lines_meeting(self) -> int:
         return sum(len(v) for v in self.classes.values())
 
-    def class_count(self, multiplicity: int) -> int:
-        return len(self.classes.get(multiplicity, ()))
-
     @property
     def all_classes_small(self) -> bool:
         """True when every multiplicity class holds at most two lines."""
@@ -274,11 +265,6 @@ def line_partition(ctx: FieldCtx, E: PointSet) -> LinePartition:
             covered += m
     assert covered == E.nonzero_size, "pencil must partition the nonzero points"
     return LinePartition({k: tuple(by_mult[k]) for k in sorted(by_mult)})
-
-
-def lines_meeting_count(ctx: FieldCtx, bits: int) -> int:
-    """How many origin lines meet the bitset away from the origin."""
-    return sum(1 for mask in line_nonzero_masks(ctx) if bits & mask)
 
 
 def _line_action(ctx: FieldCtx) -> tuple:
@@ -601,12 +587,6 @@ class TripleCountAudit:
     parallel_pairs: int
     parallel_triples: int
 
-    def instance(self):
-        """The audited incidence instance with partition data attached."""
-        return self._inst  # set in triple_count_audit
-
-    _inst: object = field(default=None, repr=False, compare=False)
-
 
 def triple_count_audit(
     ctx: FieldCtx, E: PointSet, multiplicity: int, c: float = 1.0
@@ -683,9 +663,12 @@ def triple_count_audit(
     class_cap = m0 * m0 * multiplicity
     assert fixer_part <= pair_cap <= class_cap, "fixer-part cap failed"
 
-    lines3 = {
-        transport_line(ctx, divmod(u, q), divmod(v, q)) for u in probes for v in targets
+    by_pair = {
+        (u, v): transport_line(ctx, divmod(u, q), divmod(v, q))
+        for u in probes
+        for v in targets
     }
+    lines3 = set(by_pair.values())
     assert len(lines3) == pair_cap, "transport lines must be pairwise distinct"
     proj = {project_matrix(m) for m in movers}
     assert len(proj) == len(movers), "projection must be injective off c = 0"
@@ -702,11 +685,6 @@ def triple_count_audit(
     # lines pass through the one projected point that forgets the
     # upper-right entry of an axis-fixing transporter.  That exception
     # is real (not an artifact), so it is asserted too.
-    by_pair = {}
-    for u in probes:
-        for v in targets:
-            by_pair[(u, v)] = transport_line(ctx, divmod(u, q), divmod(v, q))
-
     skew_pairs = meeting_pairs = parallel_pairs = parallel_triples = 0
     for u in probes:
         by_dir: dict = {}
@@ -734,7 +712,7 @@ def triple_count_audit(
                 parallel_triples += 1
 
     # R(E) sits inside S
-    stab = stabilizer_fast(ctx, E) if E.nonzero_size else set(sl2_materialize(ctx))
+    stab = stabilizer(ctx, E)
     pres_set = set(preservers)
     assert stab <= pres_set, "symmetries must permute the class sets"
 
@@ -748,7 +726,6 @@ def triple_count_audit(
     applies = m0 > 8 + 4 * c
     holds = s_count <= final_cap
 
-    inst = build_instance(ctx, proj, lines3, class_count=m0, multiplicity=multiplicity)
     return TripleCountAudit(
         multiplicity=multiplicity,
         class_count=m0,
@@ -777,5 +754,4 @@ def triple_count_audit(
         meeting_pairs=meeting_pairs,
         parallel_pairs=parallel_pairs,
         parallel_triples=parallel_triples,
-        _inst=inst,
     )

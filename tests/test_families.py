@@ -1,14 +1,19 @@
 """Set-descriptor grammar and family generators."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from sl2lab.families import (
-    FAMILY_NAMES,
+    FAMILY_KEYS,
     FamilySpec,
     default_battery,
     gen_family,
     parse_set_spec,
 )
+from sl2lab.gf import make_field
+from sl2lab.harness import main
 from sl2lab.plane import PointSet, points_on_line
 from sl2lab.stabilizer import subgroup_orbits
 
@@ -60,11 +65,40 @@ def test_parse_rejects_garbage(bad):
 
 
 def test_family_names_complete():
-    assert set(FAMILY_NAMES) == {
+    assert set(FAMILY_KEYS) == {
         "empty", "origin", "full", "full-minus-origin", "line-origin",
         "line-affine", "complement", "axis-subgroup", "subfield-plane",
         "orbit-union", "random", "explicit",
     }
+
+
+@pytest.mark.parametrize("bad", [
+    "family:line-origin:dirr=3",
+    "family:line-affine:dir=2",
+    "family:random:n=3,seed=1,bogus=9",
+])
+def test_unknown_parameters_rejected(bad, capsys):
+    with pytest.raises(ValueError, match="takes no parameter"):
+        parse_set_spec(bad)
+    assert main(["stab", "--p", "5", "--set", bad]) == 2
+    assert "takes no parameter" in capsys.readouterr().err
+
+
+def test_readme_descriptors_build():
+    # every descriptor the README shows parses and builds over GF(9);
+    # "\|" is a pipe escaped inside a markdown table
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().replace("\\|", "|")
+    found = re.findall(r"(?:family|points):[^\s`'\"]+", text)
+    assert len(found) >= 12
+    ctx = make_field(3, 2)
+    failed = []
+    for literal in found:
+        try:
+            gen_family(ctx, parse_set_spec(literal))
+        except ValueError as err:
+            failed.append(f"{literal}: {err}")
+    assert not failed
 
 
 def test_degenerate_families(fields):

@@ -1,7 +1,6 @@
 """Campaign harness: determinism, resume, campaign row semantics, CLI."""
 
 import csv
-import importlib
 import itertools
 import json
 import os
@@ -12,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sl2lab.harness as harness
+import sl2lab.stabilizer as stabmod
 from sl2lab.gf import make_field
 from sl2lab.harness import (
     CAMPAIGNS,
@@ -20,11 +20,9 @@ from sl2lab.harness import (
     _echo,
     _f6,
     _fmt,
-    columns_for,
     main,
     random_uniform_class_set,
     run_campaign,
-    search_extremal,
 )
 from sl2lab.families import gen_family, parse_set_spec
 from sl2lab.plane import IDENTITY, PointSet
@@ -33,7 +31,7 @@ from sl2lab.stabilizer import (
     Constants,
     all_subset_stabilizer_orders,
     bound_report,
-    lines_meeting_count,
+    line_partition,
 )
 
 
@@ -105,20 +103,20 @@ def test_f6_and_fmt():
 
 
 def test_columns_for_shapes():
-    stab_cols = columns_for("exhaustive-subsets")
+    stab_cols = CAMPAIGNS["exhaustive-subsets"].columns
     assert stab_cols[:2] == ["index", "descriptor"]
     assert "two_lines_violated" in stab_cols and "three_halves_rhs" in stab_cols
     assert stab_cols[-1] == "violations"
-    fam = columns_for("family-verify")
+    fam = CAMPAIGNS["family-verify"].columns
     assert fam[-3:] == ["complement_match", "expected_order", "expected_match"]
-    search = columns_for("search-extremal")
+    search = CAMPAIGNS["search-extremal"].columns
     assert search[-3:] == ["strategy", "subgroup_order", "contains_subgroup"]
-    audit = columns_for("triple-audit")
+    audit = CAMPAIGNS["triple-audit"].columns
     assert audit[:2] == ["index", "descriptor"] and "audit_ok" in audit
-    inc = columns_for("incidence-report")
+    inc = CAMPAIGNS["incidence-report"].columns
     assert inc[:5] == ["index", "points", "lines", "incidences", "plane_max"]
     for name in CAMPAIGNS:
-        assert columns_for(name)
+        assert CAMPAIGNS[name].columns
 
 
 def test_echo_line():
@@ -181,7 +179,7 @@ def test_family_verify_gf4(tmp_path):
     assert all(row["expected_match"] in (True, None) for row in res.rows)
     echo, header, rows = read_csv(res.out)
     assert echo.startswith("# slab-v1 campaign=family-verify")
-    assert header == columns_for("family-verify")
+    assert header == CAMPAIGNS["family-verify"].columns
     assert len(rows) == 10
 
 
@@ -316,7 +314,7 @@ def test_exhaustive_gf2_summary_matches_table(tmp_path):
     best = None
     for bits in range(16):
         E = PointSet(2, bits)
-        if lines_meeting_count(ctx, bits) >= 2 and E.nonzero_size:
+        if line_partition(ctx, E).lines_meeting >= 2 and E.nonzero_size:
             ratio = _f6(table[bits] / E.nonzero_size**1.5)
             if best is None or ratio > best:
                 best = ratio
@@ -356,7 +354,8 @@ def test_prime_bound_campaign_gf3(tmp_path):
     res = run_campaign(cfg(tmp_path, p=3, r=1, campaign="prime-bound-exhaustive"))
     want = sum(
         1 for bits in range(1 << 9)
-        if 0 < (bits & ~1).bit_count() < 8 and lines_meeting_count(ctx, bits) >= 2
+        if 0 < (bits & ~1).bit_count() < 8
+        and line_partition(ctx, PointSet(3, bits)).lines_meeting >= 2
     )
     assert res.summary["rows"] == want
     assert res.violations == 0
@@ -424,9 +423,9 @@ def test_search_random_gf5(tmp_path):
 def test_search_orbit_union_reaches_subfield_plane(tmp_path):
     # with this seed the sampled generators produce the embedded copy of
     # the two-element-field group within the first hundred candidates
-    rows = search_extremal(CampaignConfig(
+    rows = run_campaign(CampaignConfig(
         p=2, r=2, campaign="search-extremal", strategy="orbit-union",
-        budget=100, seed=30, out=str(tmp_path / "s.csv")))
+        budget=100, seed=30, out=str(tmp_path / "s.csv"))).rows
     by = {row["descriptor"]: row for row in rows}
     hit = by["points:(0,0);(0,1);(1,0);(1,1)"]
     assert hit["stab_order"] == 6
@@ -474,6 +473,7 @@ def test_json_output(tmp_path):
     dict(p=11, r=1, campaign="incidence-report"),
     dict(p=11, r=1, campaign="search-extremal"),
     dict(p=3, r=1, campaign="incidence-report", budget=5, workers=0),
+    dict(p=3, r=1, campaign="search-extremal", strategy="bogus", budget=5),
 ])
 def test_config_validation(tmp_path, bad):
     with pytest.raises(ValueError):
@@ -488,7 +488,6 @@ def test_exhaustive_gf5_requires_sampling_flag(tmp_path):
 
 def test_complement_mismatch_is_reported(tmp_path, monkeypatch):
     # a fault on the side stabilizer() did not use must surface in the row
-    stabmod = importlib.import_module("sl2lab.stabilizer")
     real = stabmod._transport_stabilizer
     ctx = make_field(5, 1)
     spec = "family:line-origin"
@@ -571,7 +570,7 @@ def test_cli_search(tmp_path, capsys):
     assert "campaign=search-extremal" in capsys.readouterr().out
     echo, header, rows = read_csv(str(out))
     assert "strategy=random" in echo
-    assert header == columns_for("search-extremal")
+    assert header == CAMPAIGNS["search-extremal"].columns
 
 
 def test_campaign_result_type(tmp_path):

@@ -12,7 +12,6 @@ from sl2lab.plane import (
     PointSet,
     act,
     apply_to_set,
-    basis_map_to,
     is_sl2,
     line_apply,
     line_index,
@@ -22,22 +21,19 @@ from sl2lab.plane import (
     mat_det,
     mat_inv,
     mat_mul,
-    mat_text,
     normalize_two_lines,
-    pack_point,
     parse_mat,
     parse_point,
     point_permutation,
-    point_stabilizer,
     points_on_line,
     proj_lines,
     sl2_elements,
     sl2_materialize,
     sl2_order,
     sl2_unrank,
-    unpack_point,
 )
 from sl2lab.rng import DetRng
+from sl2lab.stabilizer import stabilizer
 
 
 def brute_sl2(ctx):
@@ -66,7 +62,6 @@ def test_unrank_is_bijection(fields, q):
 def test_unrank_agrees_with_iteration(fields):
     ctx = fields[5]
     assert list(sl2_elements(ctx)) == [sl2_unrank(ctx, i) for i in range(sl2_order(5))]
-    assert list(sl2_elements(ctx, 17, 40)) == [sl2_unrank(ctx, i) for i in range(17, 40)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -109,7 +104,7 @@ def test_action_is_composition_gf7(i, j, code):
     # Column convention: (mn)(pt) = m(n(pt)).
     ctx = make_field(7, 1)
     m, n = sl2_unrank(ctx, i), sl2_unrank(ctx, j)
-    pt = unpack_point(7, code)
+    pt = divmod(code, 7)
     assert mat_apply(ctx, mat_mul(ctx, m, n), pt) == mat_apply(ctx, m, mat_apply(ctx, n, pt))
 
 
@@ -122,7 +117,8 @@ def test_point_permutation(fields, q):
         assert sorted(perm) == list(range(q * q))
         assert perm[0] == 0  # origin is always fixed
         for code in range(q * q):
-            assert perm[code] == pack_point(q, mat_apply(ctx, m, unpack_point(q, code)))
+            x, y = mat_apply(ctx, m, divmod(code, q))
+            assert perm[code] == x * q + y
     mi, mj = sl2_unrank(ctx, 5), sl2_unrank(ctx, 11)
     pi, pj = point_permutation(ctx, mi), point_permutation(ctx, mj)
     pij = point_permutation(ctx, mat_mul(ctx, mi, mj))
@@ -148,7 +144,7 @@ def test_mat_text_roundtrip(fields):
     ctx = fields[9]
     for i in (0, 1, 17, 100, 719):
         m = sl2_unrank(ctx, i)
-        assert parse_mat(mat_text(m)) == m
+        assert parse_mat("[{},{};{},{}]".format(*m)) == m
     assert parse_mat("[1,0;1,1]") == (1, 0, 1, 1)
     with pytest.raises(ValueError):
         parse_mat("[1,0,1,1]")
@@ -216,24 +212,13 @@ def test_normalize_two_lines(fields, q):
         normalize_two_lines(ctx, (1, 1), (1, 1))
 
 
-@pytest.mark.parametrize("q", [3, 5, 8])
-def test_basis_map_to(fields, q):
-    ctx = fields[q]
-    for code in range(1, q * q):
-        pt = unpack_point(q, code)
-        g = basis_map_to(ctx, pt)
-        assert mat_det(ctx, g) == 1
-        assert mat_apply(ctx, g, (1, 0)) == pt
-    with pytest.raises(ValueError):
-        basis_map_to(ctx, (0, 0))
-
-
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_point_stabilizer(fields, q):
+    # R({pt}) is the stabilizer of pt: q elements, a subgroup fixing pt
     ctx = fields[q]
     for code in range(1, q * q):
-        pt = unpack_point(q, code)
-        stab = point_stabilizer(ctx, pt)
+        pt = divmod(code, q)
+        stab = stabilizer(ctx, PointSet.from_points(q, [pt]))
         assert len(stab) == q
         assert all(mat_apply(ctx, m, pt) == pt for m in stab)
         # closure spot-check makes it a subgroup, not just a fixing set
@@ -241,8 +226,7 @@ def test_point_stabilizer(fields, q):
         for a in some:
             for b in some:
                 assert mat_mul(ctx, a, b) in stab
-    with pytest.warns(UserWarning):
-        whole = point_stabilizer(ctx, (0, 0))
+    whole = stabilizer(ctx, PointSet.from_points(q, [(0, 0)]))
     assert len(whole) == sl2_order(q)
 
 
@@ -250,25 +234,19 @@ def test_point_stabilizer_is_brute_fixer(fields):
     ctx = fields[5]
     for pt in [(1, 0), (0, 1), (2, 3)]:
         brute = {m for m in sl2_materialize(ctx) if mat_apply(ctx, m, pt) == pt}
-        assert point_stabilizer(ctx, pt) == brute
-
-
-def test_pack_unpack_roundtrip():
-    for q in (2, 5, 9):
-        for code in range(q * q):
-            assert pack_point(q, unpack_point(q, code)) == code
+        assert stabilizer(ctx, PointSet.from_points(5, [pt])) == brute
 
 
 def test_pointset_basics():
     ps = PointSet.from_points(5, [(0, 0), (1, 2), (4, 4)])
     assert len(ps) == 3
     assert ps.has_point((1, 2)) and not ps.has_point((2, 1))
-    assert pack_point(5, (4, 4)) in ps
+    assert 4 * 5 + 4 in ps
     assert set(ps.points()) == {(0, 0), (1, 2), (4, 4)}
     assert PointSet.from_codes(5, ps.codes()) == ps
     assert ps.nonzero_size == 2
     assert sorted(ps.nonzero_codes) == sorted(
-        pack_point(5, p) for p in [(1, 2), (4, 4)])
+        x * 5 + y for x, y in [(1, 2), (4, 4)])
 
 
 def test_pointset_origin_and_complement():

@@ -1,10 +1,10 @@
 """Stabilizer computation: dual routes, closed-form families, bound reports."""
 
-import importlib
 import itertools
 
 import pytest
 
+import sl2lab.stabilizer as stabmod
 from sl2lab.gf import make_field, multiplicative_subgroup, subfield_elements
 from sl2lab.incidence3d import transport_set
 from sl2lab.plane import (
@@ -27,7 +27,6 @@ from sl2lab.stabilizer import (
     contained_in_line,
     line_partition,
     line_set_stabilizer,
-    lines_meeting_count,
     stabilizer,
     stabilizer_brute,
     stabilizer_fast,
@@ -222,10 +221,9 @@ def test_line_partition(fields):
     part = line_partition(ctx, E)
     assert part.classes == {1: ((1, 1),), 4: ((1, 0), (0, 1))}
     assert part.lines_meeting == 3
-    assert part.class_count(4) == 2
-    assert part.class_count(2) == 0
+    assert len(part.classes[4]) == 2
+    assert 2 not in part.classes
     assert part.all_classes_small
-    assert lines_meeting_count(ctx, E.bits) == 3
     part_full = line_partition(ctx, PointSet.full(5))
     assert part_full.classes == {4: tuple(proj_lines(ctx))}
     assert not part_full.all_classes_small
@@ -254,7 +252,6 @@ def test_line_set_stabilizer_matches_brute(fields, q):
 
 
 def test_line_set_stabilizer_validates_and_builds_table_once(monkeypatch):
-    stabmod = importlib.import_module("sl2lab.stabilizer")
     real = stabmod.line_apply
     calls = []
 
@@ -490,10 +487,6 @@ def test_audit_gf9_subfield_plane(fields):
     assert audit.preserver_count == audit.mover_count + audit.fixer_count
     assert audit.transport_total == audit.fixer_part + audit.mover_part
     assert audit.mover_part == audit.incidence_count
-    inst = audit.instance()
-    assert (inst.class_count, inst.multiplicity) == (4, 2)
-    assert len(inst.lines) == audit.transport_lines
-    assert inst.plane_max == audit.plane_max
 
 
 def test_audit_axis_pair(fields):
