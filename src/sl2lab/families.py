@@ -102,8 +102,8 @@ def parse_set_spec(text: str) -> FamilySpec:
     """Parse a descriptor string into a FamilySpec.
 
     Raises ValueError on unknown family names, malformed key=value
-    parts, keys the family does not take, or text matching neither
-    grammar production.
+    parts, keys the family does not take or repeated keys, or text
+    matching neither grammar production.
     """
     text = text.strip()
     if text.startswith("points:"):
@@ -122,6 +122,8 @@ def parse_set_spec(text: str) -> FamilySpec:
                 raise ValueError(f"malformed parameter {part!r} in {text!r}")
             if key not in FAMILY_KEYS[head]:
                 raise ValueError(f"family {head!r} takes no parameter {key!r}")
+            if any(key == k for k, _ in params):
+                raise ValueError(f"parameter {key!r} repeated in {text!r}")
             params.append((key, value))
     return FamilySpec(head, tuple(params))
 

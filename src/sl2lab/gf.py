@@ -4,9 +4,10 @@ Field elements are plain integer codes in [0, q), q = p^r: the element
 c_0 + c_1*t + ... + c_{r-1}*t^{r-1}  (mod m(t)) has code
 c_0 + c_1*p + ... + c_{r-1}*p^{r-1}.  The modulus m(t) is chosen
 deterministically: the monic irreducible polynomial of degree r over F_p
-whose integer code (leading term included) is smallest.  Rebuilding a
-field therefore yields identical tables on every platform, which the
-campaign layer relies on for byte-identical output.
+whose integer code (leading term included) is smallest, found by trial
+division of each candidate in code order.  Rebuilding a field therefore
+yields identical tables on every platform, which the campaign layer
+relies on for byte-identical output.
 
     ctx = make_field(3, 2)        # GF(9), modulus t^2 + 1
     ctx.mul(4, 7); ctx.inv(5); ctx.pow(2, -3)
@@ -91,56 +92,14 @@ def _prem(a, m, p):
     return _trim(a)
 
 
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _trim(out)
-
-
-def _pmulmod(a, b, m, p):
-    return _prem(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(a, e, m, p):
-    result = [1]
-    a = _prem(list(a), m, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, a, m, p)
-        a = _pmulmod(a, a, m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # make b monic before reducing
-        lc = b[-1]
-        if lc != 1:
-            ilc = pow(lc, p - 2, p)
-            b = [(ilc * x) % p for x in b]
-        a, b = b, _prem(a, b, p)
-    return a
-
-
 def _is_irreducible(m, p, r):
-    """Rabin's test for a monic degree-r polynomial over F_p."""
-    if r == 1:
-        return True
-    x = [0, 1]
-    xq = _ppowmod(x, p**r, m, p)
-    if _trim(_psub(xq, x, p)):
-        return False
-    for s in prime_factors(r):
-        h = _psub(_ppowmod(x, p ** (r // s), m, p), x, p)
-        g = _pgcd(m, h, p)
-        if len(g) != 1:  # gcd not constant
-            return False
-    return True
+    """Trial division: monic m of degree r has no monic factor of degree
+    1 .. r // 2 over F_p."""
+    return all(
+        _prem(m, _digits(c, p, k) + [1], p)
+        for k in range(1, r // 2 + 1)
+        for c in range(p**k)
+    )
 
 
 def _digits(code, p, n):
@@ -175,8 +134,8 @@ class FieldCtx:
       add, sub, neg, mul, inv, div, pow -- operations on integer codes
 
     The operations are closures over precomputed tables, so they do not
-    pickle; fork/spawn workers rebuild contexts from (p, r), which is
-    cheap and deterministic.
+    pickle; a pool worker inherits its parent's context under fork or
+    rebuilds it from (p, r), which is cheap and deterministic.
     """
 
     def __init__(self, p: int, r: int, modulus_digits):
@@ -186,7 +145,7 @@ class FieldCtx:
         self.q = q
         self.modulus = tuple(modulus_digits)
         self.modulus_code = _encode(modulus_digits, p)
-        self._cache: dict = {}  # geometry layers park derived tables here
+        self._cache: dict = {}  # derived per-field tables: geometry and campaigns
 
         def raw_mul(x, y, _m=self.modulus, _p=p, _r=r):
             a = _digits(x, _p, _r)

@@ -30,9 +30,10 @@ total, q limit and CLI subcommand.
 Workers (or the parent, in a serial run) render each chunk of rows to
 CSV text with csv.writer; the parent writes that text, folds the rows
 into the summary and checkpoints.  Every stabilizer-report column after
-index/descriptor is memoized per process on (|R(E)|, |E|, the sorted
-line multiplicities of E, whether E lies on a line) and the constants,
-so bound_report and the float formatting run once per distinct key.
+index/descriptor is memoized on the field context on (|R(E)|, |E|, the
+sorted line multiplicities of E, whether E lies on a line) and the
+constants, so bound_report and the float formatting run once per
+distinct key.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -50,10 +52,8 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
-from math import comb
 
 from .families import default_battery, gen_family, parse_set_spec
 from .gf import FieldCtx, make_field, selftest
@@ -210,29 +210,21 @@ _INCIDENCE_COLUMNS = ["index", "points", "lines", "incidences", "plane_max"] + [
 
 
 # ---------------------------------------------------------------------------
-# Per-process state.  Workers rebuild the field from (p, r); the parent
-# uses the same path, so serial and pooled runs share every code path.
-
-_WORK: dict = {}
-
-
-def _init_worker(p: int, r: int) -> None:
-    _WORK.clear()
-    _WORK["ctx"] = make_field(p, r)
+# Per-process state lives on the field context.  _field keeps the last
+# field this process built, for run_campaign, the producers and the pool
+# workers: a forked worker inherits it, a spawned one builds it on first
+# use.  Campaign tables sit in its _cache beside the geometry tables.
 
 
-def _ctx(config: CampaignConfig) -> FieldCtx:
-    ctx = _WORK.get("ctx")
-    if ctx is None or (ctx.p, ctx.r) != (config.p, config.r):
-        # field changed within this process: every derived cache is stale
-        _init_worker(config.p, config.r)
-    return _WORK["ctx"]
+@functools.lru_cache(maxsize=1)
+def _field(p: int, r: int) -> FieldCtx:
+    return make_field(p, r)
 
 
-def _cached(key, build):
-    if key not in _WORK:
-        _WORK[key] = build()
-    return _WORK[key]
+def _cached(ctx: FieldCtx, key, build):
+    if key not in ctx._cache:
+        ctx._cache[key] = build()
+    return ctx._cache[key]
 
 
 def _spot(ctx: FieldCtx, E: PointSet, stab_order: int, index: int) -> None:
@@ -253,12 +245,12 @@ def _report_row(ctx, index, E, stab_order, config) -> tuple:
 
     Every report column after index/descriptor depends on E only through
     |E|, its sorted nonzero line multiplicities and whether it lies on a
-    line, so the tail is memoized per process on that key (with the
-    constants and the field); bound_report runs once per distinct key.
+    line, so the tail is memoized on the field on that key (with the
+    constants); bound_report runs once per distinct key.
     cells is the tail already formatted for CSV; a caller that edits the
     row (a fresh dict) renders it from its values instead.
     """
-    memo = _cached(("tails", ctx.q, config.c, config.c1, config.c2, config.alpha, config.beta), dict)
+    memo = _cached(ctx, ("tails", config.c, config.c1, config.c2, config.alpha, config.beta), dict)
     mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
     key = (stab_order, E.size, mults, contained_in_line(ctx, E))
     entry = memo.get(key)
@@ -298,10 +290,10 @@ def _report_row(ctx, index, E, stab_order, config) -> tuple:
 
 
 def _gen_exhaustive(config, start, stop):
-    ctx = _ctx(config)
+    ctx = _field(config.p, config.r)
     q = ctx.q
     if q <= 4:
-        counts = _cached("counts", lambda: all_subset_stabilizer_orders(ctx))
+        counts = _cached(ctx, "counts", lambda: all_subset_stabilizer_orders(ctx))
         for mask in range(start, stop):
             E = PointSet(q, mask)
             order = counts[mask]
@@ -309,6 +301,7 @@ def _gen_exhaustive(config, start, stop):
             yield (mask, *_report_row(ctx, mask, E, order, config))
     else:
         sample = _cached(
+            ctx,
             ("sample", config.seed, config.budget),
             lambda: DetRng(config.seed).sample(1 << (q * q), config.budget),
         )
@@ -327,15 +320,11 @@ def _two_line_space(ctx):
 
 
 def _gen_two_line(config, start, stop):
-    ctx = _ctx(config)
+    ctx = _field(config.p, config.r)
     q = ctx.q
     pairs, m = _two_line_space(ctx)
     codes = _cached(
-        "line_codes",
-        lambda: [
-            sorted(c for c in range(q * q) if c and (line_nonzero_masks(ctx)[i] >> c) & 1)
-            for i in range(q + 1)
-        ],
+        ctx, "line_codes", lambda: [PointSet(q, b).nonzero_codes for b in line_nonzero_masks(ctx)]
     )
     for index in range(start, stop):
         rest, origin_bit = divmod(index, 2)
@@ -366,10 +355,14 @@ def _lineset_list(ctx, config):
     return sets
 
 
+def _linesets(ctx, config):
+    return _cached(ctx, ("linesets", config.seed, config.budget), lambda: _lineset_list(ctx, config))
+
+
 def _gen_lineset(config, start, stop):
-    ctx = _ctx(config)
+    ctx = _field(config.p, config.r)
     q = ctx.q
-    sets = _cached(("linesets", config.seed, config.budget), lambda: _lineset_list(ctx, config))
+    sets = _linesets(ctx, config)
     masks = line_nonzero_masks(ctx)
     lines = proj_lines(ctx)
     for index in range(start, stop):
@@ -390,9 +383,9 @@ def _gen_lineset(config, start, stop):
 
 
 def _gen_prime_bound(config, start, stop):
-    ctx = _ctx(config)
+    ctx = _field(config.p, config.r)
     q = ctx.q
-    counts = _cached("counts", lambda: all_subset_stabilizer_orders(ctx))
+    counts = _cached(ctx, "counts", lambda: all_subset_stabilizer_orders(ctx))
     masks = line_nonzero_masks(ctx)
     full_nz = q * q - 1
     for mask in range(start, stop):
@@ -437,9 +430,13 @@ def _family_specs(ctx, config):
     return default_battery(ctx)
 
 
+def _battery(ctx, config):
+    return _cached(ctx, ("battery", config.set_spec), lambda: _family_specs(ctx, config))
+
+
 def _gen_family(config, start, stop):
-    ctx = _ctx(config)
-    specs = _cached(("battery", config.set_spec), lambda: _family_specs(ctx, config))
+    ctx = _field(config.p, config.r)
+    specs = _battery(ctx, config)
     for index in range(start, stop):
         spec = specs[index]
         E = gen_family(ctx, spec)
@@ -472,9 +469,9 @@ def _decode3(q, code):
 
 
 def _gen_incidence(config, start, stop):
-    ctx = _ctx(config)
+    ctx = _field(config.p, config.r)
     q = ctx.q
-    pool = _cached("lines3", lambda: list(all_lines(ctx)))
+    pool = _cached(ctx, "lines3", lambda: list(all_lines(ctx)))
     cap = 2 * q * q
     for index in range(start, stop):
         rng = DetRng(nth_seed(config.seed, index))
@@ -555,7 +552,7 @@ def _pick_multiplicity(ctx, E):
 
 
 def _gen_audit(config, start, stop):
-    ctx = _ctx(config)
+    ctx = _field(config.p, config.r)
     if config.set_spec:
         E = gen_family(ctx, parse_set_spec(config.set_spec))
         m1 = config.m1 if config.m1 else _pick_multiplicity(ctx, E)
@@ -568,7 +565,7 @@ def _gen_audit(config, start, stop):
 
 
 def _gen_search(config, start, stop):
-    ctx = _ctx(config)
+    ctx = _field(config.p, config.r)
     q = ctx.q
     order = sl2_order(q)
     for index in range(start, stop):
@@ -646,11 +643,6 @@ def _two_line_total(config, ctx):
     return len(pairs) * m * m * 2
 
 
-def _lineset_total(config, ctx):
-    q = ctx.q
-    return comb(q + 1, 3) + comb(q + 1, 4) + (config.budget if q + 1 >= 5 else 0)
-
-
 def _budget_total(config, ctx):
     return config.budget
 
@@ -675,14 +667,14 @@ CAMPAIGNS = {
         command="exhaustive",
         produce=_gen_lineset,
         columns=_stab_columns(),
-        total=_lineset_total,
+        total=lambda config, ctx: len(_linesets(ctx, config)),
         max_q=9,
     ),
     "family-verify": Campaign(
         command="family",
         produce=_gen_family,
         columns=_stab_columns(("complement_match", "expected_order", "expected_match")),
-        total=lambda config, ctx: len(_family_specs(ctx, config)),
+        total=lambda config, ctx: len(_battery(ctx, config)),
         max_q=16,
     ),
     "prime-bound-exhaustive": Campaign(
@@ -858,7 +850,7 @@ _RUN_FIELDS = ("workers", "out", "fmt", "resume", "allow_sampled")
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run one campaign: write the result file, return rows and summary."""
-    ctx = make_field(config.p, config.r)
+    ctx = _field(config.p, config.r)
     if config.workers is None:
         config = replace(config, workers=int(os.environ.get("SL2LAB_WORKERS", "1")))
     _validate(config, ctx)
@@ -907,12 +899,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 _emit(fh, digest, echo + "\n" + _csv_text([cols]))
         run = map
         if config.workers > 1 and total - start > CHUNK:
-            pool = ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_init_worker,
-                initargs=(config.p, config.r),
-            )
-            run = stack.enter_context(pool).map
+            # imported here to keep concurrent.futures and multiprocessing off start-up
+            from concurrent.futures import ProcessPoolExecutor
+
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers)).map
         batches = run(_run_range, itertools.repeat(config), starts, stops)
         for stop, (items, text) in zip(stops, batches):
             if buffered:
@@ -961,7 +951,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 # CLI
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_field_and_constants(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
     sub.add_argument("--r", type=int, default=1, help="extension degree, q = p^r")
     sub.add_argument("--c", type=float, default=1.0)
@@ -969,12 +959,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c2", type=float, default=1.0)
     sub.add_argument("--alpha", type=float, default=0.5)
     sub.add_argument("--beta", type=float, default=0.75)
-    sub.add_argument("--budget", type=int, default=1000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    sub.add_argument("--resume", action="store_true")
 
 
 def _campaign_parser(subs, command: str, help: str) -> argparse.ArgumentParser:
@@ -982,7 +966,13 @@ def _campaign_parser(subs, command: str, help: str) -> argparse.ArgumentParser:
     there are several, --campaign picks one and the first is the default."""
     names = [name for name, spec in CAMPAIGNS.items() if spec.command == command]
     sub = subs.add_parser(command, help=help)
-    _add_common(sub)
+    _add_field_and_constants(sub)
+    sub.add_argument("--budget", type=int, default=1000)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--out", default=None)
+    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    sub.add_argument("--resume", action="store_true")
     if len(names) > 1:
         sub.add_argument("--campaign", default=names[0], choices=names)
     sub.set_defaults(run=_cmd_campaign, campaign=names[0])
@@ -1003,7 +993,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.set_defaults(run=_cmd_field)
 
     s = subs.add_parser("stab", help="symmetry set and bound report for one set")
-    _add_common(s)
+    _add_field_and_constants(s)
     s.add_argument("--set", dest="set_spec", required=True)
     s.set_defaults(run=_cmd_stab)
 

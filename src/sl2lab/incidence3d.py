@@ -89,21 +89,17 @@ def on_line(ctx: FieldCtx, pt, line: Line3) -> bool:
 
 
 def all_lines(ctx: FieldCtx):
-    """Every line of F_q^3, canonical, q^2(q^2+q+1) of them (test support)."""
-    seen = set()
-    dirs = (
-        [(1, a, b) for a in range(ctx.q) for b in range(ctx.q)]
-        + [(0, 1, b) for b in range(ctx.q)]
-        + [(0, 0, 1)]
-    )
-    for d in dirs:
-        for x in range(ctx.q):
-            for y in range(ctx.q):
-                for z in range(ctx.q):
-                    ln = line3(ctx, (x, y, z), d)
-                    if ln not in seen:
-                        seen.add(ln)
-                        yield ln
+    """Every line of F_q^3, canonical, q^2(q^2+q+1) of them.
+
+    Per canonical direction, every base with 0 at the lead coordinate,
+    its two free coordinates in lexicographic order.
+    """
+    for d in canonical_normals(ctx):
+        lead = d.index(1)
+        for s in range(ctx.q):
+            for t in range(ctx.q):
+                free = (s, t)
+                yield Line3(free[:lead] + (0,) + free[lead:], d, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,8 @@ def count_incidences_brute(ctx: FieldCtx, points, lines) -> int:
 
 
 def canonical_normals(ctx: FieldCtx):
-    """The q^2 + q + 1 plane normals with first nonzero coordinate 1."""
+    """The q^2 + q + 1 plane normals with first nonzero coordinate 1;
+    they are also the canonical line directions."""
     q = ctx.q
     return (
         [(1, a, b) for a in range(q) for b in range(q)]

@@ -311,9 +311,6 @@ class PointSet:
     def __contains__(self, code: int) -> bool:
         return (self.bits >> code) & 1 == 1
 
-    def has_point(self, pt) -> bool:
-        return (self.bits >> (pt[0] * self.q + pt[1])) & 1 == 1
-
     def __len__(self):
         return self.size
 

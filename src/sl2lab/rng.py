@@ -78,6 +78,3 @@ class DetRng:
             out.append(swapped.get(j, j))
             swapped[j] = swapped.get(i, i)
         return out
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

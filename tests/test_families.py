@@ -84,6 +84,17 @@ def test_unknown_parameters_rejected(bad, capsys):
     assert "takes no parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    "family:random:n=3,n=20,seed=1",
+    "family:line-origin:dir=1,dir=2",
+])
+def test_repeated_parameters_rejected(bad, capsys):
+    with pytest.raises(ValueError, match="repeated"):
+        parse_set_spec(bad)
+    assert main(["stab", "--p", "5", "--set", bad]) == 2
+    assert "repeated" in capsys.readouterr().err
+
+
 def test_readme_descriptors_build():
     # every descriptor the README shows parses and builds over GF(9);
     # "\|" is a pipe escaped inside a markdown table
@@ -122,7 +133,7 @@ def test_line_families(fields, q):
         assert ln == PointSet.from_points(q, points_on_line(ctx, (1, t)))
     aff = gen_family(ctx, parse_set_spec("family:line-affine"))
     assert aff == PointSet.from_points(q, [(1, y) for y in range(q)])
-    assert not aff.has_point((0, 0))
+    assert 0 not in aff
     aff0 = gen_family(ctx, parse_set_spec("family:line-affine:x=0"))
     assert aff0 == yaxis  # x = 0 degenerates to the y-axis
 

@@ -1,5 +1,7 @@
 """Field arithmetic against frozen tables, classical identities, and axioms."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,37 @@ def test_modulus_frozen(p, r):
     ctx = make_field(p, r)
     assert ctx.modulus == FROZEN_MODULI[(p, r)]
     assert ctx.q == p**r
+
+
+def _monic(p, k):
+    """Every monic degree-k polynomial over F_p, digits degree 0 first."""
+    return [(*low, 1) for low in itertools.product(range(p), repeat=k)]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def test_modulus_is_smallest_code_irreducible_for_every_field():
+    # the oracle multiplies out every reducible polynomial instead of
+    # dividing candidates, so it shares no step with make_field's search
+    fields = [(p, r) for p in range(2, 257) if is_prime(p) for r in range(1, 9) if p**r <= 256]
+    assert len(fields) == 70
+    for p, r in fields:
+        reducible = {
+            _times(a, b, p)
+            for k in range(1, r // 2 + 1)
+            for a in _monic(p, k)
+            for b in _monic(p, r - k)
+        }
+        # all candidates are monic of one degree, so the smallest integer
+        # code is the smallest digit tuple read from the top degree down
+        want = min((m for m in _monic(p, r) if m not in reducible), key=lambda m: m[::-1])
+        assert make_field(p, r).modulus == want, (p, r)
 
 
 @pytest.mark.parametrize("p,r", sorted(FROZEN_PRIMITIVE))

@@ -135,15 +135,14 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
     calls = []
     real = harness.bound_report
     monkeypatch.setattr(harness, "bound_report", lambda *a, **k: calls.append(1) or real(*a, **k))
-    harness._WORK.clear()
     rows = 0
     for p, r, step in [(2, 1, 1), (3, 1, 1), (2, 2, 7)]:
         flags = []
         # the same process and field under both constant sets: a memo not
         # keyed on the constants would serve the first set's small/rich
+        ctx = make_field(p, r)
         for consts in ({}, dict(alpha=1.0, beta=1.5, c1=2)):
             config = CampaignConfig(p=p, r=r, campaign="exhaustive-subsets", **consts)
-            ctx = harness._ctx(config)
             table = all_subset_stabilizer_orders(ctx)
             seen = []
             for mask in range(0, len(table), step):
@@ -159,6 +158,14 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
         assert flags[0] != flags[1]
     # bound_report runs once per distinct key, not once per row
     assert 0 < len(calls) * 20 < rows
+
+
+def test_serial_campaign_builds_its_field_once(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "make_field", lambda p, r: calls.append((p, r)) or make_field(p, r))
+    harness._field.cache_clear()
+    run_campaign(cfg(tmp_path, p=7, r=1, campaign="lineset-exhaustive", budget=20, workers=1))
+    assert calls == [(7, 1)]
 
 
 def test_family_verify_gf4(tmp_path):
@@ -537,6 +544,21 @@ def test_cli_stab(capsys):
     assert "stab_order=6" in out
     assert "ratio_full=0.75" in out
     assert "violations=" in out
+
+
+@pytest.mark.parametrize("flag", [
+    ["--budget", "-5"],
+    ["--seed", "1"],
+    ["--workers", "0"],
+    ["--out", "x.json"],
+    ["--format", "json"],
+    ["--resume"],
+], ids=lambda flag: flag[0])
+def test_cli_stab_rejects_campaign_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stab", "--p", "5", "--set", "family:origin", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_family_campaign(tmp_path, capsys):

@@ -81,6 +81,21 @@ def test_all_lines_census(fields, q):
             assert on_line(ctx, pt, ln) == (pt in set(pts))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_all_lines_order_matches_generate_and_dedup(fields, q):
+    # incidence campaigns sample lines by position, so the order is pinned
+    # against canonicalizing every (point, direction) pair in turn
+    ctx = fields[q]
+    seen, want = set(), []
+    for d in canonical_normals(ctx):
+        for pt in itertools.product(range(q), repeat=3):
+            ln = line3(ctx, pt, d)
+            if ln not in seen:
+                seen.add(ln)
+                want.append(ln)
+    assert list(all_lines(ctx)) == want
+
+
 def test_transport_set_is_coset(fields):
     ctx = fields[5]
     for src, dst in [((1, 0), (1, 0)), ((1, 2), (3, 4)), ((0, 1), (2, 0))]:

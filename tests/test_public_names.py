@@ -1,4 +1,5 @@
-"""Every public top-level name in the package is used by the package.
+"""Every public top-level name and public method in the package is used
+by the package.
 
 A helper only the tests call is dead weight in src/; the exceptions are
 brute-force oracles that exist for the tests to compare against.  Only
@@ -7,6 +8,7 @@ does not.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import sl2lab
@@ -50,3 +52,30 @@ def test_every_public_name_is_used_in_src():
             if not any(name in r for j, r in enumerate(refs) if j != i):
                 unused.append(f"{module}: {name}")
     assert not unused, "public names nothing in src/ uses: " + ", ".join(unused)
+
+
+def _attribute_loads(node) -> Counter:
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_public_method_is_used_in_src():
+    # Matching is by attribute name alone, so a load of another object's
+    # attribute with the same name hides a dead method: E.bits (a
+    # PointSet field) hides DetRng.bits, which stays as test support.
+    src = Path(sl2lab.__file__).resolve().parent
+    trees = [(path.name, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+    loads = sum((_attribute_loads(tree) for _, tree in trees), Counter())
+    unused = []
+    for module, tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    if loads[fn.name] == _attribute_loads(fn)[fn.name]:
+                        unused.append(f"{module}: {cls.name}.{fn.name}")
+    assert not unused, "public methods nothing in src/ uses: " + ", ".join(unused)

@@ -108,11 +108,3 @@ def test_below_rejects_beyond_word():
     with pytest.raises(ValueError):
         DetRng(0).below(1 << 81)
     assert 0 <= DetRng(0).below(1 << 64) < (1 << 64)
-
-
-def test_choice():
-    seq = ["a", "b", "c", "d"]
-    r = DetRng(2)
-    picks = {r.choice(seq) for _ in range(64)}
-    assert picks <= set(seq)
-    assert len(picks) > 1
