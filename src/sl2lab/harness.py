@@ -17,7 +17,8 @@ byte, is:
     chunk, with the sha256 of every byte written so far; rerunning with
     --resume checks that hash over the kept prefix, appends the
     remaining rows, and the concatenated file is identical to an
-    uninterrupted run (CSV only).
+    uninterrupted run (CSV only).  JSON is written to <out>.tmp and
+    renamed to <out> only when the run succeeds.
   * Exit status: 0 clean, 1 when any proved bound is violated (that
     means an implementation bug, so it fails loudly), 2 on bad
     configuration, a file that cannot be read or written, a checkpoint
@@ -27,13 +28,18 @@ byte, is:
 Each campaign is one row of CAMPAIGNS: its row producer, columns, row
 total, q limit and CLI subcommand.
 
-Workers (or the parent, in a serial run) render each chunk of rows to
-CSV text with csv.writer; the parent writes that text, folds the rows
-into the summary and checkpoints.  Every stabilizer-report column after
-index/descriptor is memoized on the field context on (|R(E)|, |E|, the
-sorted line multiplicities of E, whether E lies on a line) and the
-constants, so bound_report and the float formatting run once per
-distinct key.
+Workers (or the parent, in a serial run) render each chunk of rows, as
+CSV text with csv.writer or as one JSON text per row in the layout of
+json.dump(indent=1), and fold the chunk into a partial summary while the
+row producer runs; no row is kept.  The parent writes the text, merges
+the partial summaries in range order and checkpoints.  search-extremal
+is the one exception: its rows are held in the parent until they can be
+ranked, then rendered the same way.  CampaignResult.rows reads the
+output file back when it is first asked for.  Every stabilizer-report
+column after index/descriptor is memoized on the field context on
+(|R(E)|, |E|, the sorted line multiplicities of E, whether E lies on a
+line) and the constants, so bound_report and the CSV and JSON
+formatting run once per distinct key.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -122,18 +128,50 @@ class CampaignConfig:
 
 @dataclass
 class CampaignResult:
-    rows: list
     summary: dict
     out: str
+    fmt: str
 
     @property
     def violations(self) -> int:
         return self.summary["violations"]
 
+    @functools.cached_property
+    def rows(self) -> list:
+        """The rows of the output file, read back on first use."""
+        if self.fmt == "json":
+            with open(self.out) as fh:
+                return json.load(fh)["rows"]
+        with open(self.out, newline="") as fh:
+            fh.readline()  # the echo line
+            reader = csv.reader(fh)
+            cols = next(reader)
+            text = _TEXT_COLUMNS
+            if CAMPAIGNS[self.summary["campaign"]].rank is not None:
+                text = text | {"index"}  # ranked rows are tagged "12", "12+o"
+            decoders = [str if c in text else _decode_cell for c in cols]
+            return [{c: dec(v) for c, dec, v in zip(cols, decoders, rec)} for rec in reader]
+
 
 def _f6(x):
     """Six significant digits, applied once when the row is built."""
     return None if x is None else float(f"{float(x):.6g}")
+
+
+# CSV columns that hold strings; every other cell is decoded by _decode_cell
+_TEXT_COLUMNS = frozenset({"descriptor", "violations", "audit_error", "strategy"})
+
+
+def _decode_cell(cell: str):
+    """The value v with _fmt(v) == cell, for a column of scalars."""
+    if cell == "":
+        return None
+    if cell in ("true", "false"):
+        return cell == "true"
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
 
 
 def _fmt(v) -> str:
@@ -240,15 +278,15 @@ def _constants(config: CampaignConfig) -> Constants:
     return Constants(config.c, config.c1, config.c2, config.alpha, config.beta)
 
 
-def _report_row(ctx, index, E, stab_order, config) -> tuple:
-    """(row, violations, cells) of one set's report row.
+def _report_item(ctx, index, E, stab_order, config) -> tuple:
+    """The producer item (index, row, violations, rendered) of one set's
+    unedited report row.
 
     Every report column after index/descriptor depends on E only through
     |E|, its sorted nonzero line multiplicities and whether it lies on a
     line, so the tail is memoized on the field on that key (with the
-    constants); bound_report runs once per distinct key.
-    cells is the tail already formatted for CSV; a caller that edits the
-    row (a fresh dict) renders it from its values instead.
+    constants); bound_report runs once per distinct key.  rendered is the
+    memoized tail already formatted: its CSV cells and its JSON members.
     """
     memo = _cached(ctx, ("tails", config.c, config.c1, config.c2, config.alpha, config.beta), dict)
     mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
@@ -278,15 +316,25 @@ def _report_row(ctx, index, E, stab_order, config) -> tuple:
             tail[f"{name}_violated"] = r.violated
         bad = rep.violations()
         tail["violations"] = ";".join(bad)
-        entry = memo[key] = (tail, len(bad), tuple(_fmt(v) for v in tail.values()))
-    tail, nviol, cells = entry
-    return {"index": index, "descriptor": E.text(), **tail}, nviol, cells
+        rendered = (tuple(_fmt(v) for v in tail.values()), _json_members(tail, _ROW_PAD))
+        entry = memo[key] = (tail, len(bad), rendered)
+    tail, nviol, rendered = entry
+    return index, {"index": index, "descriptor": E.text(), **tail}, nviol, rendered
+
+
+def _report_row(ctx, index, E, stab_order, config) -> tuple:
+    """(row, violations, cells) of one set's report row, cells being its
+    memoized CSV tail; a caller that edits the row (a fresh dict) renders
+    it from its values instead."""
+    _, row, nviol, (cells, _) = _report_item(ctx, index, E, stab_order, config)
+    return row, nviol, cells
 
 
 # ---------------------------------------------------------------------------
 # Row producers, one per campaign.  Each yields (index, row, violations,
-# cells) for indices in [start, stop), purely from (config, index); cells
-# is the memoized CSV tail of an unedited report row, else None.
+# rendered) for indices in [start, stop), purely from (config, index);
+# rendered is the memoized CSV and JSON tail of an unedited report row,
+# else None.
 
 
 def _gen_exhaustive(config, start, stop):
@@ -298,7 +346,7 @@ def _gen_exhaustive(config, start, stop):
             E = PointSet(q, mask)
             order = counts[mask]
             _spot(ctx, E, order, mask)
-            yield (mask, *_report_row(ctx, mask, E, order, config))
+            yield _report_item(ctx, mask, E, order, config)
     else:
         sample = _cached(
             ctx,
@@ -309,7 +357,7 @@ def _gen_exhaustive(config, start, stop):
             E = PointSet(q, sample[i])
             order = len(stabilizer(ctx, E))
             _spot(ctx, E, order, i)
-            yield (i, *_report_row(ctx, i, E, order, config))
+            yield _report_item(ctx, i, E, order, config)
 
 
 def _two_line_space(ctx):
@@ -341,7 +389,7 @@ def _gen_two_line(config, start, stop):
         E = PointSet(q, bits)
         order = len(stabilizer(ctx, E))
         _spot(ctx, E, order, index)
-        yield (index, *_report_row(ctx, index, E, order, config))
+        yield _report_item(ctx, index, E, order, config)
 
 
 def _lineset_list(ctx, config):
@@ -379,7 +427,7 @@ def _gen_lineset(config, start, stop):
             raise AssertionError(
                 f"line-set stabilizer mismatch at index {index}: {len(direct)} != {order}"
             )
-        yield (index, *_report_row(ctx, index, E, order, config))
+        yield _report_item(ctx, index, E, order, config)
 
 
 def _gen_prime_bound(config, start, stop):
@@ -398,7 +446,7 @@ def _gen_prime_bound(config, start, stop):
         E = PointSet(q, mask)
         order = counts[mask]
         _spot(ctx, E, order, mask)
-        yield (mask, *_report_row(ctx, mask, E, order, config))
+        yield _report_item(ctx, mask, E, order, config)
 
 
 _EXPECTED_ORDER = {
@@ -630,7 +678,7 @@ class Campaign:
     """One campaign: everything that sets it apart from the others."""
 
     command: str  # CLI subcommand that runs it
-    produce: Callable  # (config, start, stop) -> (index, row, violations) items
+    produce: Callable  # (config, start, stop) -> (index, row, violations, rendered) items
     columns: list
     total: Callable  # (config, ctx) -> number of indices to enumerate
     max_q: int
@@ -709,32 +757,80 @@ CAMPAIGNS = {
 }
 
 
-def _streams_csv(config: CampaignConfig) -> bool:
-    """Plain CSV runs write each chunk as it arrives; ranked and JSON
-    rows are held until the end."""
-    return config.fmt == "csv" and CAMPAIGNS[config.campaign].rank is None
-
-
 def _csv_text(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
+_ROW_PAD = "   "  # a row's members sit at depth 3 of the JSON document
+
+
+def _json_members(d: dict, pad: str) -> str:
+    """The members of a flat dict of scalars, as json.dump(indent=1)
+    lays them out at the nesting depth len(pad)."""
+    return ",\n".join(f"{pad}{json.dumps(k)}: {json.dumps(v)}" for k, v in d.items())
+
+
+def _json_object(d: dict, depth: int) -> str:
+    return "{\n" + _json_members(d, " " * (depth + 1)) + "\n" + " " * depth + "}"
+
+
+def _csv_cells(row: dict, rendered, cols: list) -> list:
+    if rendered is None:
+        return [_fmt(row.get(c)) for c in cols]
+    return [str(row["index"]), row["descriptor"], *rendered[0]]
+
+
+def _json_row(row: dict, rendered) -> str:
+    if rendered is None:
+        return "\n  " + _json_object(row, 2)
+    return (
+        f'\n  {{\n{_ROW_PAD}"index": {json.dumps(row["index"])},'
+        f'\n{_ROW_PAD}"descriptor": {json.dumps(row["descriptor"])},\n{rendered[1]}\n  }}'
+    )
+
+
+def _render(config: CampaignConfig, rows) -> list:
+    """The output text of (row, rendered) pairs, as a list of pieces to
+    write in order: one CSV text, or one JSON text per row.  A JSON row
+    starts with its line break; the writer puts a comma between rows."""
+    if config.fmt == "csv":
+        cols = CAMPAIGNS[config.campaign].columns
+        # rows are drawn before csv.writer runs, so the writer times
+        # formatting alone, not the producer behind the rows
+        return [_csv_text([_csv_cells(row, rendered, cols) for row, rendered in rows])]
+    return [_json_row(row, rendered) for row, rendered in rows]
+
+
 def _run_range(config: CampaignConfig, start: int, stop: int) -> tuple:
-    """The (index, row, violations) items of [start, stop), and their CSV
-    text when the run streams CSV (None otherwise)."""
+    """(summary of the rows of [start, stop), their rendered pieces).
+
+    The producer is consumed once and no row is kept.  A ranked campaign
+    instead returns (None, its (index, row, violations) items), which the
+    parent holds until it can rank them."""
     spec = CAMPAIGNS[config.campaign]
-    items = list(spec.produce(config, start, stop))
-    text = None
-    if _streams_csv(config):
-        text = _csv_text(
-            [_fmt(row.get(c)) for c in spec.columns]
-            if cells is None
-            else [str(index), row["descriptor"], *cells]
-            for index, row, _, cells in items
-        )
-    return [item[:3] for item in items], text
+    items = spec.produce(config, start, stop)
+    if spec.rank is not None:
+        return None, [item[:3] for item in items]
+    part = _Acc()
+
+    def fold():
+        for _, row, nviol, rendered in items:
+            part.update(row, nviol)
+            yield row, rendered
+
+    return part, _render(config, fold())
+
+
+def _ranked(config: CampaignConfig, batches) -> tuple:
+    """A ranked campaign's whole output as one (summary, pieces) batch,
+    from the (None, items) batches of all its chunks."""
+    ranked = CAMPAIGNS[config.campaign].rank([item for _, items in batches for item in items])
+    part = _Acc()
+    for row, nviol in ranked:
+        part.update(row, nviol)
+    return part, _render(config, ((row, None) for row, _ in ranked))
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +909,18 @@ class _Acc:
             self.confirmed_checked += 1
             self.confirmed_ok += bool(confirmed)
 
+    def merge(self, part: "_Acc") -> None:
+        """Fold in the summary of the rows that follow this one's."""
+        self.rows += part.rows
+        self.violations += part.violations
+        if part.max_ratio is not None and (
+            self.max_ratio is None or part.max_ratio > self.max_ratio
+        ):
+            self.max_ratio = part.max_ratio
+            self.argmax = part.argmax
+        self.confirmed_checked += part.confirmed_checked
+        self.confirmed_ok += part.confirmed_ok
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
@@ -848,8 +956,23 @@ def _emit(fh, digest, text: str) -> None:
 _RUN_FIELDS = ("workers", "out", "fmt", "resume", "allow_sampled")
 
 
+def _head(config: CampaignConfig, echo: str) -> str:
+    """Everything an output file holds before its first row."""
+    if config.fmt == "csv":
+        return echo + "\n" + _csv_text([CAMPAIGNS[config.campaign].columns])
+    echoed = {k: v for k, v in asdict(config).items() if v is not None and k not in _RUN_FIELDS}
+    named = _json_members({"schema": SCHEMA, "campaign": config.campaign}, " ")
+    return f'{{\n{named},\n "config": {_json_object(echoed, 1)},\n "rows": ['
+
+
+def _json_close(acc: _Acc) -> str:
+    """The end of a JSON output file: the rows list closed, then the summary."""
+    rows_end = "\n ]" if acc.rows else "]"
+    return f'{rows_end},\n "summary": {_json_object(acc.to_dict(), 1)}\n}}\n'
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    """Run one campaign: write the result file, return rows and summary."""
+    """Run one campaign: write the result file, return its summary."""
     ctx = _field(config.p, config.r)
     if config.workers is None:
         config = replace(config, workers=int(os.environ.get("SL2LAB_WORKERS", "1")))
@@ -858,16 +981,18 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     out = config.out or _default_out(config)
     total = spec.total(config, ctx)
     echo = _echo(config)
-    cols = spec.columns
     ckpt_path = out + ".ckpt"
-    # only streamed CSV runs write checkpoints
-    buffered = not _streams_csv(config)
+    # only unranked CSV runs write checkpoints; JSON goes to a temporary
+    # file renamed into place once the run has finished
+    checkpoints = config.fmt == "csv" and spec.rank is None
+    path = out if config.fmt == "csv" else out + ".tmp"
+    joiner = "," if config.fmt == "json" else ""  # written between two pieces
 
     start = 0
     acc = _Acc()
-    digest = hashlib.sha256()  # of every byte written to the CSV so far
+    digest = hashlib.sha256()  # of every byte written to the output so far
     mode = "wb"
-    if config.resume and not buffered and os.path.exists(ckpt_path):
+    if config.resume and checkpoints and os.path.exists(ckpt_path):
         with open(ckpt_path) as fh:
             state = json.load(fh)
         if state["echo"] != echo:
@@ -887,64 +1012,46 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             raw.truncate(state["offset"])
         mode = "ab"
 
-    collected = []  # buffered (index, row, violations) items
-    written = []
     starts = range(start, total, CHUNK)
     stops = [min(s + CHUNK, total) for s in starts]
-    with ExitStack() as stack:
-        fh = None
-        if config.fmt == "csv":
-            fh = stack.enter_context(open(out, mode))
+    try:
+        with ExitStack() as stack:
+            fh = stack.enter_context(open(path, mode))
             if mode == "wb":
-                _emit(fh, digest, echo + "\n" + _csv_text([cols]))
-        run = map
-        if config.workers > 1 and total - start > CHUNK:
-            # imported here to keep concurrent.futures and multiprocessing off start-up
-            from concurrent.futures import ProcessPoolExecutor
+                _emit(fh, digest, _head(config, echo))
+            run = map
+            if config.workers > 1 and total - start > CHUNK:
+                # imported here to keep concurrent.futures and multiprocessing off start-up
+                from concurrent.futures import ProcessPoolExecutor
 
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers)).map
-        batches = run(_run_range, itertools.repeat(config), starts, stops)
-        for stop, (items, text) in zip(stops, batches):
-            if buffered:
-                collected.extend(items)
-                continue
-            _emit(fh, digest, text)
-            for _, row, nviol in items:
-                acc.update(row, nviol)
-                written.append(row)
-            fh.flush()
-            _write_ckpt(ckpt_path, echo, stop, fh.tell(), digest.hexdigest(), acc)
-
-        if spec.rank is not None:
-            held = spec.rank(collected)
-        else:
-            held = [(row, nviol) for _, row, nviol in collected]
-        for row, nviol in held:
-            acc.update(row, nviol)
-            written.append(row)
-        if fh is not None:
-            _emit(fh, digest, _csv_text([_fmt(row.get(c)) for c in cols] for row, _ in held))
-
-    if config.fmt == "json":
-        doc = {
-            "schema": SCHEMA,
-            "campaign": config.campaign,
-            "config": {
-                k: v for k, v in asdict(config).items() if v is not None and k not in _RUN_FIELDS
-            },
-            "rows": written,
-            "summary": acc.to_dict(),
-        }
-        with open(out, "w") as jfh:
-            json.dump(doc, jfh, indent=1)
-            jfh.write("\n")
+                run = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers)).map
+            batches = run(_run_range, itertools.repeat(config), starts, stops)
+            if spec.rank is not None:
+                batches = [_ranked(config, batches)]
+            sep = ""
+            for stop, (part, pieces) in zip(stops, batches):
+                acc.merge(part)
+                for piece in pieces:
+                    _emit(fh, digest, sep + piece)
+                    sep = joiner
+                if checkpoints:
+                    fh.flush()
+                    _write_ckpt(ckpt_path, echo, stop, fh.tell(), digest.hexdigest(), acc)
+            if config.fmt == "json":
+                _emit(fh, digest, _json_close(acc))
+        if path != out:
+            os.replace(path, out)
+    except BaseException:
+        if path != out and os.path.exists(path):
+            os.remove(path)
+        raise
     if os.path.exists(ckpt_path):
         os.remove(ckpt_path)
 
     summary = acc.to_dict()
     summary["campaign"] = config.campaign
     summary["total_indices"] = total
-    return CampaignResult(rows=written, summary=summary, out=out)
+    return CampaignResult(summary=summary, out=out, fmt=config.fmt)
 
 
 # ---------------------------------------------------------------------------

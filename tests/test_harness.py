@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,141 @@ def test_workers_do_not_change_bytes(tmp_path, monkeypatch, kw):
     # the rendered cells are the kept rows' values, formatted
     _, header, body = read_csv(a)
     assert body == [[_fmt(row.get(c)) for c in header] for row in serial.rows]
+    # JSON rows are rendered in the workers too
+    ja = tmp_path / "serial.json"
+    jb = tmp_path / "pooled.json"
+    run_campaign(CampaignConfig(workers=1, out=str(ja), fmt="json", **kw))
+    run_campaign(CampaignConfig(workers=2, out=str(jb), fmt="json", **kw))
+    assert ja.read_bytes() == jb.read_bytes()
+
+
+# One small configuration per campaign, each (but family-verify) with
+# more than 64 indices, so CHUNK = 64 engages the pool at two workers.
+EVERY_CAMPAIGN = [
+    dict(campaign="exhaustive-subsets", p=3, r=1),
+    dict(campaign="two-line-exhaustive", p=3, r=1),
+    dict(campaign="lineset-exhaustive", p=5, r=1, budget=40, seed=4),
+    dict(campaign="family-verify", p=2, r=2),
+    dict(campaign="prime-bound-exhaustive", p=3, r=1),
+    dict(campaign="incidence-report", p=3, r=1, budget=100, seed=2),
+    dict(campaign="triple-audit", p=3, r=1, budget=70),
+    dict(campaign="search-extremal", p=3, r=1, budget=100),
+    dict(campaign="search-extremal", p=5, r=1, budget=70, strategy="random"),
+]
+NO_ROWS = [
+    dict(campaign="search-extremal", p=3, r=1, budget=0),
+    dict(campaign="exhaustive-subsets", p=5, r=1, allow_sampled=True, budget=0),
+]
+
+
+def campaign_id(kw):
+    return "-".join(str(v) for v in kw.values())
+
+
+def producer_items(config):
+    """The (index, row, violations) items the campaign writes, taken
+    straight from its producer (and ranked, for search), with no writer
+    or reader in between."""
+    spec = CAMPAIGNS[config.campaign]
+    total = spec.total(config, make_field(config.p, config.r))
+    items = [item[:3] for item in spec.produce(config, 0, total)]
+    if spec.rank is not None:
+        return [(row["index"], row, nviol) for row, nviol in spec.rank(items)]
+    return items
+
+
+def fold(items):
+    acc = harness._Acc()
+    for _, row, nviol in items:
+        acc.update(row, nviol)
+    return acc.to_dict()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kw", EVERY_CAMPAIGN, ids=campaign_id)
+def test_decoded_rows_equal_producer_rows(tmp_path, monkeypatch, kw, fmt, workers):
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    config = CampaignConfig(workers=workers, fmt=fmt, out=str(tmp_path / f"x.{fmt}"), **kw)
+    res = run_campaign(config)
+    items = producer_items(config)
+    assert items, "every configuration here writes rows"
+    assert res.rows == [row for _, row, _ in items]
+    # the merged chunk summaries equal one sequential fold
+    assert {k: res.summary[k] for k in harness._Acc().to_dict()} == fold(items)
+    if fmt == "csv":
+        _, header, body = read_csv(res.out)
+        assert len(body) == len(res.rows)
+        for row, cells in zip(res.rows, body):
+            assert [_fmt(row[c]) for c in header] == cells
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kw", EVERY_CAMPAIGN + NO_ROWS, ids=campaign_id)
+def test_json_bytes_match_json_dump(tmp_path, monkeypatch, kw, workers):
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    out = tmp_path / "x.json"
+    config = CampaignConfig(workers=workers, fmt="json", out=str(out), **kw)
+    res = run_campaign(config)
+    run_only = ("workers", "out", "fmt", "resume", "allow_sampled")
+    doc = {
+        "schema": "slab-v1",
+        "campaign": config.campaign,
+        "config": {k: v for k, v in vars(config).items() if v is not None and k not in run_only},
+        "rows": [row for _, row, _ in producer_items(config)],
+        "summary": {k: v for k, v in res.summary.items() if k not in ("campaign", "total_indices")},
+    }
+    assert out.read_text() == json.dumps(doc, indent=1) + "\n"
+    assert os.listdir(tmp_path) == ["x.json"]
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_json_output_is_atomic(tmp_path, monkeypatch, existing):
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    out = tmp_path / "x.json"
+    if existing:
+        out.write_text("an earlier run\n")
+    crash_campaign(monkeypatch, CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
+                                               fmt="json", out=str(out)), at=192)
+    assert os.listdir(tmp_path) == (["x.json"] if existing else [])
+    if existing:
+        assert out.read_text() == "an earlier run\n"
+
+
+def test_acc_merge_matches_sequential_fold():
+    # (lines_meeting, ratio_nonzero, confirmed, violations) per row
+    shapes = [
+        (1, 9.0, None, 0),  # meets one line: never the maximum
+        (3, None, True, 1),  # no ratio
+        (2, 0.5, False, 0),
+        (2, 0.75, True, 2),
+        (4, 0.75, None, 0),  # ties the maximum so far: the first keeps it
+        (0, 3.0, True, 0),
+        (2, 0.75, False, 1),
+        (2, 0.8, True, 0),
+    ]
+    items = [
+        (i, {"descriptor": f"set{i}", "lines_meeting": m, "ratio_nonzero": r, "confirmed": c}, v)
+        for i, (m, r, c, v) in enumerate(shapes)
+    ]
+    for n in range(len(items) + 1):
+        prefix = items[:n]
+        want = fold(prefix)
+        # every split of the prefix into chunks, resumed after any of them
+        for k in range(n):
+            for cuts in itertools.combinations(range(1, n), k):
+                bounds = [0, *cuts, n]
+                for resumed in range(len(bounds) - 1):
+                    saved = json.loads(json.dumps(fold(prefix[:bounds[resumed]])))
+                    acc = harness._Acc.from_dict(saved)
+                    for lo, hi in zip(bounds[resumed:], bounds[resumed + 1:]):
+                        part = harness._Acc()
+                        for _, row, nviol in prefix[lo:hi]:
+                            part.update(row, nviol)
+                        acc.merge(part)
+                    assert acc.to_dict() == want, (cuts, resumed)
+    assert fold(items[:7])["argmax"] == "set3" and fold(items)["argmax"] == "set7"
+    assert fold(items[:2])["max_ratio"] is None
 
 
 def test_env_var_sets_workers(tmp_path, monkeypatch):
@@ -247,6 +383,46 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, monkeypatch):
     assert part.read_bytes() == full.read_bytes()
     assert not os.path.exists(str(part) + ".ckpt")
     assert res.summary["rows"] == 512
+
+
+KILL_AT_CHUNK = """
+import os, signal, sys
+import sl2lab.harness as harness
+
+harness.CHUNK = 1024
+real = harness._run_range
+
+
+def run_range(config, start, stop):
+    if start >= 3072:
+        os.kill(os.getpid(), signal.SIGKILL)  # no with-block or finally runs
+    return real(config, start, stop)
+
+
+harness._run_range = run_range
+sys.exit(harness.main(["exhaustive", "--p", "2", "--r", "2", "--workers", "1",
+                       "--out", sys.argv[1]]))
+"""
+
+
+def test_resume_after_sigkill_reproduces_uninterrupted_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK", 1024)
+    monkeypatch.delenv("SL2LAB_WORKERS", raising=False)
+    full = tmp_path / "full.csv"
+    run_campaign(CampaignConfig(p=2, r=2, campaign="exhaustive-subsets", out=str(full)))
+
+    part = tmp_path / "part.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", KILL_AT_CHUNK, str(part)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    state = json.loads((tmp_path / "part.csv.ckpt").read_text())
+    assert state["next_start"] == 3072
+    assert 0 < state["offset"] <= part.stat().st_size < full.stat().st_size
+
+    assert main(["exhaustive", "--p", "2", "--r", "2", "--out", str(part), "--resume"]) == 0
+    assert part.read_bytes() == full.read_bytes()
+    assert not os.path.exists(str(part) + ".ckpt")
 
 
 def test_resume_rejects_config_change(tmp_path, monkeypatch):
