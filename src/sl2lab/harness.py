@@ -69,7 +69,7 @@ from .incidence3d import (
     count_incidences_brute,
     incidence_bound_report,
 )
-from .plane import PointSet, line_nonzero_masks, proj_lines, sl2_order, sl2_unrank
+from .plane import PointSet, apply_to_set, line_nonzero_masks, proj_lines, sl2_order, sl2_unrank
 from .rng import DetRng, nth_seed
 from .stabilizer import (
     Constants,
@@ -81,6 +81,7 @@ from .stabilizer import (
     line_set_stabilizer,
     stabilizer,
     stabilizer_brute,
+    stabilizer_order,
     stabilizer_other_side,
     subgroup_orbits,
     triple_count_audit,
@@ -355,7 +356,7 @@ def _gen_exhaustive(config, start, stop):
         )
         for i in range(start, stop):
             E = PointSet(q, sample[i])
-            order = len(stabilizer(ctx, E))
+            order = stabilizer_order(ctx, E)
             _spot(ctx, E, order, i)
             yield _report_item(ctx, i, E, order, config)
 
@@ -387,7 +388,7 @@ def _gen_two_line(config, start, stop):
             if (sub2 + 1) >> k & 1:
                 bits |= 1 << code
         E = PointSet(q, bits)
-        order = len(stabilizer(ctx, E))
+        order = stabilizer_order(ctx, E)
         _spot(ctx, E, order, index)
         yield _report_item(ctx, index, E, order, config)
 
@@ -419,7 +420,7 @@ def _gen_lineset(config, start, stop):
         for i in picked:
             bits |= masks[i]
         E = PointSet(q, bits)
-        order = len(stabilizer(ctx, E))
+        order = stabilizer_order(ctx, E)
         # dual route: the point-set symmetries of a union of origin
         # lines are exactly the permutations of those directions
         direct = line_set_stabilizer(ctx, [lines[i] for i in picked])
@@ -621,7 +622,7 @@ def _gen_search(config, start, stop):
         if config.strategy == "random":
             n = 1 + rng.below(q * q - 1)
             E = PointSet.from_codes(q, rng.sample(q * q, n))
-            fast = len(stabilizer(ctx, E))
+            fast = stabilizer_order(ctx, E)
             brute = len(stabilizer_brute(ctx, E))  # every random row gets the oracle
             if fast != brute:
                 raise AssertionError(f"search row {index}: fast {fast} != brute {brute}")
@@ -633,7 +634,7 @@ def _gen_search(config, start, stop):
             continue
         ngens = 1 + rng.below(2)
         gens = [sl2_unrank(ctx, rng.below(order)) for _ in range(ngens)]
-        H, orbits = subgroup_orbits(ctx, gens)
+        h_order, orbits = subgroup_orbits(ctx, gens)
         others = [o for o in orbits if not (0 in o and o.size == 1)]
         if not others:
             continue
@@ -643,11 +644,15 @@ def _gen_search(config, start, stop):
             if (mask >> k) & 1:
                 union = union.union(orb)
         for tag, E in ((f"{index}", union), (f"{index}+o", union.with_origin())):
-            stab = stabilizer(ctx, E)
-            contains = H <= stab
-            row, nviol, _ = _report_row(ctx, tag, E, len(stab), config)
+            stab_order = stabilizer_order(ctx, E)
+            _spot(ctx, E, stab_order, index)
+            # H lies in R(E) when its generators keep E, and then |H|
+            # divides |R(E)|; a route that undercounts R(E) fails that
+            kept = all(apply_to_set(ctx, g, E) == E for g in gens)
+            contains = kept and stab_order % h_order == 0
+            row, nviol, _ = _report_row(ctx, tag, E, stab_order, config)
             row["strategy"] = "orbit-union"
-            row["subgroup_order"] = len(H)
+            row["subgroup_order"] = h_order
             row["contains_subgroup"] = contains
             if not contains:
                 nviol += 1
@@ -949,7 +954,8 @@ def _write_ckpt(
 def _emit(fh, digest, text: str) -> None:
     data = text.encode()
     fh.write(data)
-    digest.update(data)
+    if digest is not None:
+        digest.update(data)
 
 
 # CampaignConfig fields that steer a run but cannot change a row
@@ -990,7 +996,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     start = 0
     acc = _Acc()
-    digest = hashlib.sha256()  # of every byte written to the output so far
+    # the sha256 of every byte written so far, which only checkpoints read
+    digest = hashlib.sha256() if checkpoints else None
     mode = "wb"
     if config.resume and checkpoints and os.path.exists(ckpt_path):
         with open(ckpt_path) as fh:

@@ -6,15 +6,20 @@ symmetry set of the complement.  Two independent routes compute it:
 
   * stabilizer_brute filters the whole group, testing theta(E) = E
     point by point.  Trustworthy and slow; this is the oracle.
-  * stabilizer_fast works from group structure.  It takes the side,
+  * the transport route works from group structure.  It takes the side,
     E minus 0 or its complement minus 0, with fewer points, and a base
     point in that side's multiplicity class with the fewest points
     (theta permutes origin lines and keeps |L ∩ E|, so the base can
     only go to points of its class).  The q elements carrying base to
     a point (two linear equations plus the determinant condition) are
-    all tested only for the base itself, which gives Stab_R(base); for
-    every other point of the class the first passing candidate g
-    contributes the whole coset g * Stab_R(base).
+    all tested only for the base itself, which gives Stab_R(base).  The
+    orbit R * base is closed by a BFS on points under the elements
+    accepted so far, and only a point of the class it has not reached
+    is tested, so by orbit-stabilizer |R(E)| = |R * base| *
+    |Stab_R(base)| comes from points alone.  stabilizer_order reports
+    that order; stabilizer_fast builds the elements, one transversal
+    element times Stab_R(base) per orbit point, for the callers that
+    need them.
 
 Both keep a candidate by the same test (_maps_into: theta sends the
 side's points into the side); they stay independent through where their
@@ -26,13 +31,16 @@ keeps family-verify's complement check a comparison of two computations.
 
 The rest of the module turns theorems about R(E) into checkable
 reports: line partitions, the exact stabilizer of a set of directions,
-orbit decompositions under a subgroup, per-set bound reports, and the
-triple-count audit that replays the incidence-geometry argument behind
-the |R(E)| <= 16 c^2 (m0 m1)^{3/2} cap, identity by identity.
+orbit decompositions and orders of a generated subgroup (again by
+orbit-stabilizer, with Schreier generators for the point stabilizer),
+per-set bound reports, and the triple-count audit that replays the
+incidence-geometry argument behind the |R(E)| <= 16 c^2 (m0 m1)^{3/2}
+cap, identity by identity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -147,17 +155,36 @@ def _transport_candidates(ctx: FieldCtx, src, dst):
     return out
 
 
-def _transport_stabilizer(ctx: FieldCtx, bits: int) -> set:
-    """R of the points in bits, a nonempty bitset without the origin bit.
+def _grow_span(span: set, step, p: int) -> None:
+    """Close span, an elementary abelian p-group, under one more element.
+
+    step(x) multiplies x by the new element, which commutes with span
+    and has order p, so the enlarged group is the p translates of span
+    by its powers.
+    """
+    layer = span
+    for _ in range(p - 1):
+        layer = {step(x) for x in layer}
+        span |= layer
+
+
+def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
+    """(Stab_R(base), transversal) for the points in bits, a nonempty
+    bitset without the origin bit.
 
     It works on bits as given and never switches sides.  The base is
     the lowest point of the multiplicity class with the fewest points
     (ties to the smaller multiplicity): theta maps origin lines to
     origin lines and keeps |L ∩ E|, so it can only carry the base
-    within that class.  The members sending base to dst form either
-    nothing or a coset g * Stab_R(base); all q candidates are tested
-    only for dst = base, and for every other dst the first candidate
-    that passes is multiplied onto that stabilizer.
+    within that class.  Stab_R(base) is the q candidates fixing the
+    base, filtered; it is elementary abelian (a group of transvections),
+    so a few of them generate it.  The transversal maps each point of
+    the orbit R * base to a member of R carrying base there.  It grows
+    by a BFS on points under the accepted elements (those generators of
+    Stab_R(base) and every transporter accepted so far); a point of the
+    class the BFS has not reached is tested directly, and its first
+    passing candidate is accepted.  So |R| = |transversal| *
+    |Stab_R(base)|, and R is the products t * h (_transport_elements).
     """
     q = ctx.q
     codes = PointSet(q, bits).nonzero_codes
@@ -173,20 +200,55 @@ def _transport_stabilizer(ctx: FieldCtx, bits: int) -> set:
     fixers = [
         m for m in _transport_candidates(ctx, base, base) if _maps_into(ctx, m, codes, bits)
     ]
-    found = set(fixers)
+    trans = {dsts[0]: IDENTITY}
+    gens = []
+
+    def accept(g):
+        # g on every known point, then every generator on each new one
+        gens.append(g)
+        new = []
+        for pt, t in list(trans.items()):
+            to = act(ctx, g, pt)
+            if to not in trans:
+                trans[to] = mat_mul(ctx, g, t)
+                new.append(to)
+        while new:
+            pt = new.pop()
+            for x in gens:
+                to = act(ctx, x, pt)
+                if to not in trans:
+                    trans[to] = mat_mul(ctx, x, trans[pt])
+                    new.append(to)
+
+    spanned = {IDENTITY}
+    for h in fixers:
+        if h not in spanned:
+            _grow_span(spanned, functools.partial(mat_mul, ctx, h), ctx.p)
+            accept(h)
     for dst in dsts[1:]:
+        if dst in trans:
+            continue
         for g in _transport_candidates(ctx, base, divmod(dst, q)):
             if _maps_into(ctx, g, codes, bits):
-                found.update(mat_mul(ctx, g, h) for h in fixers)
+                accept(g)
                 break
+    return fixers, trans
+
+
+def _transport_elements(ctx: FieldCtx, bits: int) -> set:
+    """R of the points in bits as a set: transversal times Stab_R(base)."""
+    fixers, trans = _transport_route(ctx, bits)
+    found = {mat_mul(ctx, t, h) for t in trans.values() for h in fixers}
+    assert len(found) == len(trans) * len(fixers), "cosets of Stab_R(base) must be disjoint"
     return found
 
 
 def _sides(ctx: FieldCtx, E: PointSet) -> tuple:
     """(used, other): the nonzero bitsets of E and of its complement.
 
-    stabilizer_fast works on `used`, the side with fewer points; it is
-    E's side on a tie and whenever the complement has no nonzero point.
+    The transport route works on `used`, the side with fewer points; it
+    is E's side on a tie and whenever the complement has no nonzero
+    point.
     """
     mine = E.bits & ~1
     theirs = ((1 << (ctx.q * ctx.q)) - 2) ^ mine
@@ -203,7 +265,7 @@ def stabilizer_fast(ctx: FieldCtx, E: PointSet) -> set:
     """
     if not E.nonzero_size:
         raise ValueError("E minus the origin is empty; its symmetry set is all of SL2")
-    found = _transport_stabilizer(ctx, _sides(ctx, E)[0])
+    found = _transport_elements(ctx, _sides(ctx, E)[0])
     _group_spot_check(ctx, found)
     return found
 
@@ -215,6 +277,19 @@ def stabilizer(ctx: FieldCtx, E: PointSet) -> set:
     return stabilizer_fast(ctx, E)
 
 
+def stabilizer_order(ctx: FieldCtx, E: PointSet) -> int:
+    """|R(E)| = |orbit of the base| * |Stab_R(base)|, building no element
+    set; a set that is the whole group's (E minus 0 or its complement
+    minus 0 empty) reads q^3 - q without building SL2."""
+    full = sl2_order(ctx.q)
+    if E.nonzero_size in (0, ctx.q * ctx.q - 1):
+        return full
+    fixers, trans = _transport_route(ctx, _sides(ctx, E)[0])
+    order = len(trans) * len(fixers)
+    assert full % order == 0, f"|R| = {order} does not divide |SL2| = {full}"
+    return order
+
+
 def stabilizer_other_side(ctx: FieldCtx, E: PointSet) -> set:
     """R(E) by the transport route on the side stabilizer() does not use.
 
@@ -223,7 +298,7 @@ def stabilizer_other_side(ctx: FieldCtx, E: PointSet) -> set:
     is the whole group.
     """
     other = _sides(ctx, E)[1]
-    return _transport_stabilizer(ctx, other) if other else set(sl2_materialize(ctx))
+    return _transport_elements(ctx, other) if other else set(sl2_materialize(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -335,39 +410,63 @@ def subgroup_closure(ctx: FieldCtx, generators, limit: int = 1_000_000) -> froze
     return frozenset(seen)
 
 
-def subgroup_orbits(ctx: FieldCtx, generators, limit: int = 1_000_000):
-    """(subgroup, orbits): orbit PointSets of the generated subgroup.
+def _frame(ctx: FieldCtx, code: int):
+    """A member of SL2 carrying e1 = (1, 0) to the nonzero point code."""
+    x, y = divmod(code, ctx.q)
+    if x:
+        return (x, 0, y, ctx.inv(x))
+    return (0, ctx.neg(ctx.inv(y)), y, 0)
 
-    Orbits come back ordered by smallest packed code, each as a
-    PointSet; the orbit-stabilizer identity |H| = |orbit| * |stab| is
-    asserted for every orbit.
+
+def subgroup_orbits(ctx: FieldCtx, generators) -> tuple:
+    """(|H|, orbits) for the subgroup H the given matrices generate,
+    without building H.
+
+    Orbits come from a BFS on points under the generators, ordered by
+    smallest packed code, each as a PointSet.  For a nonzero orbit the
+    BFS keeps a frame u_x carrying e1 = (1, 0) to each point x, starting
+    from _frame(rep) at the orbit's smallest point rep.  By Schreier's
+    lemma the stabilizer of e1 in the conjugate u_rep^-1 H u_rep is
+    generated by the elements u_{gx}^-1 g u_x, which are unipotent
+    (1 b; 0 1); it has as many elements as the F_p-span of their b.
+    So |H| = |orbit| * |span| by orbit-stabilizer, and every nonzero
+    orbit must give the same |H|.
     """
     q = ctx.q
-    H = subgroup_closure(ctx, generators, limit)
-    perms = [point_permutation(ctx, g) for g in generators] or [list(range(q * q))]
+    gens = list(generators)
+    for g in gens:
+        if not is_sl2(ctx, g):
+            raise ValueError(f"{g} is not in SL2")
     seen = [False] * (q * q)
-    orbits = []
-    for start in range(q * q):
+    seen[0] = True
+    orbits = [PointSet(q, 1)]  # linear maps fix the origin
+    orders = set()
+    for start in range(1, q * q):
         if seen[start]:
             continue
-        stack = [start]
         seen[start] = True
-        members = []
+        frames = {start: _frame(ctx, start)}
+        span = {0}
+        stack = [start]
         while stack:
-            cur = stack.pop()
-            members.append(cur)
-            for perm in perms:
-                to = perm[cur]
-                if not seen[to]:
+            ux = frames[stack.pop()]
+            for g in gens:
+                gu = mat_mul(ctx, g, ux)
+                to = gu[0] * q + gu[2]  # gu carries e1 to g(x)
+                if to not in frames:
                     seen[to] = True
+                    frames[to] = gu
                     stack.append(to)
-        orbits.append(PointSet.from_codes(q, members))
+                elif len(span) < q:
+                    s = mat_mul(ctx, mat_inv(ctx, frames[to]), gu)
+                    assert (s[0], s[2], s[3]) == (1, 0, 1), "Schreier generator must fix e1"
+                    if s[1] not in span:
+                        _grow_span(span, functools.partial(ctx.add, s[1]), ctx.p)
+        orbits.append(PointSet.from_codes(q, frames))
+        orders.add(len(frames) * len(span))
+    assert len(orders) == 1, f"orbits give different subgroup orders {sorted(orders)}"
     assert sum(len(o) for o in orbits) == q * q
-    for orbit in orbits:
-        rep = min(orbit.codes())
-        stab = sum(1 for h in H if act(ctx, h, rep) == rep)
-        assert len(H) == len(orbit) * stab, "orbit-stabilizer identity"
-    return H, orbits
+    return orders.pop(), orbits
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +577,16 @@ def bound_report(
 ) -> BoundReport:
     """Compare |R(E)| against every bound with checkable hypotheses.
 
-    stab_order may be supplied by campaigns that already know it (the
-    exhaustive sweeps); otherwise it is computed via stabilizer(), or
-    read off as |SL2| when E minus 0 or its complement minus 0 is empty,
-    so whole-group sets never build the group.  Cardinalities: size
+    stab_order may be supplied by campaigns that already know it;
+    otherwise it is stabilizer_order(), which reads it off as |SL2| when
+    E minus 0 or its complement minus 0 is empty, so whole-group sets
+    never build the group.  Cardinalities: size
     counts the origin when present, while every line hypothesis and the
     two-line bound use E minus the origin.
     """
     q = ctx.q
     if stab_order is None:
-        whole_group = E.nonzero_size in (0, q * q - 1)
-        stab_order = sl2_order(q) if whole_group else len(stabilizer(ctx, E))
+        stab_order = stabilizer_order(ctx, E)
     part = line_partition(ctx, E)
     lines = part.lines_meeting
     size = E.size

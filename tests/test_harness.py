@@ -26,7 +26,7 @@ from sl2lab.harness import (
     run_campaign,
 )
 from sl2lab.families import gen_family, parse_set_spec
-from sl2lab.plane import IDENTITY, PointSet
+from sl2lab.plane import PointSet
 from sl2lab.rng import nth_seed
 from sl2lab.stabilizer import (
     Constants,
@@ -628,6 +628,41 @@ def test_search_rows_contain_subgroup_always(tmp_path):
     assert all(row["subgroup_order"] >= 1 for row in res.rows)
 
 
+def test_undercounting_order_route_is_flagged(tmp_path, monkeypatch):
+    # an order route that undercounts R(E) breaks |H| dividing |R(E)|, so
+    # every orbit-union row with |H| > 1 must flag orbit_union_containment
+    monkeypatch.setattr(harness, "stabilizer_order", lambda ctx, E: 1)
+    argv = ["search", "--p", "5", "--budget", "20", "--workers", "1",
+            "--out", str(tmp_path / "s.csv")]
+    # the brute spot check sees index 0's rows first and aborts (exit 2)
+    assert main(argv) == 2
+    # without it, the containment check alone fails the run (exit 1)
+    monkeypatch.setattr(harness, "MAX_Q_BRUTE_SPOT", 0)
+    assert main(argv) == 1
+    res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="search-extremal", budget=20,
+                           workers=1))
+    assert any(row["subgroup_order"] > 1 for row in res.rows)
+    for row in res.rows:
+        flagged = "orbit_union_containment" in row["violations"].split(";")
+        assert flagged == (row["subgroup_order"] > 1)
+        assert row["contains_subgroup"] is not flagged
+
+
+@pytest.mark.parametrize("kw", [
+    dict(campaign="two-line-exhaustive", p=2, r=1, fmt="json"),
+    dict(campaign="search-extremal", p=3, r=1, budget=10),
+])
+def test_runs_without_checkpoints_skip_the_digest(tmp_path, monkeypatch, kw):
+    # only checkpoints read the output digest, so JSON and ranked runs
+    # never compute it
+    def no_digest():
+        raise AssertionError("digest computed")
+
+    monkeypatch.setattr(harness.hashlib, "sha256", no_digest)
+    out = str(tmp_path / f"out.{kw.get('fmt', 'csv')}")
+    assert run_campaign(CampaignConfig(out=out, workers=1, **kw)).summary["rows"] > 0
+
+
 def test_json_output(tmp_path):
     out = tmp_path / "fam.json"
     res = run_campaign(CampaignConfig(p=2, r=2, campaign="family-verify",
@@ -671,18 +706,18 @@ def test_exhaustive_gf5_requires_sampling_flag(tmp_path):
 
 def test_complement_mismatch_is_reported(tmp_path, monkeypatch):
     # a fault on the side stabilizer() did not use must surface in the row
-    real = stabmod._transport_stabilizer
+    real = stabmod._transport_route
     ctx = make_field(5, 1)
     spec = "family:line-origin"
     other = stabmod._sides(ctx, gen_family(ctx, parse_set_spec(spec)))[1]
 
     def lossy(ctx, bits):
-        out = real(ctx, bits)
-        if bits == other:
-            out.discard(max(out - {IDENTITY}))
-        return out
+        fixers, trans = real(ctx, bits)
+        if bits == other:  # lose one coset of Stab_R(base)
+            trans = dict(list(trans.items())[:-1])
+        return fixers, trans
 
-    monkeypatch.setattr(stabmod, "_transport_stabilizer", lossy)
+    monkeypatch.setattr(stabmod, "_transport_route", lossy)
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="family-verify",
                            set_spec=spec, workers=1))
     row = res.rows[0]

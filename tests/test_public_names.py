@@ -13,7 +13,7 @@ from pathlib import Path
 
 import sl2lab
 
-TEST_ORACLES = {"transport_set", "plane_points"}
+TEST_ORACLES = {"transport_set", "plane_points", "subgroup_closure"}
 
 
 def _defined(stmt) -> list:

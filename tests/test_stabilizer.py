@@ -10,6 +10,7 @@ from sl2lab.incidence3d import transport_set
 from sl2lab.plane import (
     IDENTITY,
     PointSet,
+    act,
     mat_inv,
     mat_mul,
     proj_lines,
@@ -21,7 +22,7 @@ from sl2lab.rng import DetRng, nth_seed
 from sl2lab.stabilizer import (
     Constants,
     _transport_candidates,
-    _transport_stabilizer,
+    _transport_elements,
     all_subset_stabilizer_orders,
     bound_report,
     contained_in_line,
@@ -30,6 +31,7 @@ from sl2lab.stabilizer import (
     stabilizer,
     stabilizer_brute,
     stabilizer_fast,
+    stabilizer_order,
     subgroup_closure,
     subgroup_orbits,
     triple_count_audit,
@@ -85,7 +87,7 @@ def test_complement_invariance(fields, q):
         E = random_subset(q, nth_seed(1000 + q, trial))
         mine = E.bits & ~1
         assert mine and full ^ mine
-        assert _transport_stabilizer(ctx, mine) == _transport_stabilizer(ctx, full ^ mine)
+        assert _transport_elements(ctx, mine) == _transport_elements(ctx, full ^ mine)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -101,12 +103,15 @@ def test_transport_candidates_match_brute(fields, q):
 
 
 def orbit_union(ctx, seed):
-    """(H, E): a seeded random subgroup H and a union of its orbits, so
-    R(E) contains H and the coset step has work to do."""
+    """(H, E): a seeded random subgroup H, built by the closure oracle,
+    and a union of its orbits, so R(E) contains H and the transversal
+    has work to do."""
     q = ctx.q
     rng = DetRng(seed)
     gens = [sl2_unrank(ctx, rng.below(sl2_order(q))) for _ in range(1 + rng.below(2))]
-    H, orbits = subgroup_orbits(ctx, gens)
+    order, orbits = subgroup_orbits(ctx, gens)
+    H = subgroup_closure(ctx, gens)
+    assert order == len(H)
     bits = 0
     for orb in orbits:
         if rng.below(2):
@@ -127,6 +132,71 @@ def test_fast_equals_brute_orbit_unions(fields, q):
         assert H <= stab
         rich += len(stab) > 2
     assert rich >= 8
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_order_matches_subset_table(fields, q):
+    # the order-only route against the one-pass cycle table, every subset
+    ctx = fields[q]
+    table = all_subset_stabilizer_orders(ctx)
+    for bits in range(1 << (q * q)):
+        assert stabilizer_order(ctx, PointSet(q, bits)) == table[bits]
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_order_matches_brute(fields, q):
+    ctx = fields[q]
+    for trial in range(16):
+        E = random_subset(q, nth_seed(6000 + q, trial))
+        assert stabilizer_order(ctx, E) == len(stabilizer_brute(ctx, E))
+        H, E = orbit_union(ctx, nth_seed(7000 + q, trial))
+        order = stabilizer_order(ctx, E)
+        assert order == len(stabilizer_brute(ctx, E))
+        assert order % len(H) == 0
+
+
+def _subgroup_generators(ctx, rng):
+    """Named generator lists: unipotent, torus, Borel, subfield SL2 for
+    each proper subfield, the whole group, and two random lists."""
+    q, p, r = ctx.q, ctx.p, ctx.r
+    t = ctx.primitive
+    torus = (t, 0, 0, ctx.inv(t))
+    basis = [p**i for i in range(r)]  # codes of 1, x, ..., x^(r-1)
+    out = {
+        "unipotent": [(1, 1, 0, 1)],
+        "torus": [torus],
+        "borel": [torus, (1, 1, 0, 1)],
+        "whole": [(1, b, 0, 1) for b in basis] + [(1, 0, b, 1) for b in basis],
+    }
+    for r_sub in range(1, r):
+        if r % r_sub == 0:
+            sub = sorted(subfield_elements(ctx, r_sub).members)
+            out[f"subfield-{r_sub}"] = [(1, b, 0, 1) for b in sub] + [(1, 0, b, 1) for b in sub]
+    for k in range(2):
+        out[f"random-{k}"] = [
+            sl2_unrank(ctx, rng.below(sl2_order(q))) for _ in range(1 + rng.below(2))
+        ]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_subgroup_order_matches_closure(fields, q):
+    # |H| by orbit-stabilizer and Schreier generators, against the closure
+    ctx = fields[q]
+    named = _subgroup_generators(ctx, DetRng(nth_seed(8000, q)))
+    for name, gens in named.items():
+        order, orbits = subgroup_orbits(ctx, gens)
+        H = subgroup_closure(ctx, gens)
+        assert order == len(H), name
+        for orb in orbits:  # the orbits are H's: invariant, and covering
+            rep = min(orb.codes())
+            assert orb == PointSet.from_codes(q, {act(ctx, h, rep) for h in H}), name
+    assert len(subgroup_closure(ctx, named["whole"])) == sl2_order(q)
+    assert len(subgroup_closure(ctx, named["unipotent"])) == ctx.p
+    for r_sub in range(1, ctx.r):
+        if ctx.r % r_sub == 0:
+            sub = ctx.p**r_sub
+            assert len(subgroup_closure(ctx, named[f"subfield-{r_sub}"])) == sub**3 - sub
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
@@ -296,8 +366,9 @@ def test_subgroup_closure(fields):
 
 def test_subgroup_orbits(fields):
     ctx = fields[5]
-    H, orbits = subgroup_orbits(ctx, [(1, 1, 0, 1)])
-    assert len(H) == 5
+    order, orbits = subgroup_orbits(ctx, [(1, 1, 0, 1)])
+    H = subgroup_closure(ctx, [(1, 1, 0, 1)])
+    assert order == len(H) == 5
     covered = 0
     for orb in orbits:
         assert covered & orb.bits == 0
