@@ -29,7 +29,7 @@ Each campaign is one row of CAMPAIGNS: its row producer, columns, row
 total, q limit and CLI subcommand.
 
 Workers (or the parent, in a serial run) render each chunk of rows, as
-CSV text with csv.writer or as one JSON text per row in the layout of
+CSV text or as one JSON text per row in the layout of
 json.dump(indent=1), and fold the chunk into a partial summary while the
 row producer runs; no row is kept.  The parent writes the text, merges
 the partial summaries in range order and checkpoints.  search-extremal
@@ -39,7 +39,10 @@ output file back when it is first asked for.  Every stabilizer-report
 column after index/descriptor is memoized on the field context on
 (|R(E)|, |E|, the sorted line multiplicities of E, whether E lies on a
 line) and the constants, so bound_report and the CSV and JSON
-formatting run once per distinct key.
+formatting run once per distinct key.  An unedited report row is
+written as its index, its descriptor (quoted as csv.writer quotes it)
+and the memoized tail, which csv.writer rendered once; every other row
+goes through csv.writer.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -286,8 +289,10 @@ def _report_item(ctx, index, E, stab_order, config) -> tuple:
     Every report column after index/descriptor depends on E only through
     |E|, its sorted nonzero line multiplicities and whether it lies on a
     line, so the tail is memoized on the field on that key (with the
-    constants); bound_report runs once per distinct key.  rendered is the
-    memoized tail already formatted: its CSV cells and its JSON members.
+    constants); bound_report runs once per distinct key.  The memo keeps
+    a row template to copy and rendered, the tail already formatted: its
+    cells, its finished CSV text (csv.writer's, line end included) and
+    its JSON members.
     """
     memo = _cached(ctx, ("tails", config.c, config.c1, config.c2, config.alpha, config.beta), dict)
     mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
@@ -317,17 +322,22 @@ def _report_item(ctx, index, E, stab_order, config) -> tuple:
             tail[f"{name}_violated"] = r.violated
         bad = rep.violations()
         tail["violations"] = ";".join(bad)
-        rendered = (tuple(_fmt(v) for v in tail.values()), _json_members(tail, _ROW_PAD))
-        entry = memo[key] = (tail, len(bad), rendered)
-    tail, nviol, rendered = entry
-    return index, {"index": index, "descriptor": E.text(), **tail}, nviol, rendered
+        cells = tuple(_fmt(v) for v in tail.values())
+        rendered = (cells, _csv_text([cells]), _json_members(tail, _ROW_PAD))
+        template = {"index": None, "descriptor": None, **tail}
+        entry = memo[key] = (template, len(bad), rendered)
+    template, nviol, rendered = entry
+    row = template.copy()
+    row["index"] = index
+    row["descriptor"] = E.text()
+    return index, row, nviol, rendered
 
 
 def _report_row(ctx, index, E, stab_order, config) -> tuple:
     """(row, violations, cells) of one set's report row, cells being its
-    memoized CSV tail; a caller that edits the row (a fresh dict) renders
-    it from its values instead."""
-    _, row, nviol, (cells, _) = _report_item(ctx, index, E, stab_order, config)
+    memoized tail cells; a caller that edits the row (a fresh dict)
+    renders it from its values instead."""
+    _, row, nviol, (cells, _, _) = _report_item(ctx, index, E, stab_order, config)
     return row, nviol, cells
 
 
@@ -781,10 +791,14 @@ def _json_object(d: dict, depth: int) -> str:
     return "{\n" + _json_members(d, " " * (depth + 1)) + "\n" + " " * depth + "}"
 
 
-def _csv_cells(row: dict, rendered, cols: list) -> list:
-    if rendered is None:
-        return [_fmt(row.get(c)) for c in cols]
-    return [str(row["index"]), row["descriptor"], *rendered[0]]
+def _csv_quote(text: str) -> str:
+    """text as csv.writer writes one field of a longer row (QUOTE_MINIMAL):
+    quoted, with quotes doubled, when it holds a comma, a quote or a line
+    feed.  A descriptor never holds a carriage return, which Python 3.12
+    quotes too."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _json_row(row: dict, rendered) -> str:
@@ -792,20 +806,30 @@ def _json_row(row: dict, rendered) -> str:
         return "\n  " + _json_object(row, 2)
     return (
         f'\n  {{\n{_ROW_PAD}"index": {json.dumps(row["index"])},'
-        f'\n{_ROW_PAD}"descriptor": {json.dumps(row["descriptor"])},\n{rendered[1]}\n  }}'
+        f'\n{_ROW_PAD}"descriptor": {json.dumps(row["descriptor"])},\n{rendered[2]}\n  }}'
     )
 
 
 def _render(config: CampaignConfig, rows) -> list:
     """The output text of (row, rendered) pairs, as a list of pieces to
     write in order: one CSV text, or one JSON text per row.  A JSON row
-    starts with its line break; the writer puts a comma between rows."""
-    if config.fmt == "csv":
-        cols = CAMPAIGNS[config.campaign].columns
-        # rows are drawn before csv.writer runs, so the writer times
-        # formatting alone, not the producer behind the rows
-        return [_csv_text([_csv_cells(row, rendered, cols) for row, rendered in rows])]
-    return [_json_row(row, rendered) for row, rendered in rows]
+    starts with its line break; the writer puts a comma between rows.
+
+    A memoized report row is written as one CSV line: its index, its
+    descriptor and the cached tail text.  Any other row goes through
+    csv.writer, one row at a time once the row is built, so the writer
+    times formatting alone, not the producer behind the rows."""
+    if config.fmt == "json":
+        return [_json_row(row, rendered) for row, rendered in rows]
+    cols = CAMPAIGNS[config.campaign].columns
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row, rendered in rows:
+        if rendered is None:
+            writer.writerow([_fmt(row.get(c)) for c in cols])
+        else:
+            buf.write(f"{row['index']},{_csv_quote(row['descriptor'])},{rendered[1]}")
+    return [buf.getvalue()]
 
 
 def _run_range(config: CampaignConfig, start: int, stop: int) -> tuple:

@@ -270,7 +270,21 @@ def normalize_two_lines(ctx: FieldCtx, l1, l2):
 # Point sets
 
 
-_POINT_TEXT: dict = {}  # q -> "(x,y)" literal of every packed code
+# (q, byte position j) -> for each byte value v, the ";"-joined "(x,y)"
+# literals of the codes 8j + k with bit k of v set; built on first use
+_TEXT_CHUNKS: dict = {}
+
+
+def _text_chunk(q: int, pos: int) -> tuple:
+    names = [f"({c // q},{c % q})" for c in range(8 * pos, min(8 * pos + 8, q * q))]
+    chunk = [""] * 256
+    for v in range(1, 1 << len(names)):
+        low = v & -v
+        rest = chunk[v ^ low]
+        name = names[low.bit_length() - 1]
+        chunk[v] = name + ";" + rest if rest else name
+    _TEXT_CHUNKS[q, pos] = tuple(chunk)
+    return _TEXT_CHUNKS[q, pos]
 
 
 class PointSet:
@@ -366,11 +380,13 @@ class PointSet:
 
     def text(self) -> str:
         """Canonical literal: "points:(x,y);(x,y);..." in code order."""
-        names = _POINT_TEXT.get(self.q)
-        if names is None:
-            q = self.q
-            names = _POINT_TEXT[q] = tuple(f"({x},{y})" for x in range(q) for y in range(q))
-        return "points:" + ";".join([names[c] for c in self.codes()])
+        q = self.q
+        parts = []
+        for pos, byte in enumerate(self.bits.to_bytes((q * q + 7) // 8, "little")):
+            if byte:
+                chunk = _TEXT_CHUNKS.get((q, pos)) or _text_chunk(q, pos)
+                parts.append(chunk[byte])
+        return "points:" + ";".join(parts)
 
 
 def apply_to_set(ctx: FieldCtx, m, ps: PointSet) -> PointSet:

@@ -505,14 +505,24 @@ def all_subset_stabilizer_orders(ctx: FieldCtx) -> list:
 
 
 def contained_in_line(ctx: FieldCtx, E: PointSet) -> bool:
-    """Whether E lies on a single line of the plane (affine lines count)."""
+    """Whether E lies on a single line of the plane (affine lines count).
+
+    The line through E's two lowest points is cached on ctx per point
+    pair, filled on first use.
+    """
     if E.size <= 2:
         return True
     bits = E.bits
     a = (bits & -bits).bit_length() - 1
     rest = bits & (bits - 1)
     b = (rest & -rest).bit_length() - 1
-    return bits & ~affine_line_mask(ctx, a, b) == 0
+    lines = ctx._cache.get("pair_lines")
+    if lines is None:
+        lines = ctx._cache["pair_lines"] = {}
+    mask = lines.get((a, b))
+    if mask is None:
+        mask = lines[a, b] = affine_line_mask(ctx, a, b)
+    return bits & ~mask == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Campaign harness: determinism, resume, campaign row semantics, CLI."""
 
 import csv
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -41,6 +43,13 @@ def read_csv(path):
         echo = fh.readline().rstrip("\n")
         rows = list(csv.reader(fh))
     return echo, rows[0], rows[1:]
+
+
+def csv_lines(rows):
+    """rows as csv.writer writes them, one line each."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def cfg(tmp_path, **kw):
@@ -153,6 +162,8 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
                 assert list(row.items()) == list(want.items())
                 assert nviol == want_nviol
                 assert list(cells) == [_fmt(v) for v in list(want.values())[2:]]
+                rendered = harness._report_item(ctx, mask, E, table[mask], config)[3]
+                assert rendered[1] == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
                 seen.append((row["small"], row["rich"], row["confirmed"]))
                 rows += 1
             flags.append(seen)
@@ -287,6 +298,46 @@ def test_decoded_rows_equal_producer_rows(tmp_path, monkeypatch, kw, fmt, worker
         assert len(body) == len(res.rows)
         for row, cells in zip(res.rows, body):
             assert [_fmt(row[c]) for c in header] == cells
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "kw", EVERY_CAMPAIGN + [dict(campaign="exhaustive-subsets", p=2, r=1)], ids=campaign_id
+)
+def test_csv_bytes_match_csv_writer(tmp_path, monkeypatch, kw, workers):
+    # GF(2) writes the empty descriptor "points:" and one-point ones, which
+    # csv.writer leaves unquoted and quotes; a needless quote would decode
+    # to the same rows, so the bytes are compared here
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    out = tmp_path / "x.csv"
+    config = CampaignConfig(workers=workers, out=str(out), **kw)
+    run_campaign(config)
+    cols = CAMPAIGNS[config.campaign].columns
+    rows = [[_fmt(row.get(c)) for c in cols] for _, row, _ in producer_items(config)]
+    assert out.read_text() == _echo(config) + "\n" + csv_lines([cols] + rows)
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("kw", [
+    dict(campaign="exhaustive-subsets", p=2, r=2, workers=2),
+    dict(campaign="two-line-exhaustive", p=5, r=1, fmt="json", workers=1),
+    dict(campaign="search-extremal", p=7, r=1, strategy="orbit-union", budget=100, seed=0,
+         workers=1),
+    dict(campaign="lineset-exhaustive", p=7, r=1, budget=200, seed=0, workers=1),
+], ids=lambda kw: kw["campaign"])
+def test_output_matches_pinned_digest(tmp_path, kw):
+    # the benchmark's pins, keyed on every config field it sets but
+    # workers and out
+    key = " ".join(f"{k}={kw[k]}" for k in sorted(kw) if k != "workers")
+    pin = json.loads(PINNED.read_text())[key]
+    out = tmp_path / f"x.{kw.get('fmt', 'csv')}"
+    res = run_campaign(CampaignConfig(out=str(out), **kw))
+    data = out.read_bytes()
+    got = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    got.update(rows=res.summary["rows"], violations=res.violations)
+    assert got == pin
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -265,11 +265,17 @@ def test_pointset_text():
     assert PointSet(4).text() == "points:"
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13, 16, 256])
 def test_pointset_text_matches_formula(q):
     n = q * q
     rng = DetRng(q)
-    masks = range(1 << n) if n <= 9 else [0, (1 << n) - 1, *(rng.bits(n) for _ in range(300))]
+    if q == 256:
+        # 65,536 points: sparse sets reaching the last byte, since the
+        # whole plane would build a literal table for every byte
+        masks = [1 << (n - 1), 0xFF << (n - 8)]
+        masks += [rng.bits(8) << (n - 8) | rng.bits(16) for _ in range(50)]
+    else:
+        masks = range(1 << n) if n <= 9 else [0, (1 << n) - 1, *(rng.bits(n) for _ in range(300))]
     for bits in masks:
         ps = PointSet(q, bits)
         assert ps.text() == "points:" + ";".join(f"({x},{y})" for x, y in ps.points())
