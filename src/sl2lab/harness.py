@@ -78,14 +78,13 @@ from .stabilizer import (
     Constants,
     all_subset_stabilizer_orders,
     bound_report,
+    complement_agrees,
     contained_in_line,
     line_counts,
     line_partition,
     line_set_stabilizer,
-    stabilizer,
     stabilizer_brute,
     stabilizer_order,
-    stabilizer_other_side,
     subgroup_orbits,
     triple_count_audit,
 )
@@ -284,7 +283,8 @@ def _constants(config: CampaignConfig) -> Constants:
 
 def _report_item(ctx, index, E, stab_order, config) -> tuple:
     """The producer item (index, row, violations, rendered) of one set's
-    unedited report row.
+    unedited report row.  row is a fresh dict: a producer that edits it
+    yields None for rendered, so the row is rendered from its values.
 
     Every report column after index/descriptor depends on E only through
     |E|, its sorted nonzero line multiplicities and whether it lies on a
@@ -331,14 +331,6 @@ def _report_item(ctx, index, E, stab_order, config) -> tuple:
     row["index"] = index
     row["descriptor"] = E.text()
     return index, row, nviol, rendered
-
-
-def _report_row(ctx, index, E, stab_order, config) -> tuple:
-    """(row, violations, cells) of one set's report row, cells being its
-    memoized tail cells; a caller that edits the row (a fresh dict)
-    renders it from its values instead."""
-    _, row, nviol, (cells, _, _) = _report_item(ctx, index, E, stab_order, config)
-    return row, nviol, cells
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +491,12 @@ def _gen_family(config, start, stop):
     for index in range(start, stop):
         spec = specs[index]
         E = gen_family(ctx, spec)
-        stab = stabilizer(ctx, E)
-        order = len(stab)
+        order = stabilizer_order(ctx, E)
         _spot(ctx, E, order, index)
-        comp_match = stab == stabilizer_other_side(ctx, E)
+        comp_match = complement_agrees(ctx, E, order)
         expected = _expected_order(ctx, spec)
         exp_match = None if expected is None else order == expected
-        row, nviol, _ = _report_row(ctx, index, E, order, config)
+        _, row, nviol, _ = _report_item(ctx, index, E, order, config)
         row["descriptor"] = spec.text()
         row["complement_match"] = comp_match
         row["expected_order"] = expected
@@ -636,7 +627,7 @@ def _gen_search(config, start, stop):
             brute = len(stabilizer_brute(ctx, E))  # every random row gets the oracle
             if fast != brute:
                 raise AssertionError(f"search row {index}: fast {fast} != brute {brute}")
-            row, nviol, _ = _report_row(ctx, f"{index}", E, fast, config)
+            _, row, nviol, _ = _report_item(ctx, f"{index}", E, fast, config)
             row["strategy"] = "random"
             row["subgroup_order"] = None
             row["contains_subgroup"] = None
@@ -660,7 +651,7 @@ def _gen_search(config, start, stop):
             # divides |R(E)|; a route that undercounts R(E) fails that
             kept = all(apply_to_set(ctx, g, E) == E for g in gens)
             contains = kept and stab_order % h_order == 0
-            row, nviol, _ = _report_row(ctx, tag, E, stab_order, config)
+            _, row, nviol, _ = _report_item(ctx, tag, E, stab_order, config)
             row["strategy"] = "orbit-union"
             row["subgroup_order"] = h_order
             row["contains_subgroup"] = contains
@@ -738,7 +729,7 @@ CAMPAIGNS = {
         produce=_gen_family,
         columns=_stab_columns(("complement_match", "expected_order", "expected_match")),
         total=lambda config, ctx: len(_battery(ctx, config)),
-        max_q=16,
+        max_q=64,
     ),
     "prime-bound-exhaustive": Campaign(
         command="exhaustive",

@@ -17,17 +17,17 @@ symmetry set of the complement.  Two independent routes compute it:
     accepted so far, and only a point of the class it has not reached
     is tested, so by orbit-stabilizer |R(E)| = |R * base| *
     |Stab_R(base)| comes from points alone.  stabilizer_order reports
-    that order; stabilizer_fast builds the elements, one transversal
-    element times Stab_R(base) per orbit point, for the callers that
-    need them.
+    that order, and the elements the route accepted generate R(E), so
+    no caller builds R(E) as a set.
 
 Both keep a candidate by the same test (_maps_into: theta sends the
 side's points into the side); they stay independent through where their
 candidates come from.  The two must agree exactly; the test suite holds
-them together on every subset of small planes, on random subsets and on
-orbit unions of random subgroups of larger ones.  stabilizer_other_side
-runs the transport route on the side stabilizer() did not use, which
-keeps family-verify's complement check a comparison of two computations.
+them together, through stabilizer_fast (R(E) as a set, kept for the
+tests), on every subset of small planes, on random subsets and on orbit
+unions of random subgroups of larger ones.  complement_agrees runs the
+transport route on the side stabilizer_order did not use, which keeps
+family-verify's complement check a comparison of two computations.
 
 The rest of the module turns theorems about R(E) into checkable
 reports: line partitions, the exact stabilizer of a set of directions,
@@ -184,7 +184,7 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
     Stab_R(base) and every transporter accepted so far); a point of the
     class the BFS has not reached is tested directly, and its first
     passing candidate is accepted.  So |R| = |transversal| *
-    |Stab_R(base)|, and R is the products t * h (_transport_elements).
+    |Stab_R(base)|, and R is the products t * h (stabilizer_fast).
     """
     q = ctx.q
     codes = PointSet(q, bits).nonzero_codes
@@ -235,14 +235,6 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
     return fixers, trans
 
 
-def _transport_elements(ctx: FieldCtx, bits: int) -> set:
-    """R of the points in bits as a set: transversal times Stab_R(base)."""
-    fixers, trans = _transport_route(ctx, bits)
-    found = {mat_mul(ctx, t, h) for t in trans.values() for h in fixers}
-    assert len(found) == len(trans) * len(fixers), "cosets of Stab_R(base) must be disjoint"
-    return found
-
-
 def _sides(ctx: FieldCtx, E: PointSet) -> tuple:
     """(used, other): the nonzero bitsets of E and of its complement.
 
@@ -258,23 +250,20 @@ def _sides(ctx: FieldCtx, E: PointSet) -> tuple:
 
 
 def stabilizer_fast(ctx: FieldCtx, E: PointSet) -> set:
-    """R(E) by the transport route on the smaller of E and its complement.
+    """R(E) as a set, by the transport route on the smaller of E and its
+    complement: one transversal element times Stab_R(base) per orbit
+    point.  A test oracle; campaigns need only stabilizer_order.
 
     Raises ValueError when E minus the origin is empty (the answer
-    would be the whole group; see stabilizer()).
+    would be the whole group).
     """
     if not E.nonzero_size:
         raise ValueError("E minus the origin is empty; its symmetry set is all of SL2")
-    found = _transport_elements(ctx, _sides(ctx, E)[0])
+    fixers, trans = _transport_route(ctx, _sides(ctx, E)[0])
+    found = {mat_mul(ctx, t, h) for t in trans.values() for h in fixers}
+    assert len(found) == len(trans) * len(fixers), "cosets of Stab_R(base) must be disjoint"
     _group_spot_check(ctx, found)
     return found
-
-
-def stabilizer(ctx: FieldCtx, E: PointSet) -> set:
-    """R(E) for any E, including the degenerate whole-group cases."""
-    if E.nonzero_size == 0:
-        return set(sl2_materialize(ctx))
-    return stabilizer_fast(ctx, E)
 
 
 def stabilizer_order(ctx: FieldCtx, E: PointSet) -> int:
@@ -290,15 +279,24 @@ def stabilizer_order(ctx: FieldCtx, E: PointSet) -> int:
     return order
 
 
-def stabilizer_other_side(ctx: FieldCtx, E: PointSet) -> set:
-    """R(E) by the transport route on the side stabilizer() does not use.
+def complement_agrees(ctx: FieldCtx, E: PointSet, order: int) -> bool:
+    """Whether the transport route on the side stabilizer_order did not
+    use finds a group of the given order whose accepted elements all
+    keep the used side.
 
-    The complement cross-check of family-verify compares this with
-    stabilizer(ctx, E); where that side has no nonzero point the answer
-    is the whole group.
+    Those elements (the Stab_R(base) candidates and the transversal)
+    generate R(other side), so they put it inside R(E), and equal
+    orders make the two equal.  Where the other side has no nonzero
+    point its symmetry set is the whole group, q^3 - q.
     """
-    other = _sides(ctx, E)[1]
-    return _transport_elements(ctx, other) if other else set(sl2_materialize(ctx))
+    used, other = _sides(ctx, E)
+    if not other:
+        return order == sl2_order(ctx.q)
+    fixers, trans = _transport_route(ctx, other)
+    if len(trans) * len(fixers) != order:
+        return False
+    codes = PointSet(ctx.q, used).nonzero_codes
+    return all(_maps_into(ctx, g, codes, used) for g in (*fixers, *trans.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -819,10 +817,11 @@ def triple_count_audit(
                 )
                 parallel_triples += 1
 
-    # R(E) sits inside S
-    stab = stabilizer(ctx, E)
-    pres_set = set(preservers)
-    assert stab <= pres_set, "symmetries must permute the class sets"
+    # R(E) sits inside S: S is a group, so it is enough that the elements
+    # the transport route accepted, which generate R(E), lie in S
+    stab_fixers, stab_trans = _transport_route(ctx, _sides(ctx, E)[0])
+    accepted = (*stab_fixers, *stab_trans.values())
+    assert set(preservers).issuperset(accepted), "symmetries must permute the class sets"
 
     s_count = len(preservers)
     mt_rhs = 2 * c * (
@@ -857,7 +856,7 @@ def triple_count_audit(
         final_cap_value=final_cap,
         final_cap_applies=applies,
         final_cap_holds=holds,
-        stab_order=len(stab),
+        stab_order=len(stab_trans) * len(stab_fixers),
         skew_pairs=skew_pairs,
         meeting_pairs=meeting_pairs,
         parallel_pairs=parallel_pairs,

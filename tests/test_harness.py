@@ -28,7 +28,7 @@ from sl2lab.harness import (
     run_campaign,
 )
 from sl2lab.families import gen_family, parse_set_spec
-from sl2lab.plane import PointSet
+from sl2lab.plane import PointSet, apply_to_set, sl2_materialize
 from sl2lab.rng import nth_seed
 from sl2lab.stabilizer import (
     Constants,
@@ -157,13 +157,14 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
             seen = []
             for mask in range(0, len(table), step):
                 E = PointSet(ctx.q, mask)
-                row, nviol, cells = harness._report_row(ctx, mask, E, table[mask], config)
+                index, row, nviol, (cells, text, _) = harness._report_item(
+                    ctx, mask, E, table[mask], config)
                 want, want_nviol = direct_report_row(ctx, mask, E, table[mask], config)
+                assert index == mask
                 assert list(row.items()) == list(want.items())
                 assert nviol == want_nviol
                 assert list(cells) == [_fmt(v) for v in list(want.values())[2:]]
-                rendered = harness._report_item(ctx, mask, E, table[mask], config)[3]
-                assert rendered[1] == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
+                assert text == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
                 seen.append((row["small"], row["rich"], row["confirmed"]))
                 rows += 1
             flags.append(seen)
@@ -738,7 +739,7 @@ def test_json_output(tmp_path):
     dict(p=11, r=1, campaign="lineset-exhaustive"),
     dict(p=11, r=1, campaign="triple-audit"),
     dict(p=7, r=1, campaign="two-line-exhaustive"),
-    dict(p=17, r=1, campaign="family-verify"),
+    dict(p=67, r=1, campaign="family-verify"),
     dict(p=11, r=1, campaign="incidence-report"),
     dict(p=11, r=1, campaign="search-extremal"),
     dict(p=3, r=1, campaign="incidence-report", budget=5, workers=0),
@@ -755,20 +756,29 @@ def test_exhaustive_gf5_requires_sampling_flag(tmp_path):
     assert res.summary["rows"] == 50
 
 
-def test_complement_mismatch_is_reported(tmp_path, monkeypatch):
-    # a fault on the side stabilizer() did not use must surface in the row
+@pytest.mark.parametrize("fault", ["lost-coset", "foreign-element"])
+def test_complement_mismatch_is_reported(tmp_path, monkeypatch, fault):
+    # a fault on the side stabilizer_order did not use must surface in the
+    # row: a lost coset changes that side's order, and a transversal
+    # element that does not keep E keeps the order but fails the filter
     real = stabmod._transport_route
     ctx = make_field(5, 1)
     spec = "family:line-origin"
-    other = stabmod._sides(ctx, gen_family(ctx, parse_set_spec(spec)))[1]
+    E = gen_family(ctx, parse_set_spec(spec))
+    other = stabmod._sides(ctx, E)[1]
+    foreign = next(m for m in sl2_materialize(ctx) if apply_to_set(ctx, m, E) != E)
 
-    def lossy(ctx, bits):
+    def faulty(ctx, bits):
         fixers, trans = real(ctx, bits)
-        if bits == other:  # lose one coset of Stab_R(base)
-            trans = dict(list(trans.items())[:-1])
+        if bits == other:
+            last = list(trans)[-1]
+            if fault == "lost-coset":
+                del trans[last]
+            else:
+                trans[last] = foreign
         return fixers, trans
 
-    monkeypatch.setattr(stabmod, "_transport_route", lossy)
+    monkeypatch.setattr(stabmod, "_transport_route", faulty)
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="family-verify",
                            set_spec=spec, workers=1))
     row = res.rows[0]
@@ -776,6 +786,53 @@ def test_complement_mismatch_is_reported(tmp_path, monkeypatch):
     assert row["complement_match"] is False
     assert row["violations"].split(";") == ["complement_mismatch"]
     assert res.violations == 1
+
+
+def test_audit_flags_accepted_element_outside_s(tmp_path, monkeypatch):
+    # S is a group, so the audit checks "R(E) inside S" on the elements
+    # the transport route accepted; one outside S must fail the audit.
+    # For this set S = R(E), so any matrix moving E lies outside S.
+    real = stabmod._transport_route
+    ctx = make_field(3, 2)
+    E = gen_family(ctx, parse_set_spec("family:subfield-plane:sub-r=1"))
+    foreign = next(m for m in sl2_materialize(ctx) if apply_to_set(ctx, m, E) != E)
+
+    def faulty(ctx, bits):
+        fixers, trans = real(ctx, bits)
+        return [*fixers, foreign], trans
+
+    audit = stabmod.triple_count_audit(ctx, E, 2)
+    assert audit.preserver_count == audit.stab_order == 24
+    monkeypatch.setattr(stabmod, "_transport_route", faulty)
+    with pytest.raises(AssertionError, match="symmetries must permute the class sets"):
+        stabmod.triple_count_audit(ctx, E, 2)
+    res = run_campaign(cfg(tmp_path, p=3, r=2, campaign="triple-audit",
+                           set_spec="family:subfield-plane:sub-r=1", workers=1))
+    row = res.rows[0]
+    assert row["audit_ok"] is False
+    assert row["audit_error"] == "symmetries must permute the class sets"
+    assert res.violations == 1
+
+
+def test_cli_family_gf64(tmp_path):
+    # GF(8)^2 inside GF(64)^2 is the sharp witness: |R| = 8^3 - 8 = 504
+    # against |E|^{3/2} = 512, with no element set built for any row
+    out = tmp_path / "fam.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sl2lab.harness", "family", "--p", "2", "--r", "6",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    _, header, rows = read_csv(str(out))
+    assert len(rows) == 16
+    by = {row[1]: dict(zip(header, row)) for row in rows}
+    sub = by["family:subfield-plane:sub-r=3"]
+    assert sub["stab_order"] == "504"
+    assert sub["ratio_full"] == "0.984375"
+    assert sub["complement_match"] == "true"
+    assert sub["expected_match"] == "true"
 
 
 @pytest.mark.parametrize("spec,order", [("family:full", 15813000),

@@ -22,13 +22,13 @@ from sl2lab.rng import DetRng, nth_seed
 from sl2lab.stabilizer import (
     Constants,
     _transport_candidates,
-    _transport_elements,
+    _transport_route,
     all_subset_stabilizer_orders,
     bound_report,
+    complement_agrees,
     contained_in_line,
     line_partition,
     line_set_stabilizer,
-    stabilizer,
     stabilizer_brute,
     stabilizer_fast,
     stabilizer_order,
@@ -49,12 +49,14 @@ def random_subset(q, seed):
 @pytest.mark.parametrize("q", [2, 3])
 def test_fast_equals_brute_exhaustive(fields, q):
     ctx = fields[q]
+    whole = set(sl2_materialize(ctx))
     for bits in range(1 << (q * q)):
         E = PointSet(q, bits)
         if E.nonzero_size:
             assert stabilizer_fast(ctx, E) == stabilizer_brute(ctx, E)
         else:
-            assert stabilizer(ctx, E) == stabilizer_brute(ctx, E)
+            assert stabilizer_brute(ctx, E) == whole
+            assert stabilizer_order(ctx, E) == sl2_order(q)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
@@ -68,7 +70,7 @@ def test_fast_equals_brute_random(fields, q):
 def test_stabilizer_dispatch_and_group_structure(fields):
     ctx = fields[7]
     E = random_subset(7, 12345)
-    stab = stabilizer(ctx, E)
+    stab = stabilizer_fast(ctx, E)
     assert stab == stabilizer_brute(ctx, E)
     assert IDENTITY in stab
     some = sorted(stab)[:6]
@@ -76,6 +78,15 @@ def test_stabilizer_dispatch_and_group_structure(fields):
         assert mat_inv(ctx, a) in stab
         for b in some:
             assert mat_mul(ctx, a, b) in stab
+
+
+def route_elements(ctx, bits):
+    """R of the points in bits as a set, from the route's transversal
+    times its Stab_R(base)."""
+    fixers, trans = _transport_route(ctx, bits)
+    found = {mat_mul(ctx, t, h) for t in trans.values() for h in fixers}
+    assert len(found) == len(trans) * len(fixers), "cosets of Stab_R(base) must be disjoint"
+    return found
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -87,7 +98,10 @@ def test_complement_invariance(fields, q):
         E = random_subset(q, nth_seed(1000 + q, trial))
         mine = E.bits & ~1
         assert mine and full ^ mine
-        assert _transport_elements(ctx, mine) == _transport_elements(ctx, full ^ mine)
+        assert route_elements(ctx, mine) == route_elements(ctx, full ^ mine)
+        order = stabilizer_order(ctx, E)
+        assert complement_agrees(ctx, E, order)
+        assert not complement_agrees(ctx, E, 2 * order)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -236,7 +250,9 @@ def test_degenerate_sets_fixed_by_whole_group(fields, q):
     whole = set(sl2_materialize(ctx))
     for E in (PointSet(q), PointSet.from_points(q, [(0, 0)]),
               PointSet.full(q), PointSet.full(q).without_origin()):
-        assert stabilizer(ctx, E) == whole
+        assert stabilizer_brute(ctx, E) == whole
+        assert stabilizer_order(ctx, E) == sl2_order(q)
+        assert complement_agrees(ctx, E, sl2_order(q))
     # the fast route refuses the empty-away-from-origin cases explicitly
     with pytest.raises(ValueError):
         stabilizer_fast(ctx, PointSet(q))
@@ -583,6 +599,7 @@ def test_audit_random_uniform_sets(fields):
         assert audit.plane_max <= 2 * m0
         assert audit.transport_total >= max(0, m0 - 4) * audit.preserver_count
         assert audit.fixer_part <= audit.pair_cap <= audit.class_cap
+        assert audit.stab_order == len(stabilizer_brute(ctx, E))
 
 
 def test_audit_rejects_missing_multiplicity(fields):
