@@ -12,10 +12,11 @@ relies on for byte-identical output.
     ctx = make_field(3, 2)        # GF(9), modulus t^2 + 1
     ctx.mul(4, 7); ctx.inv(5); ctx.pow(2, -3)
 
-Arithmetic is installed on the context as precomputed dense q*q tables,
-so hot loops can grab `mul = ctx.mul` once and work on raw ints.
-Contexts are immutable after construction.  make_field rejects fields
-larger than q = 256; no campaign goes past q = 16.
+Arithmetic is installed on the context as precomputed dense q*q tables.
+The ctx.add/ctx.mul closures read them one operation per call; hot
+loops index the tables themselves (add_rows[x][y], mul_rows[x][y]) and
+skip the call.  Contexts are immutable after construction.  make_field
+rejects fields larger than q = 256; no campaign goes past q = 64.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ class FieldCtx:
       primitive        -- smallest code generating the multiplicative group
       add_table, mul_table -- dense q*q tuples; x + y is add_table[x*q + y]
                           and x * y is mul_table[x*q + y]
+      add_rows, mul_rows -- the same tables cut into q rows of q;
+                          x + y is add_rows[x][y] and x * y is mul_rows[x][y]
+      neg_table        -- length-q tuple; -x is neg_table[x]
       add, sub, neg, mul, inv, div, pow -- operations on integer codes
 
     The operations are closures over precomputed tables, so they do not
@@ -206,6 +210,9 @@ class FieldCtx:
             inv_tab[x] = exp[(qm1 - log[x]) % qm1]
         add_tab = self.add_table = tuple(add_tab)
         mul_tab = self.mul_table = tuple(mul_tab)
+        self.add_rows = tuple(add_tab[x * q : x * q + q] for x in range(q))
+        self.mul_rows = tuple(mul_tab[x * q : x * q + q] for x in range(q))
+        neg = self.neg_table = tuple(neg)
         self.add = lambda x, y, _t=add_tab, _q=q: _t[x * _q + y]
         self.mul = lambda x, y, _t=mul_tab, _q=q: _t[x * _q + y]
         self.sub = lambda x, y, _t=add_tab, _n=neg, _q=q: _t[x * _q + _n[y]]

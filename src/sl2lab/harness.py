@@ -378,6 +378,8 @@ def _gen_two_line(config, start, stop):
         ctx, "line_codes", lambda: [PointSet(q, b).nonzero_codes for b in line_nonzero_masks(ctx)]
     )
     for index in range(start, stop):
+        # the origin bit is the lowest digit, so 2k and 2k + 1 share
+        # E minus 0 and with it R(E), which ignores the origin
         rest, origin_bit = divmod(index, 2)
         rest, sub2 = divmod(rest, m)
         pair_idx, sub1 = divmod(rest, m)
@@ -390,7 +392,8 @@ def _gen_two_line(config, start, stop):
             if (sub2 + 1) >> k & 1:
                 bits |= 1 << code
         E = PointSet(q, bits)
-        order = stabilizer_order(ctx, E)
+        if not origin_bit or index == start:
+            order = stabilizer_order(ctx, E)
         _spot(ctx, E, order, index)
         yield _report_item(ctx, index, E, order, config)
 

@@ -15,7 +15,16 @@ there.  Planes are (normal, offset) pairs with the normal's first
 nonzero coordinate scaled to 1; there are exactly q(q^2 + q + 1) of
 them.  A line lies in exactly q + 1 planes, one per normal in the
 pencil orthogonal to its direction (normal_pencil, cached per
-direction), so plane richness and coplanarity walk that pencil.
+direction), so plane richness and triple_coplanar walk that pencil.
+Three parallel lines need no pencil: parallel_coplanar is one
+determinant on their shared direction, and the triple-count audit uses
+it, with triple_coplanar kept as its test oracle.
+
+The hot kernels (_dot, _det3, line_points, count_incidences,
+plane_richness) index the field's add/mul rows and negation table
+directly, one subscript per field operation; on_line and
+count_incidences_brute, the incidence oracle, keep the ctx.add/ctx.mul
+calls.
 """
 
 from __future__ import annotations
@@ -33,16 +42,23 @@ def project_matrix(m) -> tuple:
 
 
 def _dot(ctx, u, v):
-    add, mul = ctx.add, ctx.mul
-    return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
+    add, mul = ctx.add_rows, ctx.mul_rows
+    return add[add[mul[u[0]][v[0]]][mul[u[1]][v[1]]]][mul[u[2]][v[2]]]
+
+
+def _minus(ctx, u, v) -> tuple:
+    """u - v in F_q^3, read as u + (-v)."""
+    add, neg = ctx.add_rows, ctx.neg_table
+    return (add[u[0]][neg[v[0]]], add[u[1]][neg[v[1]]], add[u[2]][neg[v[2]]])
 
 
 def _det3(ctx, u, v, w):
-    add, sub, mul = ctx.add, ctx.sub, ctx.mul
-    m1 = sub(mul(v[1], w[2]), mul(v[2], w[1]))
-    m2 = sub(mul(v[0], w[2]), mul(v[2], w[0]))
-    m3 = sub(mul(v[0], w[1]), mul(v[1], w[0]))
-    return add(sub(mul(u[0], m1), mul(u[1], m2)), mul(u[2], m3))
+    """det of the rows u, v, w, expanded along u; each x - y is x + (-y)."""
+    add, mul, neg = ctx.add_rows, ctx.mul_rows, ctx.neg_table
+    m1 = add[mul[v[1]][w[2]]][neg[mul[v[2]][w[1]]]]
+    m2 = add[mul[v[0]][w[2]]][neg[mul[v[2]][w[0]]]]
+    m3 = add[mul[v[0]][w[1]]][neg[mul[v[1]][w[0]]]]
+    return add[add[mul[u[0]][m1]][neg[mul[u[1]][m2]]]][mul[u[2]][m3]]
 
 
 @dataclass(frozen=True)
@@ -71,13 +87,11 @@ def line3(ctx: FieldCtx, base, dir) -> Line3:
 
 
 def line_points(ctx: FieldCtx, line: Line3) -> list:
-    add, mul = ctx.add, ctx.mul
-    bx, by, bz = line.base
-    dx, dy, dz = line.dir
-    return [
-        (add(bx, mul(t, dx)), add(by, mul(t, dy)), add(bz, mul(t, dz)))
-        for t in range(ctx.q)
-    ]
+    """The q points base + t * dir, t ascending."""
+    add, mul = ctx.add_rows, ctx.mul_rows
+    (bx, by, bz), (dx, dy, dz) = line.base, line.dir
+    bx, by, bz, dx, dy, dz = add[bx], add[by], add[bz], mul[dx], mul[dy], mul[dz]
+    return [(bx[dx[t]], by[dy[t]], bz[dz[t]]) for t in range(ctx.q)]
 
 
 def on_line(ctx: FieldCtx, pt, line: Line3) -> bool:
@@ -143,16 +157,14 @@ def transport_line(ctx: FieldCtx, src, dst) -> Line3:
 def count_incidences(ctx: FieldCtx, points, lines) -> int:
     """I(P, L) = number of (p, l) pairs with p on l.
 
-    Walks the q points of each line against a hashed point set; the
-    quadratic double loop lives in count_incidences_brute as the
-    independent check.
+    Intersects the q distinct points of each line with a hashed point
+    set; the quadratic double loop lives in count_incidences_brute as
+    the independent check.
     """
     pset = set(points)
     total = 0
     for ln in lines:
-        for pt in line_points(ctx, ln):
-            if pt in pset:
-                total += 1
+        total += len(pset.intersection(line_points(ctx, ln)))
     assert 0 <= total <= len(pset) * len(set(lines))
     return total
 
@@ -206,11 +218,13 @@ def plane_richness(ctx: FieldCtx, lines):
     q(q^2+q+1) planes; ties break to the lexicographically smallest
     witness.  Empty input gives (0, None).
     """
+    add, mul = ctx.add_rows, ctx.mul_rows
     counts: dict = {}
     for ln in set(lines):
-        base = ln.base
+        bx, by, bz = ln.base
+        bx, by, bz = mul[bx], mul[by], mul[bz]  # the offset n . base, inline
         for n in normal_pencil(ctx, ln.dir):
-            plane = (n, _dot(ctx, n, base))
+            plane = (n, add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]])
             counts[plane] = counts.get(plane, 0) + 1
     if not counts:
         return 0, None
@@ -225,19 +239,33 @@ def relation(ctx: FieldCtx, l1: Line3, l2: Line3) -> str:
         return "equal"
     if l1.dir == l2.dir:  # canonical directions, so proportional == equal
         return "parallel"
-    gap = tuple(ctx.sub(l2.base[i], l1.base[i]) for i in range(3))
-    if _det3(ctx, l1.dir, l2.dir, gap) == 0:
+    if _det3(ctx, l1.dir, l2.dir, _minus(ctx, l2.base, l1.base)) == 0:
         return "intersecting"
     return "skew"
 
 
 def triple_coplanar(ctx: FieldCtx, l1: Line3, l2: Line3, l3: Line3) -> bool:
-    """Whether some plane contains all three lines (exact, O(q) planes)."""
+    """Whether some plane contains all three lines (exact, O(q) planes).
+
+    The test oracle for parallel_coplanar."""
     for n in normal_pencil(ctx, l1.dir):
         plane = (n, _dot(ctx, n, l1.base))
         if plane_contains_line(ctx, plane, l2) and plane_contains_line(ctx, plane, l3):
             return True
     return False
+
+
+def parallel_coplanar(ctx: FieldCtx, l1: Line3, l2: Line3, l3: Line3) -> bool:
+    """Whether three lines with one shared direction v lie in one plane.
+
+    Every plane holding l1 and l2 contains v and b2 - b1 (b the bases),
+    so the three are coplanar iff det(v, b2 - b1, b3 - b1) = 0: one
+    determinant, where triple_coplanar walks l1's pencil of q + 1 planes.
+    """
+    if not l1.dir == l2.dir == l3.dir:
+        raise ValueError("parallel_coplanar needs three lines with one direction")
+    gap2, gap3 = _minus(ctx, l2.base, l1.base), _minus(ctx, l3.base, l1.base)
+    return _det3(ctx, l1.dir, gap2, gap3) == 0
 
 
 # ---------------------------------------------------------------------------

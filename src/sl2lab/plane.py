@@ -10,10 +10,13 @@ Conventions used throughout the package:
   * the q + 1 directions through the origin are canonical tuples
     (1, t) for t in F_q followed by (0, 1), so the y-axis sorts last.
 
-act() is the single place the action on points is computed: it maps a
-packed code to the packed code of its image by reading the field's
-add/mul tables directly, and mat_apply, point_permutation, apply_to_set
-and the stabilizer filters all go through it.
+act() defines the action on points: it maps a packed code to the packed
+code of its image by reading the field's add/mul tables directly, and
+mat_apply, point_permutation and apply_to_set go through it.  The one
+other place the formula is computed is the point-filter kernel,
+stabilizer._maps_into, which reads the mul rows of a, b, c, d once per
+matrix and images a whole point list inline; the tests hold the two
+together.  mat_mul indexes the same rows.
 
 sl2_elements() streams the group in a pinned order (the a = 0 sweep
 first, then lexicographic (a, b, c) with d solved from the determinant),
@@ -46,15 +49,11 @@ def mat_apply(ctx: FieldCtx, m, pt):
 
 
 def mat_mul(ctx: FieldCtx, m, n):
+    add, mul = ctx.add_rows, ctx.mul_rows
     a, b, c, d = m
+    a, b, c, d = mul[a], mul[b], mul[c], mul[d]  # the rows of m's entries
     e, f, g, h = n
-    add, mul = ctx.add, ctx.mul
-    return (
-        add(mul(a, e), mul(b, g)),
-        add(mul(a, f), mul(b, h)),
-        add(mul(c, e), mul(d, g)),
-        add(mul(c, f), mul(d, h)),
-    )
+    return (add[a[e]][b[g]], add[a[f]][b[h]], add[c[e]][d[g]], add[c[f]][d[h]])
 
 
 def mat_det(ctx: FieldCtx, m):

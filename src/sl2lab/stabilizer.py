@@ -22,10 +22,14 @@ symmetry set of the complement.  Two independent routes compute it:
 
 Both keep a candidate by the same test (_maps_into: theta sends the
 side's points into the side); they stay independent through where their
-candidates come from.  The two must agree exactly; the test suite holds
-them together, through stabilizer_fast (R(E) as a set, kept for the
-tests), on every subset of small planes, on random subsets and on orbit
-unions of random subgroups of larger ones.  complement_agrees runs the
+candidates come from.  _maps_into is the point-filter kernel: act's
+formula inline off the field's mul and add rows, with membership read
+from a bytearray that each route call builds once (_filter_side).
+_transport_candidates solves for the q transporters off the same rows.
+The two routes must agree exactly; the test suite holds them together,
+through stabilizer_fast (R(E) as a set, kept for the tests), on every
+subset of small planes, on random subsets and on orbit unions of random
+subgroups of larger ones.  complement_agrees runs the
 transport route on the side stabilizer_order did not use, which keeps
 family-verify's complement check a comparison of two computations.
 
@@ -47,11 +51,11 @@ from dataclasses import dataclass
 from .gf import FieldCtx
 from .incidence3d import (
     count_incidences,
+    parallel_coplanar,
     plane_richness,
     project_matrix,
     relation,
     transport_line,
-    triple_coplanar,
 )
 from .plane import (
     IDENTITY,
@@ -89,28 +93,45 @@ def _group_spot_check(ctx: FieldCtx, mats: set, samples: int = 64) -> None:
             assert mat_mul(ctx, a, b) in mats
 
 
-def _maps_into(ctx: FieldCtx, m, codes, bits: int) -> bool:
-    """Whether m sends every packed code in codes into the bitset bits.
-
-    With codes = E's nonzero codes and bits = E.bits this is theta(E) = E,
-    since theta is a bijection fixing the origin; both routes filter
-    their candidates with it.
-    """
+def _filter_side(q: int, bits: int) -> tuple:
+    """(pts, member) for _maps_into: the nonzero points of the bitset
+    bits as (x, y) pairs, ascending by packed code, and a bytearray over
+    packed codes holding 1 at each of them.  Built once per route call,
+    so no candidate copies the bitset."""
+    codes = PointSet(q, bits & ~1).nonzero_codes
+    member = bytearray(q * q)
     for code in codes:
-        if not (bits >> act(ctx, m, code)) & 1:
+        member[code] = 1
+    return [divmod(code, q) for code in codes], member
+
+
+def _maps_into(ctx: FieldCtx, m, pts, member) -> bool:
+    """Whether m sends every point of pts to a code marked in member.
+
+    With (pts, member) = _filter_side(q, E.bits) this is theta(E) = E,
+    since theta is a bijection fixing the origin; both routes filter
+    their candidates with it.  This is the point-filter kernel: it reads
+    the mul rows of a, b, c, d once and computes act's formula inline
+    for each point.
+    """
+    add, mul, q = ctx.add_rows, ctx.mul_rows, ctx.q
+    a, b, c, d = m
+    ra, rb, rc, rd = mul[a], mul[b], mul[c], mul[d]
+    for x, y in pts:
+        if not member[add[ra[x]][rb[y]] * q + add[rc[x]][rd[y]]]:
             return False
     return True
 
 
 def stabilizer_brute(ctx: FieldCtx, E: PointSet) -> set:
     """R(E) by filtering every group element (the oracle route)."""
-    nz, bits = E.nonzero_codes, E.bits
-    out = {m for m in sl2_materialize(ctx) if _maps_into(ctx, m, nz, bits)}
+    pts, member = _filter_side(ctx.q, E.bits)
+    out = {m for m in sl2_materialize(ctx) if _maps_into(ctx, m, pts, member)}
     _group_spot_check(ctx, out)
     return out
 
 
-def _transport_candidates(ctx: FieldCtx, src, dst):
+def _transport_candidates(ctx: FieldCtx, src, dst) -> list:
     """The q solutions of theta(src) = dst, for nonzero src and dst.
 
     With src = (u1, v1), dst = (u2, v2), theta = (a b; c d) must solve
@@ -118,41 +139,35 @@ def _transport_candidates(ctx: FieldCtx, src, dst):
     this leaves the single linear relation u2*d - v2*b = u1; on the
     y-axis (u1 = 0) it fixes b = u2/v1, d = v2/v1 and leaves
     a*v2 - c*u2 = v1.  Whichever coefficient is nonzero parametrizes the
-    family.
+    family, swept in ascending order.  Each u - w*v is read as
+    u + w*(-v), off the field's add and mul rows.
     """
     q = ctx.q
-    add, sub, mul, inv, neg = ctx.add, ctx.sub, ctx.mul, ctx.inv, ctx.neg
+    add, mul, neg, inv = ctx.add_rows, ctx.mul_rows, ctx.neg_table, ctx.inv
     u1, v1 = src
     u2, v2 = dst
-    out = []
     if u1 == 0:
-        iv1 = inv(v1)
-        b = mul(u2, iv1)
-        d = mul(v2, iv1)
+        iv1 = mul[inv(v1)]
+        b, d = iv1[u2], iv1[v2]
         if v2 != 0:
-            iv2 = inv(v2)
-            for c in range(q):
-                out.append((mul(add(v1, mul(c, u2)), iv2), b, c, d))
-        else:
-            c = neg(mul(v1, inv(u2)))
-            for a in range(q):
-                out.append((a, b, c, d))
-        return out
-    iu1 = inv(u1)
+            # a = (v1 + c*u2) / v2
+            iv2, v1_plus, ru2 = mul[inv(v2)], add[v1], mul[u2]
+            return [(iv2[v1_plus[ru2[c]]], b, c, d) for c in range(q)]
+        c = neg[mul[v1][inv(u2)]]
+        return [(a, b, c, d) for a in range(q)]
+    iu1, rnv1 = mul[inv(u1)], mul[neg[v1]]
+    v2_plus = add[v2]
     if u2 != 0:
-        iu2 = inv(u2)
+        # d = (u1 + v2*b) / u2, a = (u2 - b*v1) / u1, c = (v2 - d*v1) / u1
+        iu2, u1_plus, rv2, u2_plus = mul[inv(u2)], add[u1], mul[v2], add[u2]
+        out = []
         for b in range(q):
-            d = mul(add(u1, mul(v2, b)), iu2)
-            a = mul(sub(u2, mul(b, v1)), iu1)
-            c = mul(sub(v2, mul(d, v1)), iu1)
-            out.append((a, b, c, d))
-    else:
-        b = neg(mul(u1, inv(v2)))
-        a = mul(sub(u2, mul(b, v1)), iu1)
-        for d in range(q):
-            c = mul(sub(v2, mul(d, v1)), iu1)
-            out.append((a, b, c, d))
-    return out
+            d = iu2[u1_plus[rv2[b]]]
+            out.append((iu1[u2_plus[rnv1[b]]], b, iu1[v2_plus[rnv1[d]]], d))
+        return out
+    b = neg[mul[u1][inv(v2)]]
+    a = iu1[add[u2][rnv1[b]]]
+    return [(a, b, iu1[v2_plus[rnv1[d]]], d) for d in range(q)]
 
 
 def _grow_span(span: set, step, p: int) -> None:
@@ -187,7 +202,7 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
     |Stab_R(base)|, and R is the products t * h (stabilizer_fast).
     """
     q = ctx.q
-    codes = PointSet(q, bits).nonzero_codes
+    pts, member = _filter_side(q, bits)
     by_mult: dict = {}
     for mask in line_nonzero_masks(ctx):
         hit = bits & mask
@@ -198,7 +213,7 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
     dsts = PointSet(q, rare).nonzero_codes
     base = divmod(dsts[0], q)
     fixers = [
-        m for m in _transport_candidates(ctx, base, base) if _maps_into(ctx, m, codes, bits)
+        m for m in _transport_candidates(ctx, base, base) if _maps_into(ctx, m, pts, member)
     ]
     trans = {dsts[0]: IDENTITY}
     gens = []
@@ -229,7 +244,7 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
         if dst in trans:
             continue
         for g in _transport_candidates(ctx, base, divmod(dst, q)):
-            if _maps_into(ctx, g, codes, bits):
+            if _maps_into(ctx, g, pts, member):
                 accept(g)
                 break
     return fixers, trans
@@ -295,8 +310,8 @@ def complement_agrees(ctx: FieldCtx, E: PointSet, order: int) -> bool:
     fixers, trans = _transport_route(ctx, other)
     if len(trans) * len(fixers) != order:
         return False
-    codes = PointSet(ctx.q, used).nonzero_codes
-    return all(_maps_into(ctx, g, codes, used) for g in (*fixers, *trans.values()))
+    pts, member = _filter_side(ctx.q, used)
+    return all(_maps_into(ctx, g, pts, member) for g in (*fixers, *trans.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +827,7 @@ def triple_count_audit(
                 assert relation(ctx, by_pair[(u, v)], by_pair[(u, w)]) == "parallel"
                 parallel_pairs += 1
             for v, w, z in itertools.combinations(vs, 3):
-                assert not triple_coplanar(
+                assert not parallel_coplanar(
                     ctx, by_pair[(u, v)], by_pair[(u, w)], by_pair[(u, z)]
                 )
                 parallel_triples += 1

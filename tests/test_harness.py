@@ -28,13 +28,14 @@ from sl2lab.harness import (
     run_campaign,
 )
 from sl2lab.families import gen_family, parse_set_spec
-from sl2lab.plane import PointSet, apply_to_set, sl2_materialize
+from sl2lab.plane import PointSet, apply_to_set, parse_point, sl2_materialize
 from sl2lab.rng import nth_seed
 from sl2lab.stabilizer import (
     Constants,
     all_subset_stabilizer_orders,
     bound_report,
     line_partition,
+    stabilizer_brute,
 )
 
 
@@ -571,6 +572,35 @@ def test_two_line_campaign_gf3(tmp_path):
         assert row["two_lines_applicable"] is True
         assert row["two_lines_violated"] is False
         assert row["stab_order"] <= row["size_nonzero"]
+
+
+def test_two_line_order_reuse_across_odd_chunks(tmp_path, monkeypatch):
+    # rows 2k and 2k + 1 share E minus 0, so the producer computes R(E)
+    # once per pair; with CHUNK = 63 every other chunk starts on the odd
+    # half of a pair, and a resume restarts at an odd index, where the
+    # order must be computed afresh
+    kw = dict(campaign="two-line-exhaustive", p=2, r=2)
+    full = tmp_path / "full.csv"
+    res = run_campaign(CampaignConfig(workers=1, out=str(full), **kw))
+    assert res.summary["total_indices"] == 10 * 7 * 7 * 2
+    ctx = make_field(2, 2)
+    for row in res.rows:
+        pts = [parse_point(t) for t in row["descriptor"][len("points:"):].split(";")]
+        E = PointSet.from_points(ctx.q, pts)
+        assert E.bits & 1 == row["index"] % 2
+        assert row["stab_order"] == len(stabilizer_brute(ctx, E)), row["index"]
+
+    monkeypatch.setattr(harness, "CHUNK", 63)
+    for workers in (1, 2):
+        out = tmp_path / f"chunked{workers}.csv"
+        run_campaign(CampaignConfig(workers=workers, out=str(out), **kw))
+        assert out.read_bytes() == full.read_bytes()
+
+    part = tmp_path / "part.csv"
+    crash_campaign(monkeypatch, CampaignConfig(workers=1, out=str(part), **kw), at=189)
+    assert json.loads((tmp_path / "part.csv.ckpt").read_text())["next_start"] == 189
+    run_campaign(CampaignConfig(workers=1, out=str(part), resume=True, **kw))
+    assert part.read_bytes() == full.read_bytes()
 
 
 def test_lineset_campaign_gf5(tmp_path):

@@ -4,8 +4,11 @@ import itertools
 
 import pytest
 
+from sl2lab.gf import make_field
 from sl2lab.incidence3d import (
     IncidenceInstance,
+    _det3,
+    _dot,
     all_lines,
     build_instance,
     canonical_normals,
@@ -16,6 +19,7 @@ from sl2lab.incidence3d import (
     line_points,
     normal_pencil,
     on_line,
+    parallel_coplanar,
     plane_contains_line,
     plane_points,
     plane_richness,
@@ -25,7 +29,7 @@ from sl2lab.incidence3d import (
     transport_set,
     triple_coplanar,
 )
-from sl2lab.plane import mat_apply, sl2_elements, sl2_order
+from sl2lab.plane import line_of_point, mat_apply, sl2_elements, sl2_order
 from sl2lab.rng import DetRng, nth_seed
 
 
@@ -154,7 +158,7 @@ def test_projection_fiber_census(fields, q):
     assert sum(1 for (_, _, c) in fibers if c == 0) == q - 1
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
 def test_count_incidences_matches_brute(fields, q):
     ctx = fields[q]
     pool = list(itertools.product(range(q), repeat=3))
@@ -190,7 +194,7 @@ def test_plane_points_and_containment(fields, q):
                 set(line_points(ctx, ln)) <= set(pts))
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [3, 4, 5])
 def test_plane_richness_matches_brute(fields, q):
     ctx = fields[q]
     for trial in range(12):
@@ -291,3 +295,76 @@ def test_projection_flag_tracks_window(fields):
         by = {r.name: r for r in incidence_bound_report(ctx, inst)}
         assert by["projection"].applicable == inside
         assert by["projection_scale"].applicable == inside
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (2, 4), (61, 1), (2, 6)])
+def test_table_kernels_match_field_ops(p, r):
+    # independent of the kernels' table indexing: field ops written out
+    ctx = make_field(p, r)
+    q = ctx.q
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    rng = DetRng(q)
+    for _ in range(200):
+        u, v, w = (tuple(rng.below(q) for _ in range(3)) for _ in range(3))
+        dot = add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
+        assert _dot(ctx, u, v) == dot
+        m1 = sub(mul(v[1], w[2]), mul(v[2], w[1]))
+        m2 = sub(mul(v[0], w[2]), mul(v[2], w[0]))
+        m3 = sub(mul(v[0], w[1]), mul(v[1], w[0]))
+        det = add(sub(mul(u[0], m1), mul(u[1], m2)), mul(u[2], m3))
+        assert _det3(ctx, u, v, w) == det
+        if v != (0, 0, 0):
+            ln = line3(ctx, u, v)
+            b, d = ln.base, ln.dir
+            want = [tuple(add(b[i], mul(t, d[i])) for i in range(3)) for t in range(q)]
+            assert line_points(ctx, ln) == want
+
+
+def parallel_transport_triples(ctx):
+    """Every triple of transport lines from one probe u to three targets
+    on one origin line, probes and targets off both axes, as the audit
+    forms them: the lines of a triple share one direction."""
+    q = ctx.q
+    off_axes = [(x, y) for x in range(1, q) for y in range(1, q)]
+    for u in off_axes:
+        by_dir = {}
+        for v in off_axes:
+            by_dir.setdefault(line_of_point(ctx, v), []).append(transport_line(ctx, u, v))
+        for lines in by_dir.values():
+            yield from itertools.combinations(lines, 3)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_parallel_coplanar_matches_triple_coplanar_on_transport_lines(fields, q):
+    ctx = fields[q]
+    triples = 0
+    for l1, l2, l3 in parallel_transport_triples(ctx):
+        assert l1.dir == l2.dir == l3.dir
+        got = parallel_coplanar(ctx, l1, l2, l3)
+        assert got == triple_coplanar(ctx, l1, l2, l3)
+        assert not got  # the audit's claim: no three are coplanar
+        triples += 1
+    assert triples == (q - 1) ** 3 * (q - 1) * (q - 2) * (q - 3) // 6
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_parallel_coplanar_matches_triple_coplanar(fields, q):
+    # every direction's parallel lines, coplanar triples included
+    ctx = fields[q]
+    rng = DetRng(q)
+    by_dir = {}
+    for ln in all_lines(ctx):
+        by_dir.setdefault(ln.dir, []).append(ln)
+    coplanar = 0
+    for lines in by_dir.values():
+        triples = list(itertools.combinations(lines, 3))
+        for i in rng.sample(len(triples), min(len(triples), 60)):
+            l1, l2, l3 = triples[i]
+            got = parallel_coplanar(ctx, l1, l2, l3)
+            assert got == triple_coplanar(ctx, l1, l2, l3)
+            coplanar += got
+    assert coplanar > 0
+    l1, l2 = by_dir[(1, 0, 0)][:2]
+    with pytest.raises(ValueError):
+        parallel_coplanar(ctx, l1, l2, by_dir[(0, 0, 1)][0])

@@ -140,6 +140,23 @@ def test_action_kernel_matches_field_ops(fields, q):
                 assert act(ctx, m, x * q + y) == perm[x * q + y] == img[0] * q + img[1]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_mat_mul_matches_field_ops(fields, q):
+    # mat_mul indexes the mul/add rows; the product written out with
+    # ctx.add/ctx.mul is independent of that
+    ctx = fields[q]
+    add, mul = ctx.add, ctx.mul
+    rng = DetRng(q)
+    for _ in range(300):
+        m = sl2_unrank(ctx, rng.below(sl2_order(q)))
+        n = sl2_unrank(ctx, rng.below(sl2_order(q)))
+        a, b, c, d = m
+        e, f, g, h = n
+        want = (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+                add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
+        assert mat_mul(ctx, m, n) == want
+
+
 def test_mat_text_roundtrip(fields):
     ctx = fields[9]
     for i in (0, 1, 17, 100, 719):

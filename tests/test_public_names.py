@@ -15,8 +15,16 @@ import sl2lab
 
 # stabilizer_fast builds R(E) as a set, which no campaign needs; the
 # oracle tests compare it with stabilizer_brute, and the benchmark's
-# layer trace wraps it by name, so it stays.
-TEST_ORACLES = {"transport_set", "plane_points", "subgroup_closure", "stabilizer_fast"}
+# layer trace wraps it by name, so it stays.  triple_coplanar walks a
+# pencil of planes; the audit uses parallel_coplanar's one determinant,
+# and the tests hold the two together on parallel transport lines.
+TEST_ORACLES = {
+    "transport_set",
+    "plane_points",
+    "subgroup_closure",
+    "stabilizer_fast",
+    "triple_coplanar",
+}
 
 
 def _defined(stmt) -> list:

@@ -116,6 +116,90 @@ def test_transport_candidates_match_brute(fields, q):
             assert set(got) == transport_set(ctx, src, dst)
 
 
+def transport_by_field_ops(ctx, src, dst):
+    """_transport_candidates' formulas with ctx.add/sub/mul, in its order."""
+    q = ctx.q
+    add, sub, mul, inv, neg = ctx.add, ctx.sub, ctx.mul, ctx.inv, ctx.neg
+    (u1, v1), (u2, v2) = src, dst
+    if u1 == 0:
+        b, d = mul(u2, inv(v1)), mul(v2, inv(v1))
+        if v2 != 0:
+            return [(mul(add(v1, mul(c, u2)), inv(v2)), b, c, d) for c in range(q)]
+        return [(a, b, neg(mul(v1, inv(u2))), d) for a in range(q)]
+    out = []
+    if u2 != 0:
+        for b in range(q):
+            d = mul(add(u1, mul(v2, b)), inv(u2))
+            out.append((mul(sub(u2, mul(b, v1)), inv(u1)), b, mul(sub(v2, mul(d, v1)), inv(u1)), d))
+        return out
+    b = neg(mul(u1, inv(v2)))
+    a = mul(sub(u2, mul(b, v1)), inv(u1))
+    return [(a, b, mul(sub(v2, mul(d, v1)), inv(u1)), d) for d in range(q)]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16])
+def test_transport_candidates_match_brute_sampled(fields, q):
+    # two seeded pairs for each (src, dst) shape: on the y-axis (u = 0),
+    # on the x-axis (v = 0) or off both, so every branch runs, including
+    # u1 = 0 with v2 = 0 and u1 != 0 with u2 = 0
+    ctx = fields[q]
+    rng = DetRng(q)
+
+    def point(shape):
+        u, v = 1 + rng.below(q - 1), 1 + rng.below(q - 1)
+        return {"y-axis": (0, v), "x-axis": (u, 0), "off": (u, v)}[shape]
+
+    shapes = ("y-axis", "x-axis", "off")
+    for src_shape, dst_shape in itertools.product(shapes, repeat=2):
+        for _ in range(2):
+            src, dst = point(src_shape), point(dst_shape)
+            got = _transport_candidates(ctx, src, dst)
+            assert got == transport_by_field_ops(ctx, src, dst)
+            assert set(got) == transport_set(ctx, src, dst)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_transport_candidates_order_matches_field_ops(fields, q):
+    # the same candidates in the same order, so transversals do not move
+    ctx = fields[q]
+    pts = [divmod(code, q) for code in range(1, q * q)]
+    for src in pts[:: max(1, len(pts) // 12)]:
+        for dst in pts:
+            assert _transport_candidates(ctx, src, dst) == transport_by_field_ops(ctx, src, dst)
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (2, 4), (61, 1), (2, 6)])
+def test_filter_kernel_matches_act(p, r):
+    # for sampled theta and every point P: with member marking only
+    # act(theta, P) the kernel accepts [P], and with member marking every
+    # other code it rejects [P], so it computes act's image exactly
+    ctx = make_field(p, r)
+    q = ctx.q
+    rng = DetRng(q)
+    thetas = [IDENTITY] + [sl2_unrank(ctx, rng.below(sl2_order(q))) for _ in range(4)]
+    only = bytearray(q * q)
+    others = bytearray(b"\x01" * (q * q))
+    for m in thetas:
+        for x in range(q):
+            for y in range(q):
+                img = act(ctx, m, x * q + y)
+                only[img], others[img] = 1, 0
+                assert stabmod._maps_into(ctx, m, [(x, y)], only)
+                assert not stabmod._maps_into(ctx, m, [(x, y)], others)
+                only[img], others[img] = 0, 1
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16])
+def test_filter_side_marks_exactly_the_nonzero_points(fields, q):
+    ctx = fields[q]
+    for seed in range(5):
+        E = random_subset(q, seed)
+        pts, member = stabmod._filter_side(q, E.bits)
+        assert pts == [divmod(c, q) for c in E.nonzero_codes]
+        assert [i for i, v in enumerate(member) if v] == list(E.nonzero_codes)
+
+
 def orbit_union(ctx, seed):
     """(H, E): a seeded random subgroup H, built by the closure oracle,
     and a union of its orbits, so R(E) contains H and the transversal
