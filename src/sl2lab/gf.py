@@ -257,11 +257,15 @@ class FieldCtx:
 
 def make_field(p: int, r: int) -> FieldCtx:
     """Build GF(p^r) with the smallest-code monic irreducible modulus."""
+    # the size caps come before is_prime's trial division and before
+    # p**r, either of which runs unbounded on a huge p or r
+    if p > 256:
+        raise ValueError(f"p = {p} exceeds the supported maximum q = 256")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if r < 1:
         raise ValueError(f"degree r = {r} must be >= 1")
-    if p**r > 256:
+    if r > 8 or p**r > 256:
         raise ValueError(f"q = {p}^{r} exceeds the supported maximum 256")
     for k in itertools.count():
         digits = _digits(k, p, r) + [1]

@@ -377,23 +377,33 @@ def _gen_two_line(config, start, stop):
     codes = _cached(
         ctx, "line_codes", lambda: [PointSet(q, b).nonzero_codes for b in line_nonzero_masks(ctx)]
     )
+    # |R(E)| depends on (sub1, sub2) alone.  The k-th code of a line is
+    # t * u with t the k-th nonzero element, for every canonical
+    # direction u, so some h in GL2 with h(t * u_i) = (t, 0) and
+    # h(t * u_j) = (0, t) carries E onto the set with the same
+    # sub-indices on the axis pair (0, q).  SL2 is normal in GL2, so
+    # R(hE) = h R(E) h^-1 and the orders agree; the origin bit is
+    # ignored by R(E).  The memo holds the axis-pair order per
+    # (sub1, sub2), and _spot still checks the row's own E by brute force.
+    orders = _cached(ctx, "two_line_orders", dict)
+
+    def pick(line, sub):
+        bits = 0
+        for k, code in enumerate(codes[line]):
+            if (sub + 1) >> k & 1:
+                bits |= 1 << code
+        return bits
+
     for index in range(start, stop):
-        # the origin bit is the lowest digit, so 2k and 2k + 1 share
-        # E minus 0 and with it R(E), which ignores the origin
         rest, origin_bit = divmod(index, 2)
         rest, sub2 = divmod(rest, m)
         pair_idx, sub1 = divmod(rest, m)
         i, j = pairs[pair_idx]
-        bits = origin_bit
-        for k, code in enumerate(codes[i]):
-            if (sub1 + 1) >> k & 1:
-                bits |= 1 << code
-        for k, code in enumerate(codes[j]):
-            if (sub2 + 1) >> k & 1:
-                bits |= 1 << code
-        E = PointSet(q, bits)
-        if not origin_bit or index == start:
-            order = stabilizer_order(ctx, E)
+        E = PointSet(q, origin_bit | pick(i, sub1) | pick(j, sub2))
+        order = orders.get((sub1, sub2))
+        if order is None:
+            axes = PointSet(q, pick(0, sub1) | pick(q, sub2))
+            order = orders[sub1, sub2] = stabilizer_order(ctx, axes)
         _spot(ctx, E, order, index)
         yield _report_item(ctx, index, E, order, config)
 
@@ -796,11 +806,16 @@ def _csv_quote(text: str) -> str:
 
 
 def _json_row(row: dict, rendered) -> str:
+    """One row as json.dump(indent=1) lays it out inside the rows list.
+
+    A memoized report row's index is an int and its descriptor a
+    PointSet.text() literal, whose characters (points:(),; and digits)
+    JSON never escapes, so both are written as they are."""
     if rendered is None:
         return "\n  " + _json_object(row, 2)
     return (
-        f'\n  {{\n{_ROW_PAD}"index": {json.dumps(row["index"])},'
-        f'\n{_ROW_PAD}"descriptor": {json.dumps(row["descriptor"])},\n{rendered[2]}\n  }}'
+        f'\n  {{\n{_ROW_PAD}"index": {row["index"]},'
+        f'\n{_ROW_PAD}"descriptor": "{row["descriptor"]}",\n{rendered[2]}\n  }}'
     )
 
 

@@ -24,12 +24,20 @@ The hot kernels (_dot, _det3, line_points, count_incidences,
 plane_richness) index the field's add/mul rows and negation table
 directly, one subscript per field operation; on_line and
 count_incidences_brute, the incidence oracle, keep the ctx.add/ctx.mul
-calls.
+calls.  Line3 is a NamedTuple, so the sets and dicts of lines hash and
+compare them in C.  Two per-line caches on ctx serve the campaigns,
+which meet the same lines again and again: count_incidences keeps each
+line's q points, and plane_richness keeps each line's q + 1 planes as
+integer keys normal_index * q + offset, counted in a Counter and turned
+back into a (normal, offset) witness only for the tied maxima.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf import FieldCtx
 from .plane import mat_apply, sl2_materialize
@@ -61,8 +69,7 @@ def _det3(ctx, u, v, w):
     return add[add[mul[u[0]][m1]][neg[mul[u[1]][m2]]]][mul[u[2]][m3]]
 
 
-@dataclass(frozen=True)
-class Line3:
+class Line3(NamedTuple):
     """A line of F_q^3 in canonical (base, dir) form; build via line3()."""
 
     base: tuple
@@ -162,9 +169,15 @@ def count_incidences(ctx: FieldCtx, points, lines) -> int:
     the independent check.
     """
     pset = set(points)
+    cache = ctx._cache.get("line_points")
+    if cache is None:
+        cache = ctx._cache["line_points"] = {}
     total = 0
     for ln in lines:
-        total += len(pset.intersection(line_points(ctx, ln)))
+        pts = cache.get(ln)
+        if pts is None:
+            pts = cache[ln] = tuple(line_points(ctx, ln))
+        total += len(pset.intersection(pts))
     assert 0 <= total <= len(pset) * len(set(lines))
     return total
 
@@ -210,26 +223,52 @@ def plane_points(ctx: FieldCtx, plane):
     ]
 
 
+def _normal_table(ctx: FieldCtx) -> tuple:
+    """(normals, index): canonical_normals as a tuple and each normal's
+    position in it, cached on ctx."""
+    table = ctx._cache.get("normal_table")
+    if table is None:
+        normals = tuple(canonical_normals(ctx))
+        table = ctx._cache["normal_table"] = (normals, {n: i for i, n in enumerate(normals)})
+    return table
+
+
+def _plane_keys(ctx: FieldCtx, line: Line3) -> tuple:
+    """The q + 1 planes holding line, each as the integer key
+    normal_index * q + offset (normal_index its position in
+    canonical_normals), cached on ctx per line."""
+    cache = ctx._cache.get("plane_keys")
+    if cache is None:
+        cache = ctx._cache["plane_keys"] = {}
+    keys = cache.get(line)
+    if keys is None:
+        q, add, mul = ctx.q, ctx.add_rows, ctx.mul_rows
+        index = _normal_table(ctx)[1]
+        bx, by, bz = (mul[b] for b in line.base)  # the offset n . base, inline
+        keys = cache[line] = tuple(
+            index[n] * q + add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]]
+            for n in normal_pencil(ctx, line.dir)
+        )
+    return keys
+
+
 def plane_richness(ctx: FieldCtx, lines):
     """(M, witness): the max number of the given lines lying in one plane.
 
     Each line lies in exactly q + 1 planes (its normal pencil), so
     counting those per line is exact without enumerating all
-    q(q^2+q+1) planes; ties break to the lexicographically smallest
-    witness.  Empty input gives (0, None).
+    q(q^2+q+1) planes; the counts run on integer plane keys
+    (_plane_keys), and ties break to the lexicographically smallest
+    (normal, offset) witness.  Empty input gives (0, None).
     """
-    add, mul = ctx.add_rows, ctx.mul_rows
-    counts: dict = {}
-    for ln in set(lines):
-        bx, by, bz = ln.base
-        bx, by, bz = mul[bx], mul[by], mul[bz]  # the offset n . base, inline
-        for n in normal_pencil(ctx, ln.dir):
-            plane = (n, add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]])
-            counts[plane] = counts.get(plane, 0) + 1
+    counts = Counter(itertools.chain.from_iterable(_plane_keys(ctx, ln) for ln in set(lines)))
     if not counts:
         return 0, None
     best = max(counts.values())
-    witness = min(p for p, c in counts.items() if c == best)
+    normals, q = _normal_table(ctx)[0], ctx.q
+    witness = min(
+        (normals[key // q], key % q) for key, count in counts.items() if count == best
+    )
     return best, witness
 
 

@@ -71,10 +71,25 @@ class DetRng:
         """
         if not 0 <= k <= n:
             raise ValueError("sample() needs 0 <= k <= n")
+        if k and n > _MASK + 1:
+            raise ValueError("below() needs 1 <= n <= 2**64; use bits() beyond")
+        # below(n - i) per draw, with next64 and _mix inlined: the same
+        # stream, one state write at the end
         swapped: dict[int, int] = {}
         out = []
+        state = self._state
         for i in range(k):
-            j = i + self.below(n - i)
+            m = n - i
+            limit = _MASK + 1 - ((_MASK + 1) % m)
+            while True:
+                state = (state + _GOLDEN) & _MASK
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    break
+            j = i + z % m
             out.append(swapped.get(j, j))
             swapped[j] = swapped.get(i, i)
+        self._state = state
         return out

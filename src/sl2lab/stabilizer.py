@@ -39,7 +39,12 @@ orbit decompositions and orders of a generated subgroup (again by
 orbit-stabilizer, with Schreier generators for the point stabilizer),
 per-set bound reports, and the triple-count audit that replays the
 incidence-geometry argument behind the |R(E)| <= 16 c^2 (m0 m1)^{3/2}
-cap, identity by identity.
+cap, identity by identity.  The line-set stabilizer intersects bitsets
+over the group, one per (direction, image direction) pair, built once
+per field from the action on directions.  The audit's group S of
+class-set permuters is R(U) for the union U of the class sets, found by
+_maps_into over the whole group, so it stays a brute filter that shares
+no candidates with the transport route it checks.
 """
 
 from __future__ import annotations
@@ -356,7 +361,9 @@ def line_partition(ctx: FieldCtx, E: PointSet) -> LinePartition:
 
 
 def _line_action(ctx: FieldCtx) -> tuple:
-    """(theta, image index of every direction) for each group element.
+    """(mats, hits): the group elements in sl2_materialize order, and
+    hits[i][j], the bitset over their positions of the elements carrying
+    direction i to direction j.
 
     Built once per field with line_apply, the action on directions, so
     the line-set route shares nothing with the point-set routes.
@@ -364,32 +371,44 @@ def _line_action(ctx: FieldCtx) -> tuple:
     table = ctx._cache.get("line_action")
     if table is None:
         lines = proj_lines(ctx)
-        table = ctx._cache["line_action"] = tuple(
-            (m, tuple(line_index(ctx, line_apply(ctx, m, ln)) for ln in lines))
-            for m in sl2_materialize(ctx)
-        )
+        mats = tuple(sl2_materialize(ctx))
+        size = (len(mats) + 7) // 8
+        rows = [[bytearray(size) for _ in lines] for _ in lines]
+        for pos, m in enumerate(mats):
+            byte, bit = pos >> 3, 1 << (pos & 7)
+            for i, ln in enumerate(lines):
+                rows[i][line_index(ctx, line_apply(ctx, m, ln))][byte] |= bit
+        hits = tuple(tuple(int.from_bytes(b, "little") for b in row) for row in rows)
+        table = ctx._cache["line_action"] = (mats, hits)
     return table
 
 
 def line_set_stabilizer(ctx: FieldCtx, lines) -> set:
     """All theta permuting the given set of directions among themselves.
 
-    Exact filter over the group's cached action on directions.  For
-    three or more lines the result is asserted against the
+    Exact filter over the group's cached action on directions: theta
+    qualifies when it carries each picked direction i into the set, so
+    the answer is the AND over i of the OR over picked j of hits[i][j].
+    For three or more lines the result is asserted against the
     2 m^3 (m-1)^2 cap, which holds for every set of directions.
     """
     lineset = frozenset(lines)
     if not lineset:
         raise ValueError("need at least one line")
     picked = [line_index(ctx, ln) for ln in lineset]  # validates canonical form
-    mask = sum(1 << i for i in picked)
+    mats, hits = _line_action(ctx)
+    keep = (1 << len(mats)) - 1
+    for i in picked:
+        row = hits[i]
+        into = 0
+        for j in picked:
+            into |= row[j]
+        keep &= into
     out = set()
-    for m, perm in _line_action(ctx):
-        for i in picked:
-            if not (mask >> perm[i]) & 1:
-                break
-        else:
-            out.add(m)
+    while keep:
+        low = keep & -keep
+        out.add(mats[low.bit_length() - 1])
+        keep ^= low
     count = len(lineset)
     if count >= 3:
         assert len(out) <= 2 * count**3 * (count - 1) ** 2
@@ -709,6 +728,23 @@ class TripleCountAudit:
     parallel_triples: int
 
 
+def _class_set_preservers(ctx: FieldCtx, class_sets) -> list:
+    """S, the elements permuting the class sets (tuples of packed codes,
+    one per class line) among themselves, in sl2_materialize order.
+
+    Each class set is U ∩ L for its class line L, U their union, and
+    theta permutes origin lines, so theta permutes the class sets exactly
+    when theta(U) = U: S is R(U).  It is found by the brute filter over
+    the whole group, never by the transport route the audit checks.
+    """
+    union = 0
+    for cs in class_sets:
+        for code in cs:
+            union |= 1 << code
+    pts, member = _filter_side(ctx.q, union)
+    return [m for m in sl2_materialize(ctx) if _maps_into(ctx, m, pts, member)]
+
+
 def triple_count_audit(
     ctx: FieldCtx, E: PointSet, multiplicity: int, c: float = 1.0
 ) -> TripleCountAudit:
@@ -749,13 +785,7 @@ def triple_count_audit(
             bits ^= low
         class_sets.append(tuple(codes))
 
-    # S: elements permuting the class point sets among themselves
-    frozen = {frozenset(cs) for cs in class_sets}
-    preservers = [
-        m
-        for m in sl2_materialize(ctx)
-        if all(frozenset(act(ctx, m, code) for code in cs) in frozen for cs in class_sets)
-    ]
+    preservers = _class_set_preservers(ctx, class_sets)
     movers = [m for m in preservers if m[2] != 0]  # these move the x-axis
     fixers = [m for m in preservers if m[2] == 0]
 

@@ -1,11 +1,16 @@
 """Field arithmetic against frozen tables, classical identities, and axioms."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2lab import gf
 from sl2lab.gf import (
     ElemSet,
     is_prime,
@@ -224,14 +229,27 @@ def test_elemset_role_validation(fields):
 
 
 def test_make_field_guards():
-    with pytest.raises(ValueError):
-        make_field(4, 1)   # not prime
+    for composite in (4, 255):
+        with pytest.raises(ValueError, match="is not prime"):
+            make_field(composite, 1)
     with pytest.raises(ValueError):
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_field(2, 20)  # beyond q = 256
     with pytest.raises(ValueError):
         make_field(257, 1)
+
+
+@pytest.mark.parametrize("p,r", [(3, 100_000_000), (1_000_000_000_000_000_003, 1)])
+def test_make_field_rejects_huge_fields_at_once(p, r):
+    # trial division of p, or p**r, would run far past the timeout; the
+    # subprocess keeps a regression from hanging the suite
+    code = f"from sl2lab.gf import make_field\nmake_field({p}, {r})\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(gf.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert done.returncode == 1
+    assert "ValueError" in done.stderr and "exceeds the supported maximum" in done.stderr
 
 
 def test_field_cache_identity():

@@ -29,7 +29,7 @@ from sl2lab.harness import (
 )
 from sl2lab.families import gen_family, parse_set_spec
 from sl2lab.plane import PointSet, apply_to_set, parse_point, sl2_materialize
-from sl2lab.rng import nth_seed
+from sl2lab.rng import DetRng, nth_seed
 from sl2lab.stabilizer import (
     Constants,
     all_subset_stabilizer_orders,
@@ -575,10 +575,10 @@ def test_two_line_campaign_gf3(tmp_path):
 
 
 def test_two_line_order_reuse_across_odd_chunks(tmp_path, monkeypatch):
-    # rows 2k and 2k + 1 share E minus 0, so the producer computes R(E)
-    # once per pair; with CHUNK = 63 every other chunk starts on the odd
-    # half of a pair, and a resume restarts at an odd index, where the
-    # order must be computed afresh
+    # the producer reads |R(E)| from a per-(sub1, sub2) memo; with
+    # CHUNK = 63 every other chunk starts on the odd half of an index
+    # pair, and a resume restarts at an odd index, in a process whose
+    # memo may be empty or full
     kw = dict(campaign="two-line-exhaustive", p=2, r=2)
     full = tmp_path / "full.csv"
     res = run_campaign(CampaignConfig(workers=1, out=str(full), **kw))
@@ -601,6 +601,34 @@ def test_two_line_order_reuse_across_odd_chunks(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "part.csv.ckpt").read_text())["next_start"] == 189
     run_campaign(CampaignConfig(workers=1, out=str(part), resume=True, **kw))
     assert part.read_bytes() == full.read_bytes()
+
+
+def two_line_rows(p, r, indices):
+    """(row, E) for the given two-line-exhaustive indices, straight from
+    the producer, E rebuilt from the row's descriptor."""
+    config = CampaignConfig(campaign="two-line-exhaustive", p=p, r=r)
+    ctx = make_field(p, r)
+    for index in indices:
+        for _, row, _, _ in harness._gen_two_line(config, index, index + 1):
+            yield row, gen_family(ctx, parse_set_spec(row["descriptor"]))
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1)])
+def test_two_line_axis_pair_order_matches_brute(p, r):
+    # every (pair, sub1, sub2): the memo holds the order of the axis-pair
+    # set, which GL2 conjugacy makes the order of the row's own set
+    ctx = make_field(p, r)
+    total = CAMPAIGNS["two-line-exhaustive"].total(None, ctx)
+    for row, E in two_line_rows(p, r, range(0, total, 2)):  # 2k + 1 adds the origin
+        assert row["stab_order"] == len(stabilizer_brute(ctx, E)), row["index"]
+
+
+def test_two_line_axis_pair_order_matches_brute_q7():
+    # q = 7 is past the campaign's cap; the producer itself still runs
+    ctx = make_field(7, 1)
+    total = CAMPAIGNS["two-line-exhaustive"].total(None, ctx)
+    for row, E in two_line_rows(7, 1, DetRng(77).sample(total, 300)):
+        assert row["stab_order"] == len(stabilizer_brute(ctx, E)), row["index"]
 
 
 def test_lineset_campaign_gf5(tmp_path):
@@ -924,6 +952,24 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     code = main(["exhaustive", "--p", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "3", "--r", "100000000"],
+    ["field", "--p", "1000000000000000003"],
+    ["incidence", "--p", "1000000000000000003", "--budget", "5", "--out", "x.csv"],
+    ["exhaustive", "--p", "3", "--r", "100000000", "--out", "x.csv"],
+], ids=["field-r", "field-p", "incidence-p", "exhaustive-r"])
+def test_cli_huge_field_exits_2(tmp_path, argv):
+    # each of these used to hang in make_field before its q <= 256 cap
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sl2lab.harness", *argv],
+        capture_output=True, text=True, env=env, timeout=10, cwd=tmp_path,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "exceeds the supported maximum" in done.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):

@@ -194,7 +194,7 @@ def test_plane_points_and_containment(fields, q):
                 set(line_points(ctx, ln)) <= set(pts))
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_plane_richness_matches_brute(fields, q):
     ctx = fields[q]
     for trial in range(12):

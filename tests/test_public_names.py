@@ -8,6 +8,9 @@ does not.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -90,3 +93,26 @@ def test_every_public_method_is_used_in_src():
                     if loads[fn.name] == _attribute_loads(fn)[fn.name]:
                         unused.append(f"{module}: {cls.name}.{fn.name}")
     assert not unused, "public methods nothing in src/ uses: " + ", ".join(unused)
+
+
+INSTALL_TRACER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import sl2lab.harness
+import layers
+layers.install(layers.Tracer())
+"""
+
+
+def test_benchmark_layer_trace_finds_every_name():
+    # perfbench/layers.py wraps program names given as strings, so a
+    # rename would otherwise surface only in a traced benchmark run; -B
+    # keeps the import from writing bytecode into perfbench/
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    env = dict(os.environ, PYTHONPATH=str(Path(sl2lab.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", INSTALL_TRACER, str(perfbench)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert "untraced:" not in done.stderr, done.stderr
+    assert done.returncode == 0, done.stderr

@@ -108,3 +108,45 @@ def test_below_rejects_beyond_word():
     with pytest.raises(ValueError):
         DetRng(0).below(1 << 81)
     assert 0 <= DetRng(0).below(1 << 64) < (1 << 64)
+
+
+def below_loop_sample(rng, n, k):
+    """sample() as one below() call per draw: the formula sample() inlines."""
+    swapped = {}
+    out = []
+    for i in range(k):
+        j = i + rng.below(n - i)
+        out.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    return out
+
+
+def stream_steps(before, after):
+    """How many next64 steps carry the state from before to after."""
+    return ((after - before) * pow(0x9E3779B97F4A7C15, -1, 1 << 64)) & MASK
+
+
+@pytest.mark.parametrize("n,ks", [
+    (1, (0, 1)),
+    (7, (0, 1, 3, 7)),
+    (2**63 + 1, (0, 1, 40)),  # the first draw rejects about half its raw values
+    (2**63 + 64, (0, 1, 40)),  # and here each of the 40 draws does
+    (2**64, (0, 1, 40)),
+])
+@pytest.mark.parametrize("seed", [0, 5, MASK])
+def test_sample_matches_below_loop(n, ks, seed):
+    for k in ks:
+        fast, slow = DetRng(seed), DetRng(seed)
+        assert fast.sample(n, k) == below_loop_sample(slow, n, k)
+        assert fast._state == slow._state
+        assert fast.next64() == slow.next64()
+    if n == 2**63 + 64:
+        rng = DetRng(seed)
+        rng.sample(n, 40)
+        assert stream_steps(seed, rng._state) > 50  # rejections did happen
+
+
+def test_sample_rejects_beyond_word():
+    with pytest.raises(ValueError):
+        DetRng(0).sample(2**64 + 1, 1)
+    assert DetRng(0).sample(2**64 + 1, 0) == []

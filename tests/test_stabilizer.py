@@ -399,20 +399,25 @@ def test_line_partition(fields):
     assert not part_full.all_classes_small
 
 
-@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_line_set_stabilizer_matches_brute(fields, q):
-    from sl2lab.plane import line_apply
+    from sl2lab.plane import line_apply, line_index
 
     ctx = fields[q]
     lines = proj_lines(ctx)
-    for lineset in [lines[:1], lines[:2], lines[:3], (lines[0], lines[2], lines[q]),
-                    lines[:4], lines]:
-        got = line_set_stabilizer(ctx, lineset)
-        want = {
-            m for m in sl2_materialize(ctx)
-            if {line_apply(ctx, m, ln) for ln in lineset} == set(lineset)
-        }
-        assert got == want
+    # the per-element filter the bitsets replace: each element's image
+    # index of every direction, then every picked direction into the set
+    perms = [
+        (m, [line_index(ctx, line_apply(ctx, m, ln)) for ln in lines])
+        for m in sl2_materialize(ctx)
+    ]
+    linesets = [lines[:1], lines[:2], lines]
+    linesets += itertools.combinations(lines, 3)
+    linesets += itertools.combinations(lines, 4)
+    for lineset in linesets:
+        picked = {line_index(ctx, ln) for ln in lineset}
+        want = {m for m, perm in perms if all(perm[i] in picked for i in picked)}
+        assert line_set_stabilizer(ctx, lineset) == want
     # known orders: one line q(q-1); the axis pair 2(q-1); all lines everything
     assert len(line_set_stabilizer(ctx, [lines[0]])) == q * (q - 1)
     assert len(line_set_stabilizer(ctx, [(1, 0), (0, 1)])) == 2 * (q - 1)
@@ -684,6 +689,45 @@ def test_audit_random_uniform_sets(fields):
         assert audit.transport_total >= max(0, m0 - 4) * audit.preserver_count
         assert audit.fixer_part <= audit.pair_cap <= audit.class_cap
         assert audit.stab_order == len(stabilizer_brute(ctx, E))
+
+
+def act_image_preservers(ctx, class_sets):
+    """S as the elements whose act images of every class set are again a
+    class set: the formula _class_set_preservers replaces by R(U)."""
+    frozen = {frozenset(cs) for cs in class_sets}
+    return [
+        m
+        for m in sl2_materialize(ctx)
+        if all(frozenset(act(ctx, m, code) for code in cs) in frozen for cs in class_sets)
+    ]
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_audit_preservers_match_act_images(fields, q, monkeypatch):
+    from sl2lab.harness import random_uniform_class_set
+
+    ctx = fields[q]
+    seen = []
+    real = stabmod._class_set_preservers
+
+    def recorded(ctx, class_sets):
+        out = real(ctx, class_sets)
+        seen.append((class_sets, out))
+        return out
+
+    monkeypatch.setattr(stabmod, "_class_set_preservers", recorded)
+    cases = [random_uniform_class_set(ctx, nth_seed(7100 + q, t)) for t in range(40)]
+    if q == 9:
+        sub = subfield_elements(ctx, 1).members
+        cases.append((PointSet.from_points(9, [(x, y) for x in sub for y in sub]), 4, 2))
+    normalized = 0
+    for E, _, m1 in cases:
+        audit = triple_count_audit(ctx, E, m1)
+        normalized += audit.normalizer != IDENTITY
+        class_sets, got = seen.pop()
+        assert got == act_image_preservers(ctx, class_sets)
+        assert len(got) == audit.preserver_count
+    assert normalized  # some cases went through normalize_two_lines
 
 
 def test_audit_rejects_missing_multiplicity(fields):
