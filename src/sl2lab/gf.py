@@ -12,15 +12,21 @@ relies on for byte-identical output.
     ctx = make_field(3, 2)        # GF(9), modulus t^2 + 1
     ctx.mul(4, 7); ctx.inv(5); ctx.pow(2, -3)
 
-Arithmetic is installed on the context as precomputed dense q*q tables.
-The ctx.add/ctx.mul closures read them one operation per call; hot
-loops index the tables themselves (add_rows[x][y], mul_rows[x][y]) and
-skip the call.  Contexts are immutable after construction.  make_field
-rejects fields larger than q = 256; no campaign goes past q = 64.
+Arithmetic is installed on the context as precomputed tables of q rows
+of q: x + y is add_rows[x][y] and x * y is mul_rows[x][y].  The
+ctx.add/ctx.mul closures read them one operation per call; hot loops
+index the rows themselves and skip the call.  make_field rejects fields
+larger than q = 256; no campaign goes past q = 64.
+
+The context owns all per-field state: the geometry and campaign tables
+other modules derive from (p, r) are built on first use through
+ctx.memo.  make_field keeps the last field it built, so a process that
+works on one field builds it once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -130,9 +136,7 @@ class FieldCtx:
       modulus          -- modulus digit tuple, degree 0 first, length r+1
       modulus_code     -- its integer code (leading term included)
       primitive        -- smallest code generating the multiplicative group
-      add_table, mul_table -- dense q*q tuples; x + y is add_table[x*q + y]
-                          and x * y is mul_table[x*q + y]
-      add_rows, mul_rows -- the same tables cut into q rows of q;
+      add_rows, mul_rows -- q tuples of q codes each;
                           x + y is add_rows[x][y] and x * y is mul_rows[x][y]
       neg_table        -- length-q tuple; -x is neg_table[x]
       add, sub, neg, mul, inv, div, pow -- operations on integer codes
@@ -140,6 +144,9 @@ class FieldCtx:
     The operations are closures over precomputed tables, so they do not
     pickle; a pool worker inherits its parent's context under fork or
     rebuilds it from (p, r), which is cheap and deterministic.
+
+    Everything else derived from the field is kept by memo(), the only
+    reader and writer of the private _cache dict.
     """
 
     def __init__(self, p: int, r: int, modulus_digits):
@@ -149,7 +156,7 @@ class FieldCtx:
         self.q = q
         self.modulus = tuple(modulus_digits)
         self.modulus_code = _encode(modulus_digits, p)
-        self._cache: dict = {}  # derived per-field tables: geometry and campaigns
+        self._cache: dict = {}  # memo's tables: geometry and campaigns
 
         def raw_mul(x, y, _m=self.modulus, _p=p, _r=r):
             a = _digits(x, _p, _r)
@@ -189,33 +196,28 @@ class FieldCtx:
         qm1 = q - 1
 
         if p == 2:
-            add_tab = [x ^ y for x in range(q) for y in range(q)]
+            add_rows = [[x ^ y for y in range(q)] for x in range(q)]
         elif r == 1:
-            add_tab = [(x + y) % p for x in range(p) for y in range(p)]
+            add_rows = [[(x + y) % p for y in range(p)] for x in range(p)]
         else:
             digs = [_digits(c, p, r) for c in range(q)]
-            add_tab = [
-                _encode([(a + b) % p for a, b in zip(digs[x], digs[y])], p)
+            add_rows = [
+                [_encode([(a + b) % p for a, b in zip(digs[x], digs[y])], p) for y in range(q)]
                 for x in range(q)
-                for y in range(q)
             ]
-        mul_tab = [0] * (q * q)
+        mul_rows = [[0] * q]
         for x in range(1, q):
-            row = x * q
             lx = log[x]
-            for y in range(1, q):
-                mul_tab[row + y] = exp[(lx + log[y]) % qm1]
+            mul_rows.append([0] + [exp[(lx + log[y]) % qm1] for y in range(1, q)])
         inv_tab = [0] * q
         for x in range(1, q):
             inv_tab[x] = exp[(qm1 - log[x]) % qm1]
-        add_tab = self.add_table = tuple(add_tab)
-        mul_tab = self.mul_table = tuple(mul_tab)
-        self.add_rows = tuple(add_tab[x * q : x * q + q] for x in range(q))
-        self.mul_rows = tuple(mul_tab[x * q : x * q + q] for x in range(q))
+        add_rows = self.add_rows = tuple(map(tuple, add_rows))
+        mul_rows = self.mul_rows = tuple(map(tuple, mul_rows))
         neg = self.neg_table = tuple(neg)
-        self.add = lambda x, y, _t=add_tab, _q=q: _t[x * _q + y]
-        self.mul = lambda x, y, _t=mul_tab, _q=q: _t[x * _q + y]
-        self.sub = lambda x, y, _t=add_tab, _n=neg, _q=q: _t[x * _q + _n[y]]
+        self.add = lambda x, y, _t=add_rows: _t[x][y]
+        self.mul = lambda x, y, _t=mul_rows: _t[x][y]
+        self.sub = lambda x, y, _t=add_rows, _n=neg: _t[x][_n[y]]
 
         def inv(x, _t=inv_tab):
             if x == 0:
@@ -242,6 +244,18 @@ class FieldCtx:
 
         self.pow = powf
 
+    def memo(self, key, build, *args):
+        """The table kept under key, built by build(*args) on first use.
+        build is named at the call, not at import, so a wrapped builder
+        (a tracer, a test double) runs; per-row callers pass a function
+        and its arguments, since a lambda costs a closure per call."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        value = self._cache[key] = build(*args)
+        return value
+
     def __eq__(self, other):
         return (
             isinstance(other, FieldCtx)
@@ -255,8 +269,11 @@ class FieldCtx:
         return f"FieldCtx(q={self.q}, p={self.p}, r={self.r}, modulus_code={self.modulus_code})"
 
 
+@functools.lru_cache(maxsize=1)
 def make_field(p: int, r: int) -> FieldCtx:
-    """Build GF(p^r) with the smallest-code monic irreducible modulus."""
+    """Build GF(p^r) with the smallest-code monic irreducible modulus.
+    The last field built is kept: the driver, its producers and forked
+    pool workers share one context and its memo."""
     # the size caps come before is_prime's trial division and before
     # p**r, either of which runs unbounded on a huge p or r
     if p > 256:
@@ -287,9 +304,6 @@ class ElemSet:
 
     def __len__(self):
         return len(self.members)
-
-    def __contains__(self, code):
-        return code in self.members
 
     def validate(self, ctx: FieldCtx) -> None:
         """Check the closure properties promised by the role tag."""

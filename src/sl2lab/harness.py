@@ -251,21 +251,10 @@ _INCIDENCE_COLUMNS = ["index", "points", "lines", "incidences", "plane_max"] + [
 
 
 # ---------------------------------------------------------------------------
-# Per-process state lives on the field context.  _field keeps the last
-# field this process built, for run_campaign, the producers and the pool
-# workers: a forked worker inherits it, a spawned one builds it on first
-# use.  Campaign tables sit in its _cache beside the geometry tables.
-
-
-@functools.lru_cache(maxsize=1)
-def _field(p: int, r: int) -> FieldCtx:
-    return make_field(p, r)
-
-
-def _cached(ctx: FieldCtx, key, build):
-    if key not in ctx._cache:
-        ctx._cache[key] = build()
-    return ctx._cache[key]
+# Per-process state lives on the field context.  make_field keeps the
+# last field this process built, for run_campaign, the producers and the
+# pool workers: a forked worker inherits it, a spawned one builds it on
+# first use.  Campaign tables sit in its memo beside the geometry tables.
 
 
 def _spot(ctx: FieldCtx, E: PointSet, stab_order: int, index: int) -> None:
@@ -291,10 +280,10 @@ def _report_item(ctx, index, E, stab_order, config) -> tuple:
     line, so the tail is memoized on the field on that key (with the
     constants); bound_report runs once per distinct key.  The memo keeps
     a row template to copy and rendered, the tail already formatted: its
-    cells, its finished CSV text (csv.writer's, line end included) and
-    its JSON members.
+    finished CSV text (csv.writer's, line end included) and its JSON
+    members.
     """
-    memo = _cached(ctx, ("tails", config.c, config.c1, config.c2, config.alpha, config.beta), dict)
+    memo = ctx.memo(("tails", config.c, config.c1, config.c2, config.alpha, config.beta), dict)
     mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
     key = (stab_order, E.size, mults, contained_in_line(ctx, E))
     entry = memo.get(key)
@@ -322,8 +311,7 @@ def _report_item(ctx, index, E, stab_order, config) -> tuple:
             tail[f"{name}_violated"] = r.violated
         bad = rep.violations()
         tail["violations"] = ";".join(bad)
-        cells = tuple(_fmt(v) for v in tail.values())
-        rendered = (cells, _csv_text([cells]), _json_members(tail, _ROW_PAD))
+        rendered = (_csv_text([[_fmt(v) for v in tail.values()]]), _json_members(tail, _ROW_PAD))
         template = {"index": None, "descriptor": None, **tail}
         entry = memo[key] = (template, len(bad), rendered)
     template, nviol, rendered = entry
@@ -341,18 +329,17 @@ def _report_item(ctx, index, E, stab_order, config) -> tuple:
 
 
 def _gen_exhaustive(config, start, stop):
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     q = ctx.q
     if q <= 4:
-        counts = _cached(ctx, "counts", lambda: all_subset_stabilizer_orders(ctx))
+        counts = ctx.memo("counts", all_subset_stabilizer_orders, ctx)
         for mask in range(start, stop):
             E = PointSet(q, mask)
             order = counts[mask]
             _spot(ctx, E, order, mask)
             yield _report_item(ctx, mask, E, order, config)
     else:
-        sample = _cached(
-            ctx,
+        sample = ctx.memo(
             ("sample", config.seed, config.budget),
             lambda: DetRng(config.seed).sample(1 << (q * q), config.budget),
         )
@@ -371,11 +358,11 @@ def _two_line_space(ctx):
 
 
 def _gen_two_line(config, start, stop):
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     q = ctx.q
     pairs, m = _two_line_space(ctx)
-    codes = _cached(
-        ctx, "line_codes", lambda: [PointSet(q, b).nonzero_codes for b in line_nonzero_masks(ctx)]
+    codes = ctx.memo(
+        "line_codes", lambda: [PointSet(q, b).nonzero_codes for b in line_nonzero_masks(ctx)]
     )
     # |R(E)| depends on (sub1, sub2) alone.  The k-th code of a line is
     # t * u with t the k-th nonzero element, for every canonical
@@ -385,7 +372,7 @@ def _gen_two_line(config, start, stop):
     # R(hE) = h R(E) h^-1 and the orders agree; the origin bit is
     # ignored by R(E).  The memo holds the axis-pair order per
     # (sub1, sub2), and _spot still checks the row's own E by brute force.
-    orders = _cached(ctx, "two_line_orders", dict)
+    orders = ctx.memo("two_line_orders", dict)
 
     def pick(line, sub):
         bits = 0
@@ -420,11 +407,11 @@ def _lineset_list(ctx, config):
 
 
 def _linesets(ctx, config):
-    return _cached(ctx, ("linesets", config.seed, config.budget), lambda: _lineset_list(ctx, config))
+    return ctx.memo(("linesets", config.seed, config.budget), _lineset_list, ctx, config)
 
 
 def _gen_lineset(config, start, stop):
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     q = ctx.q
     sets = _linesets(ctx, config)
     masks = line_nonzero_masks(ctx)
@@ -447,9 +434,9 @@ def _gen_lineset(config, start, stop):
 
 
 def _gen_prime_bound(config, start, stop):
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     q = ctx.q
-    counts = _cached(ctx, "counts", lambda: all_subset_stabilizer_orders(ctx))
+    counts = ctx.memo("counts", all_subset_stabilizer_orders, ctx)
     masks = line_nonzero_masks(ctx)
     full_nz = q * q - 1
     for mask in range(start, stop):
@@ -495,11 +482,11 @@ def _family_specs(ctx, config):
 
 
 def _battery(ctx, config):
-    return _cached(ctx, ("battery", config.set_spec), lambda: _family_specs(ctx, config))
+    return ctx.memo(("battery", config.set_spec), _family_specs, ctx, config)
 
 
 def _gen_family(config, start, stop):
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     specs = _battery(ctx, config)
     for index in range(start, stop):
         spec = specs[index]
@@ -532,9 +519,9 @@ def _decode3(q, code):
 
 
 def _gen_incidence(config, start, stop):
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     q = ctx.q
-    pool = _cached(ctx, "lines3", lambda: list(all_lines(ctx)))
+    pool = ctx.memo("lines3", lambda: list(all_lines(ctx)))
     cap = 2 * q * q
     for index in range(start, stop):
         rng = DetRng(nth_seed(config.seed, index))
@@ -615,10 +602,10 @@ def _pick_multiplicity(ctx, E):
 
 
 def _gen_audit(config, start, stop):
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     if config.set_spec:
         E = gen_family(ctx, parse_set_spec(config.set_spec))
-        m1 = config.m1 if config.m1 else _pick_multiplicity(ctx, E)
+        m1 = config.m1 if config.m1 is not None else _pick_multiplicity(ctx, E)
         for index in range(start, stop):
             yield (index, *_audit_row(ctx, index, E, m1, config), None)
     else:
@@ -628,7 +615,7 @@ def _gen_audit(config, start, stop):
 
 
 def _gen_search(config, start, stop):
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     q = ctx.q
     order = sl2_order(q)
     for index in range(start, stop):
@@ -815,7 +802,7 @@ def _json_row(row: dict, rendered) -> str:
         return "\n  " + _json_object(row, 2)
     return (
         f'\n  {{\n{_ROW_PAD}"index": {row["index"]},'
-        f'\n{_ROW_PAD}"descriptor": "{row["descriptor"]}",\n{rendered[2]}\n  }}'
+        f'\n{_ROW_PAD}"descriptor": "{row["descriptor"]}",\n{rendered[1]}\n  }}'
     )
 
 
@@ -837,7 +824,7 @@ def _render(config: CampaignConfig, rows) -> list:
         if rendered is None:
             writer.writerow([_fmt(row.get(c)) for c in cols])
         else:
-            buf.write(f"{row['index']},{_csv_quote(row['descriptor'])},{rendered[1]}")
+            buf.write(f"{row['index']},{_csv_quote(row['descriptor'])},{rendered[0]}")
     return [buf.getvalue()]
 
 
@@ -889,6 +876,11 @@ def _validate(config: CampaignConfig, ctx: FieldCtx) -> None:
         raise ValueError("workers must be >= 1")
     if config.resume and config.fmt != "csv":
         raise ValueError("resume is only supported for csv output")
+    if config.m1 is not None:
+        if name != "triple-audit" or not config.set_spec:
+            raise ValueError("m1 applies only to an audit of one --set")
+        if config.m1 < 1:
+            raise ValueError("m1 must be >= 1")
     spec = CAMPAIGNS[name]
     if ctx.q > (max(spec.max_q, spec.sampled_max_q) if config.allow_sampled else spec.max_q):
         hint = ""
@@ -1012,7 +1004,7 @@ def _json_close(acc: _Acc) -> str:
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run one campaign: write the result file, return its summary."""
-    ctx = _field(config.p, config.r)
+    ctx = make_field(config.p, config.r)
     if config.workers is None:
         config = replace(config, workers=int(os.environ.get("SL2LAB_WORKERS", "1")))
     _validate(config, ctx)

@@ -14,7 +14,7 @@ equal: the direction is scaled to make its first nonzero coordinate 1
 there.  Planes are (normal, offset) pairs with the normal's first
 nonzero coordinate scaled to 1; there are exactly q(q^2 + q + 1) of
 them.  A line lies in exactly q + 1 planes, one per normal in the
-pencil orthogonal to its direction (normal_pencil, cached per
+pencil orthogonal to its direction (normal_pencil, memoized per
 direction), so plane richness and triple_coplanar walk that pencil.
 Three parallel lines need no pencil: parallel_coplanar is one
 determinant on their shared direction, and the triple-count audit uses
@@ -25,16 +25,16 @@ plane_richness) index the field's add/mul rows and negation table
 directly, one subscript per field operation; on_line and
 count_incidences_brute, the incidence oracle, keep the ctx.add/ctx.mul
 calls.  Line3 is a NamedTuple, so the sets and dicts of lines hash and
-compare them in C.  Two per-line caches on ctx serve the campaigns,
-which meet the same lines again and again: count_incidences keeps each
-line's q points, and plane_richness keeps each line's q + 1 planes as
-integer keys normal_index * q + offset, counted in a Counter and turned
-back into a (normal, offset) witness only for the tied maxima.
+compare them in C.  Two per-line dicts, kept by ctx.memo and fetched
+once per call, serve the campaigns, which meet the same lines again and
+again: count_incidences keeps each line's q points, and plane_richness
+keeps each line's q + 1 planes as integer keys normal_index * q +
+offset, counted in a Counter and turned back into a (normal, offset)
+witness only for the tied maxima.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -169,9 +169,7 @@ def count_incidences(ctx: FieldCtx, points, lines) -> int:
     the independent check.
     """
     pset = set(points)
-    cache = ctx._cache.get("line_points")
-    if cache is None:
-        cache = ctx._cache["line_points"] = {}
+    cache = ctx.memo("line_points", dict)
     total = 0
     for ln in lines:
         pts = cache.get(ln)
@@ -198,8 +196,8 @@ def canonical_normals(ctx: FieldCtx):
 
 
 def normal_pencil(ctx: FieldCtx, dir) -> tuple:
-    """The q + 1 canonical normals orthogonal to dir, cached per direction."""
-    pencils = ctx._cache.setdefault("normal_pencils", {})
+    """The q + 1 canonical normals orthogonal to dir, memoized per direction."""
+    pencils = ctx.memo("normal_pencils", dict)
     pencil = pencils.get(dir)
     if pencil is None:
         pencil = pencils[dir] = tuple(n for n in canonical_normals(ctx) if _dot(ctx, n, dir) == 0)
@@ -225,31 +223,26 @@ def plane_points(ctx: FieldCtx, plane):
 
 def _normal_table(ctx: FieldCtx) -> tuple:
     """(normals, index): canonical_normals as a tuple and each normal's
-    position in it, cached on ctx."""
-    table = ctx._cache.get("normal_table")
-    if table is None:
-        normals = tuple(canonical_normals(ctx))
-        table = ctx._cache["normal_table"] = (normals, {n: i for i, n in enumerate(normals)})
-    return table
+    position in it, memoized on ctx."""
+    return ctx.memo("normal_table", _index_normals, ctx)
+
+
+def _index_normals(ctx: FieldCtx) -> tuple:
+    normals = tuple(canonical_normals(ctx))
+    return normals, {n: i for i, n in enumerate(normals)}
 
 
 def _plane_keys(ctx: FieldCtx, line: Line3) -> tuple:
     """The q + 1 planes holding line, each as the integer key
     normal_index * q + offset (normal_index its position in
-    canonical_normals), cached on ctx per line."""
-    cache = ctx._cache.get("plane_keys")
-    if cache is None:
-        cache = ctx._cache["plane_keys"] = {}
-    keys = cache.get(line)
-    if keys is None:
-        q, add, mul = ctx.q, ctx.add_rows, ctx.mul_rows
-        index = _normal_table(ctx)[1]
-        bx, by, bz = (mul[b] for b in line.base)  # the offset n . base, inline
-        keys = cache[line] = tuple(
-            index[n] * q + add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]]
-            for n in normal_pencil(ctx, line.dir)
-        )
-    return keys
+    canonical_normals)."""
+    q, add, mul = ctx.q, ctx.add_rows, ctx.mul_rows
+    index = _normal_table(ctx)[1]
+    bx, by, bz = (mul[b] for b in line.base)  # the offset n . base, inline
+    return tuple(
+        index[n] * q + add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]]
+        for n in normal_pencil(ctx, line.dir)
+    )
 
 
 def plane_richness(ctx: FieldCtx, lines):
@@ -258,10 +251,18 @@ def plane_richness(ctx: FieldCtx, lines):
     Each line lies in exactly q + 1 planes (its normal pencil), so
     counting those per line is exact without enumerating all
     q(q^2+q+1) planes; the counts run on integer plane keys
-    (_plane_keys), and ties break to the lexicographically smallest
-    (normal, offset) witness.  Empty input gives (0, None).
+    (_plane_keys, memoized per line), and ties break to the
+    lexicographically smallest (normal, offset) witness.  Empty input
+    gives (0, None).
     """
-    counts = Counter(itertools.chain.from_iterable(_plane_keys(ctx, ln) for ln in set(lines)))
+    cache = ctx.memo("plane_keys", dict)
+    keys = []
+    for ln in set(lines):
+        line_keys = cache.get(ln)
+        if line_keys is None:
+            line_keys = cache[ln] = _plane_keys(ctx, ln)
+        keys += line_keys
+    counts = Counter(keys)
     if not counts:
         return 0, None
     best = max(counts.values())

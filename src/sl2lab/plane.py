@@ -11,7 +11,7 @@ Conventions used throughout the package:
     (1, t) for t in F_q followed by (0, 1), so the y-axis sorts last.
 
 act() defines the action on points: it maps a packed code to the packed
-code of its image by reading the field's add/mul tables directly, and
+code of its image by reading the field's add/mul rows directly, and
 mat_apply, point_permutation and apply_to_set go through it.  The one
 other place the formula is computed is the point-filter kernel,
 stabilizer._maps_into, which reads the mul rows of a, b, c, d once per
@@ -22,6 +22,10 @@ sl2_elements() streams the group in a pinned order (the a = 0 sweep
 first, then lexicographic (a, b, c) with d solved from the determinant),
 and sl2_unrank(i) is its i-th element, so sampled group elements do not
 depend on how work is partitioned.
+
+The group, the canonical directions and their point bitsets are kept by
+ctx.memo.  affine_line_mask builds a line afresh on every call; its one
+caller, stabilizer.contained_in_line, keeps the lines it meets.
 """
 
 from __future__ import annotations
@@ -36,11 +40,10 @@ MATERIALIZE_LIMIT = 10**7
 
 def act(ctx: FieldCtx, m, code: int) -> int:
     """Packed code of m(x, y), where code = x*q + y packs the point."""
-    q = ctx.q
-    add, mul = ctx.add_table, ctx.mul_table
+    add, mul = ctx.add_rows, ctx.mul_rows
     a, b, c, d = m
-    x, y = divmod(code, q)
-    return add[mul[a * q + x] * q + mul[b * q + y]] * q + add[mul[c * q + x] * q + mul[d * q + y]]
+    x, y = divmod(code, ctx.q)
+    return add[mul[a][x]][mul[b][y]] * ctx.q + add[mul[c][x]][mul[d][y]]
 
 
 def mat_apply(ctx: FieldCtx, m, pt):
@@ -140,16 +143,11 @@ def sl2_elements(ctx: FieldCtx):
 
 
 def sl2_materialize(ctx: FieldCtx):
-    """The whole group as a cached tuple (guarded by MATERIALIZE_LIMIT)."""
-    cached = ctx._cache.get("sl2")
-    if cached is None:
-        n = sl2_order(ctx.q)
-        if n > MATERIALIZE_LIMIT:
-            raise ValueError(f"|SL2| = {n} exceeds the materialization guard")
-        cached = tuple(sl2_elements(ctx))
-        assert len(cached) == n
-        ctx._cache["sl2"] = cached
-    return cached
+    """The whole group as a memoized tuple (guarded by MATERIALIZE_LIMIT)."""
+    n = sl2_order(ctx.q)
+    if n > MATERIALIZE_LIMIT:
+        raise ValueError(f"|SL2| = {n} exceeds the materialization guard")
+    return ctx.memo("sl2", lambda: tuple(sl2_elements(ctx)))
 
 
 def point_permutation(ctx: FieldCtx, m) -> list:
@@ -163,11 +161,11 @@ def point_permutation(ctx: FieldCtx, m) -> list:
 
 def proj_lines(ctx: FieldCtx):
     """Canonical direction tuples: (1, 0), (1, 1), ..., (1, q-1), (0, 1)."""
-    cached = ctx._cache.get("lines")
-    if cached is None:
-        cached = tuple((1, t) for t in range(ctx.q)) + ((0, 1),)
-        ctx._cache["lines"] = cached
-    return cached
+    return ctx.memo("lines", _directions, ctx.q)
+
+
+def _directions(q: int) -> tuple:
+    return tuple((1, t) for t in range(q)) + ((0, 1),)
 
 
 def line_index(ctx: FieldCtx, line) -> int:
@@ -198,49 +196,31 @@ def points_on_line(ctx: FieldCtx, line):
 
 def line_nonzero_masks(ctx: FieldCtx):
     """For each canonical direction, the bitset of its q - 1 nonzero points."""
-    cached = ctx._cache.get("line_masks")
-    if cached is None:
-        q = ctx.q
-        masks = []
-        for line in proj_lines(ctx):
-            bits = 0
-            for pt in points_on_line(ctx, line):
-                if pt != (0, 0):
-                    bits |= 1 << (pt[0] * q + pt[1])
-            masks.append(bits)
-        cached = tuple(masks)
-        ctx._cache["line_masks"] = cached
-    return cached
+    return ctx.memo("line_masks", _line_masks, ctx)
+
+
+def _line_masks(ctx: FieldCtx) -> tuple:
+    return tuple(
+        PointSet.from_points(ctx.q, points_on_line(ctx, line)).bits & ~1
+        for line in proj_lines(ctx)
+    )
 
 
 def affine_line_mask(ctx: FieldCtx, a: int, b: int) -> int:
-    """Bitset of the affine line through the distinct packed points a, b.
-
-    Each of the q^2 + q lines is built on first use and cached on ctx,
-    keyed by (slope, intercept) for y = s x + c or (q, x0) for x = x0,
-    so large fields never build lines they do not test.
-    """
+    """Bitset of the affine line through the distinct packed points a, b:
+    y = s x + c when their x coordinates differ, else x = x0."""
     q = ctx.q
     x0, y0 = divmod(a, q)
     x1, y1 = divmod(b, q)
     sub, mul = ctx.sub, ctx.mul
     dx = sub(x1, x0)
-    if dx:
-        s = ctx.div(sub(y1, y0), dx)
-        key = (s, sub(y0, mul(s, x0)))
+    if not dx:
+        codes = [x0 * q + y for y in range(q)]
     else:
-        key = (q, x0)
-    masks = ctx._cache.setdefault("affine_masks", {})
-    mask = masks.get(key)
-    if mask is None:
-        s, c = key
-        if s == q:
-            codes = [c * q + y for y in range(q)]
-        else:
-            codes = [x * q + ctx.add(mul(s, x), c) for x in range(q)]
-        mask = sum(1 << code for code in codes)
-        masks[key] = mask
-    return mask
+        s = ctx.div(sub(y1, y0), dx)
+        c = sub(y0, mul(s, x0))
+        codes = [x * q + ctx.add(mul(s, x), c) for x in range(q)]
+    return sum(1 << code for code in codes)
 
 
 def line_apply(ctx: FieldCtx, m, line):

@@ -43,8 +43,8 @@ cap, identity by identity.  The line-set stabilizer intersects bitsets
 over the group, one per (direction, image direction) pair, built once
 per field from the action on directions.  The audit's group S of
 class-set permuters is R(U) for the union U of the class sets, found by
-_maps_into over the whole group, so it stays a brute filter that shares
-no candidates with the transport route it checks.
+stabilizer_brute, so it shares no candidates with the transport route
+it checks.
 """
 
 from __future__ import annotations
@@ -365,22 +365,20 @@ def _line_action(ctx: FieldCtx) -> tuple:
     hits[i][j], the bitset over their positions of the elements carrying
     direction i to direction j.
 
-    Built once per field with line_apply, the action on directions, so
-    the line-set route shares nothing with the point-set routes.
+    Built with line_apply, the action on directions, so the line-set
+    route shares nothing with the point-set routes; line_set_stabilizer
+    memoizes it, so it is built once per field.
     """
-    table = ctx._cache.get("line_action")
-    if table is None:
-        lines = proj_lines(ctx)
-        mats = tuple(sl2_materialize(ctx))
-        size = (len(mats) + 7) // 8
-        rows = [[bytearray(size) for _ in lines] for _ in lines]
-        for pos, m in enumerate(mats):
-            byte, bit = pos >> 3, 1 << (pos & 7)
-            for i, ln in enumerate(lines):
-                rows[i][line_index(ctx, line_apply(ctx, m, ln))][byte] |= bit
-        hits = tuple(tuple(int.from_bytes(b, "little") for b in row) for row in rows)
-        table = ctx._cache["line_action"] = (mats, hits)
-    return table
+    lines = proj_lines(ctx)
+    mats = sl2_materialize(ctx)
+    size = (len(mats) + 7) // 8
+    rows = [[bytearray(size) for _ in lines] for _ in lines]
+    for pos, m in enumerate(mats):
+        byte, bit = pos >> 3, 1 << (pos & 7)
+        for i, ln in enumerate(lines):
+            rows[i][line_index(ctx, line_apply(ctx, m, ln))][byte] |= bit
+    hits = tuple(tuple(int.from_bytes(b, "little") for b in row) for row in rows)
+    return mats, hits
 
 
 def line_set_stabilizer(ctx: FieldCtx, lines) -> set:
@@ -396,7 +394,7 @@ def line_set_stabilizer(ctx: FieldCtx, lines) -> set:
     if not lineset:
         raise ValueError("need at least one line")
     picked = [line_index(ctx, ln) for ln in lineset]  # validates canonical form
-    mats, hits = _line_action(ctx)
+    mats, hits = ctx.memo("line_action", _line_action, ctx)
     keep = (1 << len(mats)) - 1
     for i in picked:
         row = hits[i]
@@ -539,8 +537,8 @@ def all_subset_stabilizer_orders(ctx: FieldCtx) -> list:
 def contained_in_line(ctx: FieldCtx, E: PointSet) -> bool:
     """Whether E lies on a single line of the plane (affine lines count).
 
-    The line through E's two lowest points is cached on ctx per point
-    pair, filled on first use.
+    The line through E's two lowest points is memoized per point pair,
+    in a dict fetched once per call.
     """
     if E.size <= 2:
         return True
@@ -548,9 +546,7 @@ def contained_in_line(ctx: FieldCtx, E: PointSet) -> bool:
     a = (bits & -bits).bit_length() - 1
     rest = bits & (bits - 1)
     b = (rest & -rest).bit_length() - 1
-    lines = ctx._cache.get("pair_lines")
-    if lines is None:
-        lines = ctx._cache["pair_lines"] = {}
+    lines = ctx.memo("pair_lines", dict)
     mask = lines.get((a, b))
     if mask is None:
         mask = lines[a, b] = affine_line_mask(ctx, a, b)
@@ -728,23 +724,6 @@ class TripleCountAudit:
     parallel_triples: int
 
 
-def _class_set_preservers(ctx: FieldCtx, class_sets) -> list:
-    """S, the elements permuting the class sets (tuples of packed codes,
-    one per class line) among themselves, in sl2_materialize order.
-
-    Each class set is U ∩ L for its class line L, U their union, and
-    theta permutes origin lines, so theta permutes the class sets exactly
-    when theta(U) = U: S is R(U).  It is found by the brute filter over
-    the whole group, never by the transport route the audit checks.
-    """
-    union = 0
-    for cs in class_sets:
-        for code in cs:
-            union |= 1 << code
-    pts, member = _filter_side(ctx.q, union)
-    return [m for m in sl2_materialize(ctx) if _maps_into(ctx, m, pts, member)]
-
-
 def triple_count_audit(
     ctx: FieldCtx, E: PointSet, multiplicity: int, c: float = 1.0
 ) -> TripleCountAudit:
@@ -776,16 +755,17 @@ def triple_count_audit(
 
     masks = line_nonzero_masks(ctx)
     class_sets = []
+    union = 0
     for ln in lines:
-        bits = E.bits & masks[line_index(ctx, ln)]
-        codes = []
-        while bits:
-            low = bits & -bits
-            codes.append(low.bit_length() - 1)
-            bits ^= low
-        class_sets.append(tuple(codes))
+        cs = PointSet(q, E.bits & masks[line_index(ctx, ln)])
+        class_sets.append(cs.nonzero_codes)
+        union |= cs.bits
 
-    preservers = _class_set_preservers(ctx, class_sets)
+    # Each class set is U ∩ L for its class line L, U their union, and
+    # theta permutes origin lines, so theta permutes the class sets
+    # exactly when theta(U) = U: S is R(U), from the brute filter over
+    # the whole group, never from the transport route the audit checks.
+    preservers = stabilizer_brute(ctx, PointSet(q, union))
     movers = [m for m in preservers if m[2] != 0]  # these move the x-axis
     fixers = [m for m in preservers if m[2] == 0]
 
@@ -866,7 +846,7 @@ def triple_count_audit(
     # the transport route accepted, which generate R(E), lie in S
     stab_fixers, stab_trans = _transport_route(ctx, _sides(ctx, E)[0])
     accepted = (*stab_fixers, *stab_trans.values())
-    assert set(preservers).issuperset(accepted), "symmetries must permute the class sets"
+    assert preservers.issuperset(accepted), "symmetries must permute the class sets"
 
     s_count = len(preservers)
     mt_rhs = 2 * c * (

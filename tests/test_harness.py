@@ -15,7 +15,7 @@ import pytest
 
 import sl2lab.harness as harness
 import sl2lab.stabilizer as stabmod
-from sl2lab.gf import make_field
+from sl2lab.gf import FieldCtx, make_field
 from sl2lab.harness import (
     CAMPAIGNS,
     CampaignConfig,
@@ -158,13 +158,12 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
             seen = []
             for mask in range(0, len(table), step):
                 E = PointSet(ctx.q, mask)
-                index, row, nviol, (cells, text, _) = harness._report_item(
+                index, row, nviol, (text, _) = harness._report_item(
                     ctx, mask, E, table[mask], config)
                 want, want_nviol = direct_report_row(ctx, mask, E, table[mask], config)
                 assert index == mask
                 assert list(row.items()) == list(want.items())
                 assert nviol == want_nviol
-                assert list(cells) == [_fmt(v) for v in list(want.values())[2:]]
                 assert text == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
                 seen.append((row["small"], row["rich"], row["confirmed"]))
                 rows += 1
@@ -174,12 +173,17 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
     assert 0 < len(calls) * 20 < rows
 
 
-def test_serial_campaign_builds_its_field_once(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(harness, "make_field", lambda p, r: calls.append((p, r)) or make_field(p, r))
-    harness._field.cache_clear()
+def test_benchmark_child_sequence_builds_its_field_once(tmp_path, monkeypatch):
+    # the benchmark's campaign process builds the field before it starts
+    # timing the run, then calls run_campaign; the run must reuse that field
+    built = []
+    real_init = FieldCtx.__init__
+    monkeypatch.setattr(
+        FieldCtx, "__init__", lambda self, *a: built.append(a[:2]) or real_init(self, *a))
+    make_field.cache_clear()
+    harness.make_field(7, 1)
     run_campaign(cfg(tmp_path, p=7, r=1, campaign="lineset-exhaustive", budget=20, workers=1))
-    assert calls == [(7, 1)]
+    assert built == [(7, 1)]
 
 
 def test_family_verify_gf4(tmp_path):
@@ -913,6 +917,14 @@ def test_cli_field(capsys):
     assert "selftest ok" in out
 
 
+def test_cli_field_sampled_selftest(capsys):
+    # past q = 64 the axioms run on seeded random triples
+    assert main(["field", "--p", "2", "--r", "7", "--selftest"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("GF(128) = GF(2^7)")
+    assert "selftest ok" in out
+
+
 def test_cli_stab(capsys):
     code = main(["stab", "--p", "2", "--r", "2",
                  "--set", "family:subfield-plane:sub-r=1"])
@@ -970,6 +982,19 @@ def test_cli_huge_field_exits_2(tmp_path, argv):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "exceeds the supported maximum" in done.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--p", "7", "--m1", "3", "--budget", "3"],
+    ["audit", "--p", "7", "--set", "family:line-origin", "--m1", "0"],
+], ids=["m1-without-set", "m1-zero"])
+def test_cli_audit_m1_misuse_exits_2(tmp_path, capsys, argv):
+    # the random audit picks its own multiplicity per row, and m1 = 0
+    # names no class, so either would echo an m1 the rows do not audit
+    out = tmp_path / "a.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):

@@ -95,6 +95,22 @@ def test_every_public_method_is_used_in_src():
     assert not unused, "public methods nothing in src/ uses: " + ", ".join(unused)
 
 
+def test_only_gf_touches_the_field_memo():
+    # FieldCtx.memo is the one reader and writer of a field's derived
+    # tables; any other module reaching into ctx._cache would bypass it
+    src = Path(sl2lab.__file__).resolve().parent
+    touching = sorted(
+        path.name
+        for path in src.glob("*.py")
+        if path.name != "gf.py"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "_cache"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert not touching, "modules that touch ctx._cache: " + ", ".join(touching)
+
+
 INSTALL_TRACER = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -11,6 +11,8 @@ from sl2lab.plane import (
     IDENTITY,
     PointSet,
     act,
+    apply_to_set,
+    line_of_point,
     mat_inv,
     mat_mul,
     proj_lines,
@@ -435,7 +437,8 @@ def test_line_set_stabilizer_validates_and_builds_table_once(monkeypatch):
         return real(ctx, m, line)
 
     monkeypatch.setattr(stabmod, "line_apply", counted)
-    ctx = make_field(5, 1)  # a fresh context, so no table is cached yet
+    make_field.cache_clear()
+    ctx = make_field(5, 1)  # a fresh context, so no table is memoized yet
     for bad in ([(2, 1)], [(1, 0), (0, 2)], [(1, 5)]):
         with pytest.raises(ValueError):
             line_set_stabilizer(ctx, bad)
@@ -693,7 +696,7 @@ def test_audit_random_uniform_sets(fields):
 
 def act_image_preservers(ctx, class_sets):
     """S as the elements whose act images of every class set are again a
-    class set: the formula _class_set_preservers replaces by R(U)."""
+    class set: the formula the audit replaces by R(U)."""
     frozen = {frozenset(cs) for cs in class_sets}
     return [
         m
@@ -708,14 +711,14 @@ def test_audit_preservers_match_act_images(fields, q, monkeypatch):
 
     ctx = fields[q]
     seen = []
-    real = stabmod._class_set_preservers
+    real = stabmod.stabilizer_brute
 
-    def recorded(ctx, class_sets):
-        out = real(ctx, class_sets)
-        seen.append((class_sets, out))
+    def recorded(ctx, U):
+        out = real(ctx, U)
+        seen.append((U, out))
         return out
 
-    monkeypatch.setattr(stabmod, "_class_set_preservers", recorded)
+    monkeypatch.setattr(stabmod, "stabilizer_brute", recorded)
     cases = [random_uniform_class_set(ctx, nth_seed(7100 + q, t)) for t in range(40)]
     if q == 9:
         sub = subfield_elements(ctx, 1).members
@@ -724,8 +727,17 @@ def test_audit_preservers_match_act_images(fields, q, monkeypatch):
     for E, _, m1 in cases:
         audit = triple_count_audit(ctx, E, m1)
         normalized += audit.normalizer != IDENTITY
-        class_sets, got = seen.pop()
-        assert got == act_image_preservers(ctx, class_sets)
+        [(U, got)] = seen  # S is the audit's one brute-filter call
+        seen.clear()
+        # the class sets, found again: the points of the normalized E - 0
+        # grouped by origin line, on the lines holding m1 of them
+        moved = apply_to_set(ctx, audit.normalizer, E.without_origin())
+        by_line = {}
+        for code in moved.nonzero_codes:
+            by_line.setdefault(line_of_point(ctx, divmod(code, q)), []).append(code)
+        class_sets = [cs for cs in by_line.values() if len(cs) == m1]
+        assert U == PointSet.from_codes(q, [code for cs in class_sets for code in cs])
+        assert got == set(act_image_preservers(ctx, class_sets))
         assert len(got) == audit.preserver_count
     assert normalized  # some cases went through normalize_two_lines
 
