@@ -18,7 +18,9 @@ byte, is:
     --resume checks that hash over the kept prefix, appends the
     remaining rows, and the concatenated file is identical to an
     uninterrupted run (CSV only).  JSON is written to <out>.tmp and
-    renamed to <out> only when the run succeeds.
+    renamed to <out> only when the run succeeds.  A failed CSV run
+    removes its output file unless --resume can pick it up: a file with
+    a checkpoint is kept, and so is the file of a --resume run.
   * Exit status: 0 clean, 1 when any proved bound is violated (that
     means an implementation bug, so it fails loudly), 2 on bad
     configuration, a file that cannot be read or written, a checkpoint
@@ -36,13 +38,21 @@ the partial summaries in range order and checkpoints.  search-extremal
 is the one exception: its rows are held in the parent until they can be
 ranked, then rendered the same way.  CampaignResult.rows reads the
 output file back when it is first asked for.  Every stabilizer-report
-column after index/descriptor is memoized on the field context on
-(|R(E)|, |E|, the sorted line multiplicities of E, whether E lies on a
-line) and the constants, so bound_report and the CSV and JSON
-formatting run once per distinct key.  An unedited report row is
-written as its index, its descriptor (quoted as csv.writer quotes it)
-and the memoized tail, which csv.writer rendered once; every other row
-goes through csv.writer.
+column after index/descriptor is memoized on the field context, with the
+constants, as one entry per canonical key (|R(E)|, |E|, the sorted line
+multiplicities of E, whether E lies on a line), so bound_report and the
+CSV and JSON formatting run once per distinct key.  An entry holds the
+tail columns, the violation count, the tail's CSV text (which
+csv.writer rendered once) and JSON members, and the values the summary
+folds.  An unedited report row travels from its producer as (index,
+descriptor, entry) and is written as its index, its descriptor (quoted
+as csv.writer quotes it) and the entry's text; only a row that a
+producer edits becomes a dict, and it goes through csv.writer.  The
+q <= 4 sweeps (exhaustive-subsets and prime-bound-exhaustive) run on
+int masks and per-field tables, with a second memo on the raw key
+(|R(E)|, origin bit, packed line counts, whether E lies on a line),
+which determines the canonical key; they build a PointSet only for a
+spot check or a miss in that memo.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -63,6 +73,7 @@ import sys
 from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
+from typing import NamedTuple
 
 from .families import default_battery, gen_family, parse_set_spec
 from .gf import FieldCtx, make_field, selftest
@@ -72,7 +83,16 @@ from .incidence3d import (
     count_incidences_brute,
     incidence_bound_report,
 )
-from .plane import PointSet, apply_to_set, line_nonzero_masks, proj_lines, sl2_order, sl2_unrank
+from .plane import (
+    PointSet,
+    _text_chunk,
+    affine_line_mask,
+    apply_to_set,
+    line_nonzero_masks,
+    proj_lines,
+    sl2_order,
+    sl2_unrank,
+)
 from .rng import DetRng, nth_seed
 from .stabilizer import (
     Constants,
@@ -270,20 +290,38 @@ def _constants(config: CampaignConfig) -> Constants:
     return Constants(config.c, config.c1, config.c2, config.alpha, config.beta)
 
 
-def _report_item(ctx, index, E, stab_order, config) -> tuple:
-    """The producer item (index, row, violations, rendered) of one set's
-    unedited report row.  row is a fresh dict: a producer that edits it
-    yields None for rendered, so the row is rendered from its values.
+class _Entry(NamedTuple):
+    """Everything a stabilizer-report row holds but its index and
+    descriptor, shared by every row with the same report."""
+
+    tail: dict  # the columns after index/descriptor, in column order
+    nviol: int  # the number of violated bounds
+    csv: str  # the tail as csv.writer writes it, line end included
+    json: str  # the tail's members, as json.dump(indent=1) lays out a row
+    # the values the summary folds
+    ratio_nonzero: float | None
+    lines_meeting: int
+    confirmed: bool | None
+
+
+def _constants_key(config: CampaignConfig) -> tuple:
+    return (config.c, config.c1, config.c2, config.alpha, config.beta)
+
+
+def _report_entry(ctx, E, stab_order, config) -> _Entry:
+    """The report entry of the set E, whose symmetry order is stab_order.
 
     Every report column after index/descriptor depends on E only through
     |E|, its sorted nonzero line multiplicities and whether it lies on a
-    line, so the tail is memoized on the field on that key (with the
-    constants); bound_report runs once per distinct key.  The memo keeps
-    a row template to copy and rendered, the tail already formatted: its
-    finished CSV text (csv.writer's, line end included) and its JSON
-    members.
+    line, so entries are memoized on the field on that canonical key
+    (with the constants); bound_report runs once per distinct key.  An
+    entry holds the tail columns as a dict, the violation count, the
+    tail already formatted (its finished CSV text and its JSON members)
+    and the three tail values the summary folds.  A row is the item
+    (index, descriptor, entry) until a producer edits it, and only then a
+    dict.
     """
-    memo = ctx.memo(("tails", config.c, config.c1, config.c2, config.alpha, config.beta), dict)
+    memo = ctx.memo(("tails", *_constants_key(config)), dict)
     mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
     key = (stab_order, E.size, mults, contained_in_line(ctx, E))
     entry = memo.get(key)
@@ -311,43 +349,112 @@ def _report_item(ctx, index, E, stab_order, config) -> tuple:
             tail[f"{name}_violated"] = r.violated
         bad = rep.violations()
         tail["violations"] = ";".join(bad)
-        rendered = (_csv_text([[_fmt(v) for v in tail.values()]]), _json_members(tail, _ROW_PAD))
-        template = {"index": None, "descriptor": None, **tail}
-        entry = memo[key] = (template, len(bad), rendered)
-    template, nviol, rendered = entry
-    row = template.copy()
-    row["index"] = index
-    row["descriptor"] = E.text()
-    return index, row, nviol, rendered
+        entry = memo[key] = _Entry(
+            tail,
+            len(bad),
+            _csv_text([[_fmt(v) for v in tail.values()]]),
+            _json_members(tail, _ROW_PAD),
+            tail["ratio_nonzero"],
+            tail["lines_meeting"],
+            tail["confirmed"],
+        )
+    return entry
+
+
+def _entry_row(index, descriptor: str, entry: _Entry) -> tuple:
+    """The (row, violations) of a report row that a producer edits."""
+    return {"index": index, "descriptor": descriptor, **entry.tail}, entry.nviol
 
 
 # ---------------------------------------------------------------------------
-# Row producers, one per campaign.  Each yields (index, row, violations,
-# rendered) for indices in [start, stop), purely from (config, index);
-# rendered is the memoized CSV and JSON tail of an unedited report row,
-# else None.
+# Row producers, one per campaign.  Each yields an item for each index in
+# [start, stop), purely from (config, index): (index, descriptor, entry)
+# for an unedited report row, else (index, row, violations) with row a
+# dict of every column.
+
+
+def _line_count_bytes(ctx) -> tuple:
+    """Two tables, for the low and the high byte of a q <= 4 mask: the
+    nonzero line counts of that byte's points, one 4-bit field per
+    origin line in pencil order.  A line has q - 1 <= 3 nonzero points,
+    so the two lookups add without a carry between fields."""
+    masks = line_nonzero_masks(ctx)
+    return tuple(
+        [
+            sum((v << shift & lm).bit_count() << 4 * i for i, lm in enumerate(masks))
+            for v in range(256)
+        ]
+        for shift in (0, 8)
+    )
+
+
+def _descriptor_bytes(ctx) -> tuple:
+    """(low, high_after, high_alone): PointSet.text() of a q <= 4 mask is
+    low[mask & 255] + (high_after if mask & 255 else high_alone)[mask >> 8]."""
+    low, high = _text_chunk(ctx.q, 0), _text_chunk(ctx.q, 1)
+    return (
+        ["points:" + t for t in low],
+        [";" + t if t else "" for t in high],
+        high,
+    )
+
+
+def _mask_items(ctx, config, masks):
+    """The report items of the masks of a q <= 4 plane, in order.
+
+    The loop works on the int mask and per-field tables: the order comes
+    from the subset table, the packed line counts from _line_count_bytes,
+    the descriptor from _descriptor_bytes and containment from the
+    pair_lines cache that contained_in_line keeps.  A second memo maps
+    the raw key (order, origin bit, packed counts, contained), which
+    determines the canonical key of _report_entry, to its entry, so a
+    PointSet is built only on a miss there and for the spot check.
+    """
+    q = ctx.q
+    counts = ctx.memo("counts", all_subset_stabilizer_orders, ctx)
+    low_counts, high_counts = ctx.memo("line_count_bytes", _line_count_bytes, ctx)
+    low_text, high_after, high_alone = ctx.memo("descriptor_bytes", _descriptor_bytes, ctx)
+    pair_lines = ctx.memo("pair_lines", dict)
+    raw = ctx.memo(("mask_tails", *_constants_key(config)), dict)
+    for mask in masks:
+        order = counts[mask]
+        lo, hi = mask & 255, mask >> 8
+        contained = True
+        if mask.bit_count() > 2:
+            a = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            b = (rest & -rest).bit_length() - 1
+            line = pair_lines.get((a, b))
+            if line is None:
+                line = pair_lines[a, b] = affine_line_mask(ctx, a, b)
+            contained = mask & ~line == 0
+        key = (order, mask & 1, low_counts[lo] + high_counts[hi], contained)
+        entry = raw.get(key)
+        if entry is None:
+            entry = raw[key] = _report_entry(ctx, PointSet(q, mask), order, config)
+        if mask % SPOT_EVERY == 0:
+            _spot(ctx, PointSet(q, mask), order, mask)
+        yield mask, low_text[lo] + (high_after if lo else high_alone)[hi], entry
 
 
 def _gen_exhaustive(config, start, stop):
     ctx = make_field(config.p, config.r)
+    if ctx.q <= 4:
+        return _mask_items(ctx, config, range(start, stop))
+    return _sampled_items(ctx, config, start, stop)
+
+
+def _sampled_items(ctx, config, start, stop):
     q = ctx.q
-    if q <= 4:
-        counts = ctx.memo("counts", all_subset_stabilizer_orders, ctx)
-        for mask in range(start, stop):
-            E = PointSet(q, mask)
-            order = counts[mask]
-            _spot(ctx, E, order, mask)
-            yield _report_item(ctx, mask, E, order, config)
-    else:
-        sample = ctx.memo(
-            ("sample", config.seed, config.budget),
-            lambda: DetRng(config.seed).sample(1 << (q * q), config.budget),
-        )
-        for i in range(start, stop):
-            E = PointSet(q, sample[i])
-            order = stabilizer_order(ctx, E)
-            _spot(ctx, E, order, i)
-            yield _report_item(ctx, i, E, order, config)
+    sample = ctx.memo(
+        ("sample", config.seed, config.budget),
+        lambda: DetRng(config.seed).sample(1 << (q * q), config.budget),
+    )
+    for i in range(start, stop):
+        E = PointSet(q, sample[i])
+        order = stabilizer_order(ctx, E)
+        _spot(ctx, E, order, i)
+        yield i, E.text(), _report_entry(ctx, E, order, config)
 
 
 def _two_line_space(ctx):
@@ -392,7 +499,7 @@ def _gen_two_line(config, start, stop):
             axes = PointSet(q, pick(0, sub1) | pick(q, sub2))
             order = orders[sub1, sub2] = stabilizer_order(ctx, axes)
         _spot(ctx, E, order, index)
-        yield _report_item(ctx, index, E, order, config)
+        yield index, E.text(), _report_entry(ctx, E, order, config)
 
 
 def _lineset_list(ctx, config):
@@ -430,26 +537,19 @@ def _gen_lineset(config, start, stop):
             raise AssertionError(
                 f"line-set stabilizer mismatch at index {index}: {len(direct)} != {order}"
             )
-        yield _report_item(ctx, index, E, order, config)
+        yield index, E.text(), _report_entry(ctx, E, order, config)
 
 
 def _gen_prime_bound(config, start, stop):
     ctx = make_field(config.p, config.r)
-    q = ctx.q
-    counts = ctx.memo("counts", all_subset_stabilizer_orders, ctx)
     masks = line_nonzero_masks(ctx)
-    full_nz = q * q - 1
-    for mask in range(start, stop):
+    full_nz = ctx.q * ctx.q - 1
+
+    def kept(mask):
         nz = mask & ~1
-        size_nz = nz.bit_count()
-        if not 0 < size_nz < full_nz:
-            continue
-        if sum(1 for lm in masks if nz & lm) < 2:
-            continue
-        E = PointSet(q, mask)
-        order = counts[mask]
-        _spot(ctx, E, order, mask)
-        yield _report_item(ctx, mask, E, order, config)
+        return 0 < nz.bit_count() < full_nz and sum(1 for lm in masks if nz & lm) >= 2
+
+    return _mask_items(ctx, config, filter(kept, range(start, stop)))
 
 
 _EXPECTED_ORDER = {
@@ -496,8 +596,7 @@ def _gen_family(config, start, stop):
         comp_match = complement_agrees(ctx, E, order)
         expected = _expected_order(ctx, spec)
         exp_match = None if expected is None else order == expected
-        _, row, nviol, _ = _report_item(ctx, index, E, order, config)
-        row["descriptor"] = spec.text()
+        row, nviol = _entry_row(index, spec.text(), _report_entry(ctx, E, order, config))
         row["complement_match"] = comp_match
         row["expected_order"] = expected
         row["expected_match"] = exp_match
@@ -509,7 +608,7 @@ def _gen_family(config, start, stop):
             bad.append("expected_mismatch")
             nviol += 1
         row["violations"] = ";".join(bad)
-        yield (index, row, nviol, None)
+        yield index, row, nviol
 
 
 def _decode3(q, code):
@@ -548,7 +647,7 @@ def _gen_incidence(config, start, stop):
             row[f"{brow.name}_observed"] = _f6(brow.observed)
             row[f"{brow.name}_rhs"] = _f6(brow.rhs)
             row[f"{brow.name}_ratio"] = _f6(brow.ratio)
-        yield (index, row, 0, None)
+        yield index, row, 0
 
 
 def random_uniform_class_set(ctx: FieldCtx, seed: int):
@@ -607,11 +706,11 @@ def _gen_audit(config, start, stop):
         E = gen_family(ctx, parse_set_spec(config.set_spec))
         m1 = config.m1 if config.m1 is not None else _pick_multiplicity(ctx, E)
         for index in range(start, stop):
-            yield (index, *_audit_row(ctx, index, E, m1, config), None)
+            yield (index, *_audit_row(ctx, index, E, m1, config))
     else:
         for index in range(start, stop):
             E, _, m1 = random_uniform_class_set(ctx, nth_seed(config.seed, index))
-            yield (index, *_audit_row(ctx, index, E, m1, config), None)
+            yield (index, *_audit_row(ctx, index, E, m1, config))
 
 
 def _gen_search(config, start, stop):
@@ -627,11 +726,11 @@ def _gen_search(config, start, stop):
             brute = len(stabilizer_brute(ctx, E))  # every random row gets the oracle
             if fast != brute:
                 raise AssertionError(f"search row {index}: fast {fast} != brute {brute}")
-            _, row, nviol, _ = _report_item(ctx, f"{index}", E, fast, config)
+            row, nviol = _entry_row(f"{index}", E.text(), _report_entry(ctx, E, fast, config))
             row["strategy"] = "random"
             row["subgroup_order"] = None
             row["contains_subgroup"] = None
-            yield (index, row, nviol, None)
+            yield index, row, nviol
             continue
         ngens = 1 + rng.below(2)
         gens = [sl2_unrank(ctx, rng.below(order)) for _ in range(ngens)]
@@ -651,7 +750,7 @@ def _gen_search(config, start, stop):
             # divides |R(E)|; a route that undercounts R(E) fails that
             kept = all(apply_to_set(ctx, g, E) == E for g in gens)
             contains = kept and stab_order % h_order == 0
-            _, row, nviol, _ = _report_item(ctx, tag, E, stab_order, config)
+            row, nviol = _entry_row(tag, E.text(), _report_entry(ctx, E, stab_order, config))
             row["strategy"] = "orbit-union"
             row["subgroup_order"] = h_order
             row["contains_subgroup"] = contains
@@ -660,7 +759,7 @@ def _gen_search(config, start, stop):
                 row["violations"] = ";".join(
                     x for x in (row["violations"], "orbit_union_containment") if x
                 )
-            yield (index, row, nviol, None)
+            yield index, row, nviol
 
 
 def _rank_search_rows(collected: list) -> list:
@@ -668,15 +767,16 @@ def _rank_search_rows(collected: list) -> list:
     order by falling symmetry ratio (first appearance breaks ties)."""
     seen = set()
     kept = []
-    for pos, (index, row, nviol) in enumerate(collected):
+    for pos, item in enumerate(collected):
+        row = item[1]
         key = row["descriptor"]
         if key in seen:
             continue
         seen.add(key)
         if row.get("lines_meeting", 0) >= 2 and row.get("ratio_nonzero") is not None:
-            kept.append((-row["ratio_nonzero"], pos, row, nviol))
+            kept.append((-row["ratio_nonzero"], pos, item))
     kept.sort(key=lambda t: (t[0], t[1]))
-    return [(row, nviol) for _, _, row, nviol in kept]
+    return [item for _, _, item in kept]
 
 
 @dataclass(frozen=True)
@@ -684,12 +784,12 @@ class Campaign:
     """One campaign: everything that sets it apart from the others."""
 
     command: str  # CLI subcommand that runs it
-    produce: Callable  # (config, start, stop) -> (index, row, violations, rendered) items
+    produce: Callable  # (config, start, stop) -> producer items
     columns: list
     total: Callable  # (config, ctx) -> number of indices to enumerate
     max_q: int
     sampled_max_q: int = 0  # larger q this far runs sampled with allow_sampled
-    rank: Callable | None = None  # rows are held, then ranked, before writing
+    rank: Callable | None = None  # items are held, then ranked, before writing
 
 
 def _two_line_total(config, ctx):
@@ -782,80 +882,67 @@ def _json_object(d: dict, depth: int) -> str:
     return "{\n" + _json_members(d, " " * (depth + 1)) + "\n" + " " * depth + "}"
 
 
-def _csv_quote(text: str) -> str:
-    """text as csv.writer writes one field of a longer row (QUOTE_MINIMAL):
-    quoted, with quotes doubled, when it holds a comma, a quote or a line
-    feed.  A descriptor never holds a carriage return, which Python 3.12
-    quotes too."""
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _render(config: CampaignConfig, items) -> tuple:
+    """(summary, pieces) of producer items: the items folded into a
+    partial summary, and their output text as a list of pieces to write
+    in order, one CSV text or one JSON text per row.  A JSON row starts
+    with its line break; the writer puts a comma between rows.
 
-
-def _json_row(row: dict, rendered) -> str:
-    """One row as json.dump(indent=1) lays it out inside the rows list.
-
-    A memoized report row's index is an int and its descriptor a
-    PointSet.text() literal, whose characters (points:(),; and digits)
-    JSON never escapes, so both are written as they are."""
-    if rendered is None:
-        return "\n  " + _json_object(row, 2)
-    return (
-        f'\n  {{\n{_ROW_PAD}"index": {row["index"]},'
-        f'\n{_ROW_PAD}"descriptor": "{row["descriptor"]}",\n{rendered[1]}\n  }}'
-    )
-
-
-def _render(config: CampaignConfig, rows) -> list:
-    """The output text of (row, rendered) pairs, as a list of pieces to
-    write in order: one CSV text, or one JSON text per row.  A JSON row
-    starts with its line break; the writer puts a comma between rows.
-
-    A memoized report row is written as one CSV line: its index, its
-    descriptor and the cached tail text.  Any other row goes through
-    csv.writer, one row at a time once the row is built, so the writer
-    times formatting alone, not the producer behind the rows."""
+    An unedited report row is written from its entry: its index, its
+    descriptor and the cached tail text.  A descriptor's literals hold
+    commas and never a quote or a line break, so csv.writer quotes it
+    exactly when it holds a point, and JSON escapes none of its
+    characters.  Any other row goes through csv.writer, one row at a
+    time once the row is built, so the writer times formatting alone,
+    not the producer behind the rows."""
+    part = _Acc()
+    fold = part.fold
+    # an item is (index, descriptor, _Entry) or (index, row dict, violations)
     if config.fmt == "json":
-        return [_json_row(row, rendered) for row, rendered in rows]
+        pieces = []
+        for index, row, entry in items:
+            if isinstance(entry, _Entry):
+                fold(row, entry.nviol, entry.ratio_nonzero, entry.lines_meeting, entry.confirmed)
+                pieces.append(
+                    f'\n  {{\n{_ROW_PAD}"index": {index},'
+                    f'\n{_ROW_PAD}"descriptor": "{row}",\n{entry.json}\n  }}'
+                )
+            else:
+                part.update(row, entry)
+                pieces.append("\n  " + _json_object(row, 2))
+        return part, pieces
     cols = CAMPAIGNS[config.campaign].columns
     buf = io.StringIO()
+    write = buf.write
     writer = csv.writer(buf, lineterminator="\n")
-    for row, rendered in rows:
-        if rendered is None:
-            writer.writerow([_fmt(row.get(c)) for c in cols])
+    for index, row, entry in items:
+        if isinstance(entry, _Entry):
+            fold(row, entry.nviol, entry.ratio_nonzero, entry.lines_meeting, entry.confirmed)
+            write(f'{index},"{row}",{entry.csv}' if "," in row else f"{index},{row},{entry.csv}")
         else:
-            buf.write(f"{row['index']},{_csv_quote(row['descriptor'])},{rendered[0]}")
-    return [buf.getvalue()]
+            part.update(row, entry)
+            writer.writerow([_fmt(row.get(c)) for c in cols])
+    return part, [buf.getvalue()]
 
 
 def _run_range(config: CampaignConfig, start: int, stop: int) -> tuple:
     """(summary of the rows of [start, stop), their rendered pieces).
 
     The producer is consumed once and no row is kept.  A ranked campaign
-    instead returns (None, its (index, row, violations) items), which the
-    parent holds until it can rank them."""
+    instead returns (None, its items), which the parent holds until it
+    can rank them."""
     spec = CAMPAIGNS[config.campaign]
     items = spec.produce(config, start, stop)
     if spec.rank is not None:
-        return None, [item[:3] for item in items]
-    part = _Acc()
-
-    def fold():
-        for _, row, nviol, rendered in items:
-            part.update(row, nviol)
-            yield row, rendered
-
-    return part, _render(config, fold())
+        return None, list(items)
+    return _render(config, items)
 
 
 def _ranked(config: CampaignConfig, batches) -> tuple:
     """A ranked campaign's whole output as one (summary, pieces) batch,
     from the (None, items) batches of all its chunks."""
-    ranked = CAMPAIGNS[config.campaign].rank([item for _, items in batches for item in items])
-    part = _Acc()
-    for row, nviol in ranked:
-        part.update(row, nviol)
-    return part, _render(config, ((row, None) for row, _ in ranked))
+    items = [item for _, chunk in batches for item in chunk]
+    return _render(config, CAMPAIGNS[config.campaign].rank(items))
 
 
 # ---------------------------------------------------------------------------
@@ -924,17 +1011,26 @@ class _Acc:
         self.confirmed_ok = 0
 
     def update(self, row: dict, nviol: int) -> None:
+        """Fold in a row given as a dict."""
+        self.fold(
+            row.get("descriptor", ""),
+            nviol,
+            row.get("ratio_nonzero"),
+            row.get("lines_meeting", 0),
+            row.get("confirmed"),
+        )
+
+    def fold(self, descriptor, nviol, ratio, lines_meeting, confirmed) -> None:
+        """Fold in one row given by the values the summary reads."""
         self.rows += 1
         self.violations += nviol
-        ratio = row.get("ratio_nonzero")
         if (
             ratio is not None
-            and row.get("lines_meeting", 0) >= 2
+            and lines_meeting >= 2
             and (self.max_ratio is None or ratio > self.max_ratio)
         ):
             self.max_ratio = ratio
-            self.argmax = row.get("descriptor", "")
-        confirmed = row.get("confirmed")
+            self.argmax = descriptor
         if confirmed is not None:
             self.confirmed_checked += 1
             self.confirmed_ok += bool(confirmed)
@@ -1046,9 +1142,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     starts = range(start, total, CHUNK)
     stops = [min(s + CHUNK, total) for s in starts]
+    # a failed run removes the file it opened, unless --resume can pick it
+    # up: a resumed run's file, or one with a checkpoint
+    remove = False
     try:
         with ExitStack() as stack:
             fh = stack.enter_context(open(path, mode))
+            remove = not config.resume
             if mode == "wb":
                 _emit(fh, digest, _head(config, echo))
             run = map
@@ -1069,12 +1169,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 if checkpoints:
                     fh.flush()
                     _write_ckpt(ckpt_path, echo, stop, fh.tell(), digest.hexdigest(), acc)
+                    remove = False
             if config.fmt == "json":
                 _emit(fh, digest, _json_close(acc))
         if path != out:
             os.replace(path, out)
     except BaseException:
-        if path != out and os.path.exists(path):
+        if remove:
             os.remove(path)
         raise
     if os.path.exists(ckpt_path):

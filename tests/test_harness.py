@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,15 @@ def direct_report_row(ctx, index, E, stab_order, config):
     return row, len(rep.violations())
 
 
+def expand(item):
+    """A producer item as (index, row, violations): an unedited report
+    row's (index, descriptor, entry) is expanded into its row dict."""
+    index, row, entry = item
+    if isinstance(entry, harness._Entry):
+        return index, {"index": index, "descriptor": row, **entry.tail}, entry.nviol
+    return item
+
+
 def test_f6_and_fmt():
     assert _f6(None) is None
     assert _f6(1.15470053838) == 1.15470
@@ -158,19 +168,82 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
             seen = []
             for mask in range(0, len(table), step):
                 E = PointSet(ctx.q, mask)
-                index, row, nviol, (text, _) = harness._report_item(
-                    ctx, mask, E, table[mask], config)
+                entry = harness._report_entry(ctx, E, table[mask], config)
+                index, row, nviol = expand((mask, E.text(), entry))
                 want, want_nviol = direct_report_row(ctx, mask, E, table[mask], config)
                 assert index == mask
                 assert list(row.items()) == list(want.items())
                 assert nviol == want_nviol
-                assert text == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
+                assert entry.csv == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
                 seen.append((row["small"], row["rich"], row["confirmed"]))
                 rows += 1
             flags.append(seen)
         assert flags[0] != flags[1]
     # bound_report runs once per distinct key, not once per row
     assert 0 < len(calls) * 20 < rows
+
+
+def test_mask_loop_rows_match_direct_report():
+    # the q <= 4 loop reads its key, its descriptor and containment off
+    # per-field tables; the rows it yields must equal rows built straight
+    # from a PointSet and bound_report, under both constant sets
+    for p, r, step in [(2, 1, 1), (3, 1, 1), (2, 2, 7)]:
+        ctx = make_field(p, r)
+        table = all_subset_stabilizer_orders(ctx)
+        for consts in ({}, dict(alpha=1.0, beta=1.5, c1=2)):
+            config = CampaignConfig(p=p, r=r, campaign="exhaustive-subsets", **consts)
+            masks = range(0, len(table), step)
+            items = list(harness._mask_items(ctx, config, masks))
+            assert [item[0] for item in items] == list(masks)
+            for item in items:
+                index, row, nviol = expand(item)
+                E = PointSet(ctx.q, index)
+                want, want_nviol = direct_report_row(ctx, index, E, table[index], config)
+                assert list(row.items()) == list(want.items())
+                assert nviol == want_nviol
+                assert item[2].csv == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
+    ctx = make_field(2, 2)
+    config = CampaignConfig(p=2, r=2, campaign="exhaustive-subsets")
+    for mask, descriptor, _ in harness._mask_items(ctx, config, range(1 << 16)):
+        assert descriptor == PointSet(4, mask).text()
+
+
+def test_gf4_sweep_builds_point_sets_only_for_spot_checks_and_misses(tmp_path, monkeypatch):
+    # structural, untimed: 65,536 rows share 188 reports, and a row costs
+    # no PointSet and no line_counts unless it is spot-checked or misses
+    # the loop's raw-key memo
+    calls = dict.fromkeys(["bound_report", "stabilizer_brute", "line_counts", "PointSet"], 0)
+
+    def counted(name):
+        real = getattr(harness, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("bound_report", "stabilizer_brute", "line_counts"):
+        monkeypatch.setattr(harness, name, counted(name))
+
+    class CountedPointSet(PointSet):
+        __slots__ = ()
+
+        def __init__(self, q, bits=0):
+            calls["PointSet"] += 1
+            super().__init__(q, bits)
+
+    monkeypatch.setattr(harness, "PointSet", CountedPointSet)
+    make_field.cache_clear()
+    res = run_campaign(cfg(tmp_path, p=2, r=2, campaign="exhaustive-subsets", workers=1))
+    assert res.summary["rows"] == 65536
+    config = CampaignConfig(p=2, r=2, campaign="exhaustive-subsets")
+    raw_keys = len(make_field(2, 2).memo(("mask_tails", *harness._constants_key(config)), dict))
+    assert calls["bound_report"] == 188
+    assert calls["stabilizer_brute"] == 656  # every index divisible by 100
+    assert calls["line_counts"] == raw_keys
+    assert calls["PointSet"] <= 656 + raw_keys + 4
+    assert 656 + raw_keys < 65536 // 4
 
 
 def test_benchmark_child_sequence_builds_its_field_once(tmp_path, monkeypatch):
@@ -274,10 +347,8 @@ def producer_items(config):
     or reader in between."""
     spec = CAMPAIGNS[config.campaign]
     total = spec.total(config, make_field(config.p, config.r))
-    items = [item[:3] for item in spec.produce(config, 0, total)]
-    if spec.rank is not None:
-        return [(row["index"], row, nviol) for row, nviol in spec.rank(items)]
-    return items
+    items = [expand(item) for item in spec.produce(config, 0, total)]
+    return items if spec.rank is None else spec.rank(items)
 
 
 def fold(items):
@@ -613,7 +684,8 @@ def two_line_rows(p, r, indices):
     config = CampaignConfig(campaign="two-line-exhaustive", p=p, r=r)
     ctx = make_field(p, r)
     for index in indices:
-        for _, row, _, _ in harness._gen_two_line(config, index, index + 1):
+        for item in harness._gen_two_line(config, index, index + 1):
+            _, row, _ = expand(item)
             yield row, gen_family(ctx, parse_set_spec(row["descriptor"]))
 
 
@@ -995,6 +1067,48 @@ def test_cli_audit_m1_misuse_exits_2(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_audit_without_the_class_leaves_no_output(tmp_path, capsys):
+    # the producer raises in the first chunk, after the echo line and the
+    # header are written; a fresh run with no checkpoint removes its file
+    out = tmp_path / "a.csv"
+    argv = ["audit", "--p", "7", "--set", "family:line-origin", "--m1", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert "no line meets E - 0 in exactly 3 points" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_failure_after_a_checkpoint_leaves_a_resumable_pair(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    kw = dict(p=3, r=1, campaign="exhaustive-subsets", workers=1)
+    full = tmp_path / "full.csv"
+    run_campaign(CampaignConfig(out=str(full), **kw))
+    spec = CAMPAIGNS["exhaustive-subsets"]
+
+    def failing_from(at):
+        def produce(config, start, stop):
+            if start >= at:
+                raise ValueError("injected failure")
+            return spec.produce(config, start, stop)
+
+        return replace(spec, produce=produce)
+
+    part = tmp_path / "part.csv"
+    monkeypatch.setitem(CAMPAIGNS, "exhaustive-subsets", failing_from(64))
+    with pytest.raises(ValueError):
+        run_campaign(CampaignConfig(out=str(part), **kw))
+    state = json.loads((tmp_path / "part.csv.ckpt").read_text())
+    assert state["next_start"] == 64 and state["offset"] == part.stat().st_size
+    # a resumed run that fails keeps its output too, even before it checkpoints
+    monkeypatch.setitem(CAMPAIGNS, "exhaustive-subsets", failing_from(64))
+    with pytest.raises(ValueError):
+        run_campaign(CampaignConfig(out=str(part), resume=True, **kw))
+    assert part.stat().st_size == state["offset"]
+    monkeypatch.setitem(CAMPAIGNS, "exhaustive-subsets", spec)
+    run_campaign(CampaignConfig(out=str(part), resume=True, **kw))
+    assert part.read_bytes() == full.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["full.csv", "part.csv"]
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):
