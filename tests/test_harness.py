@@ -1007,6 +1007,84 @@ def test_cli_stab(capsys):
     assert "violations=" in out
 
 
+STAB_GOLDEN = {
+    "--p 2 --r 2 --set family:subfield-plane:sub-r=1": """\
+descriptor=family:subfield-plane:sub-r=1
+q=4 size=4 size_nonzero=3 lines_meeting=3 stab_order=6
+ratio_full=0.75 ratio_nonzero=1.1547 contained_line=false all_classes_small=false
+bound two_lines: applicable=false rhs=3 ratio=2 violated=
+bound line_set: applicable=true rhs=216 ratio=0.0277778 violated=false
+bound prime_power: applicable=true rhs=8 ratio=0.75 violated=false
+bound whole_plane: applicable=true rhs=16 ratio=0.375 violated=
+bound three_halves: applicable=true rhs=8 ratio=0.75 violated=
+violations=
+""",
+    "--p 5 --set points:(0,1);(0,2);(1,0)": """\
+descriptor=points:(0,1);(0,2);(1,0)
+q=5 size=3 size_nonzero=3 lines_meeting=2 stab_order=1
+ratio_full=0.19245 ratio_nonzero=0.19245 contained_line=false all_classes_small=true
+bound two_lines: applicable=true rhs=3 ratio=0.333333 violated=false
+bound line_set: applicable=false rhs=16 ratio=0.0625 violated=
+bound prime_power: applicable=true rhs=3 ratio=0.333333 violated=false
+bound whole_plane: applicable=true rhs=25 ratio=0.04 violated=
+bound three_halves: applicable=true rhs=5.19615 ratio=0.19245 violated=
+violations=
+""",
+    "--p 3 --r 2 --set family:line-origin --c1 10 --alpha 1 --c2 2 --beta 1.5": """\
+descriptor=family:line-origin
+q=9 size=9 size_nonzero=8 lines_meeting=1 stab_order=72
+ratio_full=2.66667 ratio_nonzero=3.18198 contained_line=true all_classes_small=false
+bound two_lines: applicable=false rhs=8 ratio=9 violated=
+bound line_set: applicable=false rhs=0 ratio= violated=
+bound prime_power: applicable=false rhs=27 ratio=2.66667 violated=
+bound whole_plane: applicable=true rhs=81 ratio=0.888889 violated=
+bound three_halves: applicable=false rhs=27 ratio=2.66667 violated=
+violations=
+""",
+    "--p 3 --set family:empty": """\
+descriptor=family:empty
+q=3 size=0 size_nonzero=0 lines_meeting=0 stab_order=24
+ratio_full= ratio_nonzero= contained_line=true all_classes_small=false
+bound two_lines: applicable=false rhs=0 ratio= violated=
+bound line_set: applicable=false rhs=0 ratio= violated=
+bound prime_power: applicable=false rhs=0 ratio= violated=
+bound whole_plane: applicable=false rhs=9 ratio=2.66667 violated=
+bound three_halves: applicable=false rhs=0 ratio= violated=
+violations=
+""",
+    "--p 7 --set family:random:n=10,seed=42": """\
+descriptor=family:random:n=10,seed=42
+q=7 size=10 size_nonzero=9 lines_meeting=4 stab_order=1
+ratio_full=0.0316228 ratio_nonzero=0.037037 contained_line=false all_classes_small=true
+bound two_lines: applicable=false rhs=9 ratio=0.111111 violated=
+bound line_set: applicable=true rhs=1152 ratio=0.000868056 violated=false
+bound prime_power: applicable=true rhs=10 ratio=0.1 violated=false
+bound whole_plane: applicable=true rhs=49 ratio=0.0204082 violated=
+bound three_halves: applicable=true rhs=31.6228 ratio=0.0316228 violated=
+violations=
+""",
+    "--p 2 --r 3 --set family:complement:of=family:axis-subgroup:c=7": """\
+descriptor=family:complement:of=family:axis-subgroup:c=7
+q=8 size=63 size_nonzero=62 lines_meeting=9 stab_order=8
+ratio_full=0.0159985 ratio_nonzero=0.0163871 contained_line=false all_classes_small=false
+bound two_lines: applicable=false rhs=62 ratio=0.129032 violated=
+bound line_set: applicable=true rhs=93312 ratio=8.57339e-05 violated=false
+bound prime_power: applicable=true rhs=252 ratio=0.031746 violated=false
+bound whole_plane: applicable=true rhs=64 ratio=0.125 violated=
+bound three_halves: applicable=true rhs=500.047 ratio=0.0159985 violated=
+violations=
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(STAB_GOLDEN))
+def test_cli_stab_golden_output(args, capsys):
+    # the whole report, byte for byte: both lines of head cells, every
+    # bound line, empty cells for None, and 6-digit floats
+    assert main(["stab", *args.split()]) == 0
+    assert capsys.readouterr().out == STAB_GOLDEN[args]
+
+
 @pytest.mark.parametrize("flag", [
     ["--budget", "-5"],
     ["--seed", "1"],
