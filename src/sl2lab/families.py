@@ -101,10 +101,13 @@ def _split_top(s: str, sep: str) -> list:
 def parse_set_spec(text: str) -> FamilySpec:
     """Parse a descriptor string into a FamilySpec.
 
-    Raises ValueError on unknown family names, malformed key=value
-    parts, keys the family does not take or repeated keys, or text
-    matching neither grammar production.
+    Raises ValueError on a non-printable character (a descriptor is
+    echoed on one line of every output file), unknown family names,
+    malformed key=value parts, keys the family does not take or
+    repeated keys, or text matching neither grammar production.
     """
+    if not text.isprintable():
+        raise ValueError(f"descriptor holds a non-printable character ({text!r})")
     text = text.strip()
     if text.startswith("points:"):
         return FamilySpec("explicit", (("pts", text[len("points:"):]),))

@@ -11,8 +11,9 @@ byte, is:
     by index ranges, so the bytes written do not depend on the worker
     count.  Random campaigns derive one child seed per index, never a
     shared stream.
-  * Integers are written exactly; every float column is rounded to six
-    significant digits at row-build time so CSV and JSON agree.
+  * Integers are written exactly; every float cell of a report is
+    rounded to six significant digits (_f6_cells) when the row is
+    built, so CSV and JSON agree.
   * Exhaustive campaigns checkpoint progress to <out>.ckpt after each
     chunk, with the sha256 of every byte written so far; rerunning with
     --resume checks that hash over the kept prefix, appends the
@@ -28,7 +29,14 @@ byte, is:
     failure.
 
 Each campaign is one row of CAMPAIGNS: its row producer, columns, row
-total, q limit and CLI subcommand.
+total, q limit and CLI subcommand.  The report modules name their own
+columns: stabilizer.bound_report and incidence3d.incidence_bound_report
+return their cells as dicts in column order, and
+stabilizer.TripleCountAudit holds its cells as fields in that order.  A
+header is REPORT_COLUMNS, INCIDENCE_COLUMNS or AUDIT_COLUMNS with the
+row's own cells (index, descriptor, a campaign's checks) around them,
+and a row copies the report's cells in order; nothing here lists a
+report's columns again.
 
 Workers (or the parent, in a serial run) render each chunk of rows, as
 CSV text or as one JSON text per row in the layout of
@@ -38,21 +46,21 @@ the partial summaries in range order and checkpoints.  search-extremal
 is the one exception: its rows are held in the parent until they can be
 ranked, then rendered the same way.  CampaignResult.rows reads the
 output file back when it is first asked for.  Every stabilizer-report
-column after index/descriptor is memoized on the field context, with the
-constants, as one entry per canonical key (|R(E)|, |E|, the sorted line
-multiplicities of E, whether E lies on a line), so bound_report and the
-CSV and JSON formatting run once per distinct key.  An entry holds the
-tail columns, the violation count, the tail's CSV text (which
-csv.writer rendered once) and JSON members, and the values the summary
-folds.  An unedited report row travels from its producer as (index,
-descriptor, entry) and is written as its index, its descriptor (quoted
-as csv.writer quotes it) and the entry's text; only a row that a
-producer edits becomes a dict, and it goes through csv.writer.  The
-q <= 4 sweeps (exhaustive-subsets and prime-bound-exhaustive) run on
-int masks and per-field tables, with a second memo on the raw key
-(|R(E)|, origin bit, packed line counts, whether E lies on a line),
-which determines the canonical key; they build a PointSet only for a
-spot check or a miss in that memo.
+column after index/descriptor is memoized on the field context, under
+the Constants value, as one entry per canonical key (|R(E)|, |E|, the
+sorted line multiplicities of E, whether E lies on a line), so
+bound_report and the CSV and JSON formatting run once per distinct key.
+An entry holds the tail columns, the violation count, the tail's CSV
+text (which csv.writer rendered once) and JSON members, and the values
+the summary folds.  An unedited report row travels from its producer
+as (index, descriptor, entry) and is written as its index, its
+descriptor (quoted as csv.writer quotes it) and the entry's text; only
+a row that a producer edits becomes a dict, and it goes through
+csv.writer.  The q <= 4 sweeps (exhaustive-subsets and
+prime-bound-exhaustive) run on int masks and per-field tables, with a
+second memo on the raw key (|R(E)|, origin bit, packed line counts,
+whether E lies on a line), which determines the canonical key; they
+build a PointSet only for a spot check or a miss in that memo.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -78,6 +86,7 @@ from typing import NamedTuple
 from .families import default_battery, gen_family, parse_set_spec
 from .gf import FieldCtx, make_field, selftest
 from .incidence3d import (
+    INCIDENCE_COLUMNS,
     all_lines,
     build_instance,
     count_incidences_brute,
@@ -95,6 +104,9 @@ from .plane import (
 )
 from .rng import DetRng, nth_seed
 from .stabilizer import (
+    AUDIT_COLUMNS,
+    BOUNDS,
+    REPORT_COLUMNS,
     Constants,
     all_subset_stabilizer_orders,
     bound_report,
@@ -110,15 +122,6 @@ from .stabilizer import (
 )
 
 SCHEMA = "slab-v1"
-
-BOUND_NAMES = ("two_lines", "line_set", "prime_power", "whole_plane", "three_halves")
-INC_BOUND_NAMES = (
-    "plane_cap",
-    "balanced_deviation",
-    "rich_plane",
-    "projection",
-    "projection_scale",
-)
 
 STRATEGIES = ("orbit-union", "random")  # search-extremal candidate generators
 
@@ -181,6 +184,11 @@ def _f6(x):
     return None if x is None else float(f"{float(x):.6g}")
 
 
+def _f6_cells(cells: dict) -> dict:
+    """A report's cells, every float rounded by _f6."""
+    return {k: _f6(v) if isinstance(v, float) else v for k, v in cells.items()}
+
+
 # CSV columns that hold strings; every other cell is decoded by _decode_cell
 _TEXT_COLUMNS = frozenset({"descriptor", "violations", "audit_error", "strategy"})
 
@@ -207,67 +215,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _stab_columns(extra=()) -> list:
-    cols = [
-        "index",
-        "descriptor",
-        "size",
-        "size_nonzero",
-        "lines_meeting",
-        "stab_order",
-        "ratio_full",
-        "ratio_nonzero",
-        "contained_line",
-        "all_classes_small",
-        "small",
-        "rich",
-        "confirmed",
-    ]
-    for name in BOUND_NAMES:
-        cols += [f"{name}_applicable", f"{name}_rhs", f"{name}_ratio", f"{name}_violated"]
-    cols.append("violations")
-    cols.extend(extra)
-    return cols
-
-
-_AUDIT_COLUMNS = [
-    "index",
-    "descriptor",
-    "multiplicity",
-    "class_count",
-    "probe_count",
-    "target_count",
-    "preserver_count",
-    "mover_count",
-    "fixer_count",
-    "transport_total",
-    "lower_bound",
-    "fixer_part",
-    "mover_part",
-    "incidence_count",
-    "transport_lines",
-    "pair_cap",
-    "class_cap",
-    "plane_max",
-    "plane_cap",
-    "skew_pairs",
-    "meeting_pairs",
-    "parallel_pairs",
-    "parallel_triples",
-    "stab_order",
-    "mt_rhs",
-    "final_cap_value",
-    "final_cap_applies",
-    "final_cap_holds",
-    "audit_ok",
-    "audit_error",
-]
-
-_INCIDENCE_COLUMNS = ["index", "points", "lines", "incidences", "plane_max"] + [
-    f"{name}_{part}"
-    for name in INC_BOUND_NAMES
-    for part in ("applicable", "observed", "rhs", "ratio")
-]
+# Each report module names its own columns (REPORT_COLUMNS, AUDIT_COLUMNS,
+# INCIDENCE_COLUMNS); a campaign's header puts its row's other cells
+# around them.
+_STAB_COLUMNS = ["index", "descriptor", *REPORT_COLUMNS]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +238,7 @@ def _spot(ctx: FieldCtx, E: PointSet, stab_order: int, index: int) -> None:
 
 
 def _constants(config: CampaignConfig) -> Constants:
-    return Constants(config.c, config.c1, config.c2, config.alpha, config.beta)
+    return Constants(config.c1, config.c2, config.alpha, config.beta)
 
 
 class _Entry(NamedTuple):
@@ -304,54 +255,31 @@ class _Entry(NamedTuple):
     confirmed: bool | None
 
 
-def _constants_key(config: CampaignConfig) -> tuple:
-    return (config.c, config.c1, config.c2, config.alpha, config.beta)
-
-
-def _report_entry(ctx, E, stab_order, config) -> _Entry:
+def _report_entry(ctx, E, stab_order, constants: Constants) -> _Entry:
     """The report entry of the set E, whose symmetry order is stab_order.
 
     Every report column after index/descriptor depends on E only through
     |E|, its sorted nonzero line multiplicities and whether it lies on a
     line, so entries are memoized on the field on that canonical key
     (with the constants); bound_report runs once per distinct key.  An
-    entry holds the tail columns as a dict, the violation count, the
-    tail already formatted (its finished CSV text and its JSON members)
-    and the three tail values the summary folds.  A row is the item
-    (index, descriptor, entry) until a producer edits it, and only then a
-    dict.
+    entry holds bound_report's cells, rounded, as the tail columns, the
+    violation count, the tail already formatted (its finished CSV text
+    and its JSON members) and the three tail values the summary folds.
+    A row is the item (index, descriptor, entry) until a producer edits
+    it, and only then a dict.
     """
-    memo = ctx.memo(("tails", *_constants_key(config)), dict)
+    memo = ctx.memo(("tails", constants), dict)
     mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
     key = (stab_order, E.size, mults, contained_in_line(ctx, E))
     entry = memo.get(key)
     if entry is None:
-        rep = bound_report(ctx, E, _constants(config), stab_order=stab_order)
-        tail = {
-            "size": rep.size,
-            "size_nonzero": rep.size_nonzero,
-            "lines_meeting": rep.lines_meeting,
-            "stab_order": rep.stab_order,
-            "ratio_full": _f6(rep.ratio_full),
-            "ratio_nonzero": _f6(rep.ratio_nonzero),
-            "contained_line": rep.contained_line,
-            "all_classes_small": rep.all_classes_small,
-            "small": rep.small,
-            "rich": rep.rich,
-            "confirmed": rep.confirmed,
-        }
-        by_name = {r.name: r for r in rep.rows}
-        for name in BOUND_NAMES:
-            r = by_name[name]
-            tail[f"{name}_applicable"] = r.applicable
-            tail[f"{name}_rhs"] = _f6(r.rhs)
-            tail[f"{name}_ratio"] = _f6(r.ratio)
-            tail[f"{name}_violated"] = r.violated
-        bad = rep.violations()
-        tail["violations"] = ";".join(bad)
+        tail = _f6_cells(bound_report(ctx, E, constants, stab_order=stab_order))
+        # the tail is rendered in dict order, under the header's names
+        assert tuple(tail) == REPORT_COLUMNS, "bound_report cells out of column order"
+        bad = tail["violations"]
         entry = memo[key] = _Entry(
             tail,
-            len(bad),
+            bad.count(";") + 1 if bad else 0,
             _csv_text([[_fmt(v) for v in tail.values()]]),
             _json_members(tail, _ROW_PAD),
             tail["ratio_nonzero"],
@@ -415,7 +343,8 @@ def _mask_items(ctx, config, masks):
     low_counts, high_counts = ctx.memo("line_count_bytes", _line_count_bytes, ctx)
     low_text, high_after, high_alone = ctx.memo("descriptor_bytes", _descriptor_bytes, ctx)
     pair_lines = ctx.memo("pair_lines", dict)
-    raw = ctx.memo(("mask_tails", *_constants_key(config)), dict)
+    constants = _constants(config)
+    raw = ctx.memo(("mask_tails", constants), dict)
     for mask in masks:
         order = counts[mask]
         lo, hi = mask & 255, mask >> 8
@@ -431,7 +360,7 @@ def _mask_items(ctx, config, masks):
         key = (order, mask & 1, low_counts[lo] + high_counts[hi], contained)
         entry = raw.get(key)
         if entry is None:
-            entry = raw[key] = _report_entry(ctx, PointSet(q, mask), order, config)
+            entry = raw[key] = _report_entry(ctx, PointSet(q, mask), order, constants)
         if mask % SPOT_EVERY == 0:
             _spot(ctx, PointSet(q, mask), order, mask)
         yield mask, low_text[lo] + (high_after if lo else high_alone)[hi], entry
@@ -450,11 +379,12 @@ def _sampled_items(ctx, config, start, stop):
         ("sample", config.seed, config.budget),
         lambda: DetRng(config.seed).sample(1 << (q * q), config.budget),
     )
+    constants = _constants(config)
     for i in range(start, stop):
         E = PointSet(q, sample[i])
         order = stabilizer_order(ctx, E)
         _spot(ctx, E, order, i)
-        yield i, E.text(), _report_entry(ctx, E, order, config)
+        yield i, E.text(), _report_entry(ctx, E, order, constants)
 
 
 def _two_line_space(ctx):
@@ -480,6 +410,7 @@ def _gen_two_line(config, start, stop):
     # ignored by R(E).  The memo holds the axis-pair order per
     # (sub1, sub2), and _spot still checks the row's own E by brute force.
     orders = ctx.memo("two_line_orders", dict)
+    constants = _constants(config)
 
     def pick(line, sub):
         bits = 0
@@ -499,7 +430,7 @@ def _gen_two_line(config, start, stop):
             axes = PointSet(q, pick(0, sub1) | pick(q, sub2))
             order = orders[sub1, sub2] = stabilizer_order(ctx, axes)
         _spot(ctx, E, order, index)
-        yield index, E.text(), _report_entry(ctx, E, order, config)
+        yield index, E.text(), _report_entry(ctx, E, order, constants)
 
 
 def _lineset_list(ctx, config):
@@ -523,6 +454,7 @@ def _gen_lineset(config, start, stop):
     sets = _linesets(ctx, config)
     masks = line_nonzero_masks(ctx)
     lines = proj_lines(ctx)
+    constants = _constants(config)
     for index in range(start, stop):
         picked = sets[index]
         bits = 1  # unions of full origin lines include the origin
@@ -537,7 +469,7 @@ def _gen_lineset(config, start, stop):
             raise AssertionError(
                 f"line-set stabilizer mismatch at index {index}: {len(direct)} != {order}"
             )
-        yield index, E.text(), _report_entry(ctx, E, order, config)
+        yield index, E.text(), _report_entry(ctx, E, order, constants)
 
 
 def _gen_prime_bound(config, start, stop):
@@ -588,6 +520,7 @@ def _battery(ctx, config):
 def _gen_family(config, start, stop):
     ctx = make_field(config.p, config.r)
     specs = _battery(ctx, config)
+    constants = _constants(config)
     for index in range(start, stop):
         spec = specs[index]
         E = gen_family(ctx, spec)
@@ -596,7 +529,7 @@ def _gen_family(config, start, stop):
         comp_match = complement_agrees(ctx, E, order)
         expected = _expected_order(ctx, spec)
         exp_match = None if expected is None else order == expected
-        row, nviol = _entry_row(index, spec.text(), _report_entry(ctx, E, order, config))
+        row, nviol = _entry_row(index, spec.text(), _report_entry(ctx, E, order, constants))
         row["complement_match"] = comp_match
         row["expected_order"] = expected
         row["expected_match"] = exp_match
@@ -635,19 +568,8 @@ def _gen_incidence(config, start, stop):
                 raise AssertionError(
                     f"incidence spot check failed at {index}: {brute} != {inst.incidences}"
                 )
-        row = {
-            "index": index,
-            "points": len(points),
-            "lines": len(lines),
-            "incidences": inst.incidences,
-            "plane_max": inst.plane_max,
-        }
-        for brow in incidence_bound_report(ctx, inst, c=config.c):
-            row[f"{brow.name}_applicable"] = brow.applicable
-            row[f"{brow.name}_observed"] = _f6(brow.observed)
-            row[f"{brow.name}_rhs"] = _f6(brow.rhs)
-            row[f"{brow.name}_ratio"] = _f6(brow.ratio)
-        yield index, row, 0
+        cells = _f6_cells(incidence_bound_report(ctx, inst, c=config.c))
+        yield index, {"index": index, **cells}, 0
 
 
 def random_uniform_class_set(ctx: FieldCtx, seed: int):
@@ -673,24 +595,15 @@ def random_uniform_class_set(ctx: FieldCtx, seed: int):
 
 
 def _audit_row(ctx, index, E, m1, config):
-    row = dict.fromkeys(_AUDIT_COLUMNS)
-    row["index"] = index
-    row["descriptor"] = E.text()
-    row["multiplicity"] = m1
+    head = {"index": index, "descriptor": E.text()}
     try:
         aud = triple_count_audit(ctx, E, m1, c=config.c)
     except AssertionError as err:
-        row["audit_ok"] = False
-        row["audit_error"] = str(err)
-        return row, 1
-    for name in _AUDIT_COLUMNS:
-        if hasattr(aud, name):
-            val = getattr(aud, name)
-            row[name] = _f6(val) if isinstance(val, float) else val
-    row["plane_cap"] = 2 * aud.class_count
-    row["audit_ok"] = True
-    row["audit_error"] = ""
-    return row, 0
+        # a failed audit keeps the column order, with only m1 known
+        cells = {**dict.fromkeys(AUDIT_COLUMNS), "multiplicity": m1}
+        return {**head, **cells, "audit_ok": False, "audit_error": str(err)}, 1
+    cells = _f6_cells({name: getattr(aud, name) for name in AUDIT_COLUMNS})
+    return {**head, **cells, "audit_ok": True, "audit_error": ""}, 0
 
 
 def _pick_multiplicity(ctx, E):
@@ -717,6 +630,7 @@ def _gen_search(config, start, stop):
     ctx = make_field(config.p, config.r)
     q = ctx.q
     order = sl2_order(q)
+    constants = _constants(config)
     for index in range(start, stop):
         rng = DetRng(nth_seed(config.seed, index))
         if config.strategy == "random":
@@ -726,7 +640,7 @@ def _gen_search(config, start, stop):
             brute = len(stabilizer_brute(ctx, E))  # every random row gets the oracle
             if fast != brute:
                 raise AssertionError(f"search row {index}: fast {fast} != brute {brute}")
-            row, nviol = _entry_row(f"{index}", E.text(), _report_entry(ctx, E, fast, config))
+            row, nviol = _entry_row(f"{index}", E.text(), _report_entry(ctx, E, fast, constants))
             row["strategy"] = "random"
             row["subgroup_order"] = None
             row["contains_subgroup"] = None
@@ -736,8 +650,6 @@ def _gen_search(config, start, stop):
         gens = [sl2_unrank(ctx, rng.below(order)) for _ in range(ngens)]
         h_order, orbits = subgroup_orbits(ctx, gens)
         others = [o for o in orbits if not (0 in o and o.size == 1)]
-        if not others:
-            continue
         mask = 1 + rng.below((1 << min(len(others), 12)) - 1)
         union = PointSet.from_codes(q, ())
         for k, orb in enumerate(others[:12]):
@@ -750,7 +662,7 @@ def _gen_search(config, start, stop):
             # divides |R(E)|; a route that undercounts R(E) fails that
             kept = all(apply_to_set(ctx, g, E) == E for g in gens)
             contains = kept and stab_order % h_order == 0
-            row, nviol = _entry_row(tag, E.text(), _report_entry(ctx, E, stab_order, config))
+            row, nviol = _entry_row(tag, E.text(), _report_entry(ctx, E, stab_order, constants))
             row["strategy"] = "orbit-union"
             row["subgroup_order"] = h_order
             row["contains_subgroup"] = contains
@@ -805,7 +717,7 @@ CAMPAIGNS = {
     "exhaustive-subsets": Campaign(
         command="exhaustive",
         produce=_gen_exhaustive,
-        columns=_stab_columns(),
+        columns=_STAB_COLUMNS,
         total=lambda config, ctx: (1 << (ctx.q * ctx.q)) if ctx.q <= 4 else config.budget,
         max_q=4,
         sampled_max_q=5,
@@ -813,49 +725,49 @@ CAMPAIGNS = {
     "two-line-exhaustive": Campaign(
         command="exhaustive",
         produce=_gen_two_line,
-        columns=_stab_columns(),
+        columns=_STAB_COLUMNS,
         total=_two_line_total,
         max_q=5,  # q = 7 would be 222,264 rows
     ),
     "lineset-exhaustive": Campaign(
         command="exhaustive",
         produce=_gen_lineset,
-        columns=_stab_columns(),
+        columns=_STAB_COLUMNS,
         total=lambda config, ctx: len(_linesets(ctx, config)),
         max_q=9,
     ),
     "family-verify": Campaign(
         command="family",
         produce=_gen_family,
-        columns=_stab_columns(("complement_match", "expected_order", "expected_match")),
+        columns=[*_STAB_COLUMNS, "complement_match", "expected_order", "expected_match"],
         total=lambda config, ctx: len(_battery(ctx, config)),
         max_q=64,
     ),
     "prime-bound-exhaustive": Campaign(
         command="exhaustive",
         produce=_gen_prime_bound,
-        columns=_stab_columns(),
+        columns=_STAB_COLUMNS,
         total=lambda config, ctx: 1 << (ctx.q * ctx.q),
         max_q=4,
     ),
     "incidence-report": Campaign(
         command="incidence",
         produce=_gen_incidence,
-        columns=_INCIDENCE_COLUMNS,
+        columns=["index", *INCIDENCE_COLUMNS],
         total=_budget_total,
         max_q=9,
     ),
     "triple-audit": Campaign(
         command="audit",
         produce=_gen_audit,
-        columns=_AUDIT_COLUMNS,
+        columns=["index", "descriptor", *AUDIT_COLUMNS, "audit_ok", "audit_error"],
         total=lambda config, ctx: 1 if config.set_spec else config.budget,
         max_q=9,
     ),
     "search-extremal": Campaign(
         command="search",
         produce=_gen_search,
-        columns=_stab_columns(("strategy", "subgroup_order", "contains_subgroup")),
+        columns=[*_STAB_COLUMNS, "strategy", "subgroup_order", "contains_subgroup"],
         total=_budget_total,
         max_q=9,
         rank=_rank_search_rows,
@@ -1194,7 +1106,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 def _add_field_and_constants(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
     sub.add_argument("--r", type=int, default=1, help="extension degree, q = p^r")
-    sub.add_argument("--c", type=float, default=1.0)
     sub.add_argument("--c1", type=float, default=1.0)
     sub.add_argument("--c2", type=float, default=1.0)
     sub.add_argument("--alpha", type=float, default=0.5)
@@ -1207,6 +1118,7 @@ def _campaign_parser(subs, command: str, help: str) -> argparse.ArgumentParser:
     names = [name for name, spec in CAMPAIGNS.items() if spec.command == command]
     sub = subs.add_parser(command, help=help)
     _add_field_and_constants(sub)
+    sub.add_argument("--c", type=float, default=1.0, help="incidence constant")
     sub.add_argument("--budget", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=int, default=None)
@@ -1267,27 +1179,17 @@ def _cmd_field(args) -> int:
 def _cmd_stab(args) -> int:
     ctx = make_field(args.p, args.r)
     E = gen_family(ctx, parse_set_spec(args.set_spec))
-    rep = bound_report(ctx, E, Constants(args.c, args.c1, args.c2, args.alpha, args.beta))
+    rep = bound_report(ctx, E, Constants(args.c1, args.c2, args.alpha, args.beta))
+    cell = {k: _fmt(v) for k, v in rep.items()}
     print(f"descriptor={args.set_spec}")
-    print(
-        f"q={ctx.q} size={rep.size} size_nonzero={rep.size_nonzero}"
-        f" lines_meeting={rep.lines_meeting} stab_order={rep.stab_order}"
-    )
-    print(
-        f"ratio_full={_fmt(_f6(rep.ratio_full))}"
-        f" ratio_nonzero={_fmt(_f6(rep.ratio_nonzero))}"
-        f" contained_line={_fmt(rep.contained_line)}"
-        f" all_classes_small={_fmt(rep.all_classes_small)}"
-    )
-    for row in rep.rows:
-        print(
-            f"bound {row.name}: applicable={_fmt(row.applicable)}"
-            f" rhs={_fmt(_f6(row.rhs))} ratio={_fmt(_f6(row.ratio))}"
-            f" violated={_fmt(row.violated)}"
-        )
-    bad = rep.violations()
-    print(f"violations={';'.join(bad)}")
-    return 1 if bad else 0
+    # the set's first eight cells, four to a line, then one line per bound
+    print(f"q={ctx.q} " + " ".join(f"{k}={cell[k]}" for k in REPORT_COLUMNS[:4]))
+    print(" ".join(f"{k}={cell[k]}" for k in REPORT_COLUMNS[4:8]))
+    for name in BOUNDS:
+        parts = ("applicable", "rhs", "ratio", "violated")
+        print(f"bound {name}: " + " ".join(f"{x}={cell[f'{name}_{x}']}" for x in parts))
+    print(f"violations={cell['violations']}")
+    return 1 if cell["violations"] else 0
 
 
 def _campaign_from_args(args) -> CampaignConfig:

@@ -31,6 +31,10 @@ again: count_incidences keeps each line's q points, and plane_richness
 keeps each line's q + 1 planes as integer keys normal_index * q +
 offset, counted in a Counter and turned back into a (normal, offset)
 witness only for the tied maxima.
+
+incidence_bound_report returns an instance's report cells as a dict
+keyed by INCIDENCE_COLUMNS, in that order, so this module alone names
+the incidence campaign's columns.
 """
 
 from __future__ import annotations
@@ -330,32 +334,36 @@ def build_instance(ctx: FieldCtx, points, lines):
     return IncidenceInstance(pts, lns, inc, rich)
 
 
-@dataclass(frozen=True)
-class IncidenceBoundRow:
-    name: str
-    applicable: bool
-    observed: float
-    rhs: float
-    ratio: float | None
+# The keys of incidence_bound_report's dict, in column order: the
+# instance's cells, then four cells per bound.
+INCIDENCE_COLUMNS = ("points", "lines", "incidences", "plane_max") + tuple(
+    f"{name}_{part}"
+    for name in ("plane_cap", "balanced_deviation", "rich_plane", "projection", "projection_scale")
+    for part in ("applicable", "observed", "rhs", "ratio")
+)
 
 
-def incidence_bound_report(ctx: FieldCtx, inst: IncidenceInstance, c: float = 1.0):
-    """Observed-versus-bound rows for one instance.
+def incidence_bound_report(ctx: FieldCtx, inst: IncidenceInstance, c: float = 1.0) -> dict:
+    """Observed-versus-bound cells for one instance, keyed by
+    INCIDENCE_COLUMNS in that order, floats unrounded.
 
-    The rows compare I(P, L) (or its deviation from the mean value
-    |P||L|/q^2) against the standard upper bounds; `c` scales the
+    Each bound compares I(P, L) (or its deviation from the mean value
+    |P||L|/q^2) against a standard upper bound; `c` scales the
     plane-richness bound and the rich-plane applicability cutoff.
-    Rows whose hypotheses fail keep their numbers but are flagged
-    not applicable.
+    Bounds whose hypotheses fail keep their numbers but are flagged
+    not applicable.  With no points, projection_scale's observed and
+    ratio cells are None.
     """
     np_, nl = len(inst.points), len(inst.lines)
     q, p = ctx.q, ctx.p
     inc, rich = inst.incidences, inst.plane_max
-    rows = []
+    cells = {"points": np_, "lines": nl, "incidences": inc, "plane_max": rich}
 
     def add(name, applicable, observed, rhs):
-        ratio = observed / rhs if rhs > 0 else None
-        rows.append(IncidenceBoundRow(name, applicable, observed, rhs, ratio))
+        cells[f"{name}_applicable"] = applicable
+        cells[f"{name}_observed"] = observed
+        cells[f"{name}_rhs"] = rhs
+        cells[f"{name}_ratio"] = observed / rhs if observed is not None and rhs > 0 else None
 
     add(
         "plane_cap",
@@ -374,7 +382,7 @@ def incidence_bound_report(ctx: FieldCtx, inst: IncidenceInstance, c: float = 1.
     projection_ok = np_ > 0 and nl > 0 and np_**0.875 < nl < np_ ** (8 / 7)
     add("projection", projection_ok, float(inc), (np_ * nl) ** (11 / 15))
     # size of |P|^-2 |L|^13 relative to p^15, reported alongside the
-    # projection row since its conclusion degrades when this is large
-    if np_ > 0:
-        add("projection_scale", projection_ok, np_**-2.0 * nl**13, float(p) ** 15)
-    return rows
+    # projection bound since its conclusion degrades when this is large
+    scale = np_**-2.0 * nl**13 if np_ else None
+    add("projection_scale", projection_ok, scale, float(p) ** 15)
+    return cells

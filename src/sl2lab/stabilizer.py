@@ -39,9 +39,13 @@ orbit decompositions and orders of a generated subgroup (again by
 orbit-stabilizer, with Schreier generators for the point stabilizer),
 per-set bound reports, and the triple-count audit that replays the
 incidence-geometry argument behind the |R(E)| <= 16 c^2 (m0 m1)^{3/2}
-cap, identity by identity.  The line-set stabilizer intersects bitsets
-over the group, one per (direction, image direction) pair, built once
-per field from the action on directions.  The audit's group S of
+cap, identity by identity.  This module names the columns of both
+reports: bound_report returns its cells as a dict keyed by
+REPORT_COLUMNS, in that order, and TripleCountAudit holds its cells as
+fields in the order of AUDIT_COLUMNS; campaigns build their headers
+from those names.  The line-set stabilizer intersects bitsets over the
+group, one per (direction, image direction) pair, built once per field
+from the action on directions.  The audit's group S of
 class-set permuters is R(U) for the union U of the class sets, found by
 stabilizer_brute, so it shares no candidates with the transport route
 it checks.
@@ -51,7 +55,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .gf import FieldCtx
 from .incidence3d import (
@@ -557,54 +562,38 @@ def contained_in_line(ctx: FieldCtx, E: PointSet) -> bool:
 # Bound reports
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Tunable constants for report columns.
-
-    c scales the plane-richness incidence bound; c1/alpha and c2/beta
-    are the thresholds |E| <= c1 q^alpha and |R(E)| >= c2 q^beta of the
+class Constants(NamedTuple):
+    """Tunable constants for report columns: c1/alpha and c2/beta are
+    the thresholds |E| <= c1 q^alpha and |R(E)| >= c2 q^beta of the
     containment criterion (beta = 3 alpha / 2 is the interesting edge,
-    so the defaults sit at alpha = 1/2, beta = 3/4).
+    so the defaults sit at alpha = 1/2, beta = 3/4).  A value type, so
+    campaigns key their report memos on it.
     """
 
-    c: float = 1.0
     c1: float = 1.0
     c2: float = 1.0
     alpha: float = 0.5
     beta: float = 0.75
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    """One observed-versus-bound comparison; violated is None for rows
-    that only report a ratio (bounds with unspecified constants)."""
-
-    name: str
-    applicable: bool
-    rhs: float
-    ratio: float | None
-    violated: bool | None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    size: int
-    size_nonzero: int
-    lines_meeting: int
-    stab_order: int
-    contained_line: bool
-    all_classes_small: bool
-    ratio_full: float | None
-    ratio_nonzero: float | None
-    rows: tuple
-    small: bool
-    small_rhs: float
-    rich: bool
-    rich_rhs: float
-    confirmed: bool | None
-
-    def violations(self) -> list:
-        return [r.name for r in self.rows if r.applicable and r.violated]
+# The bounds bound_report checks, and the keys of its dict in column
+# order: the set's cells, four cells per bound, then the violated bounds.
+BOUNDS = ("two_lines", "line_set", "prime_power", "whole_plane", "three_halves")
+REPORT_COLUMNS = (
+    "size",
+    "size_nonzero",
+    "lines_meeting",
+    "stab_order",
+    "ratio_full",
+    "ratio_nonzero",
+    "contained_line",
+    "all_classes_small",
+    "small",
+    "rich",
+    "confirmed",
+    *(f"{name}_{part}" for name in BOUNDS for part in ("applicable", "rhs", "ratio", "violated")),
+    "violations",
+)
 
 
 def bound_report(
@@ -612,8 +601,13 @@ def bound_report(
     E: PointSet,
     constants: Constants = Constants(),
     stab_order: int | None = None,
-) -> BoundReport:
+) -> dict:
     """Compare |R(E)| against every bound with checkable hypotheses.
+
+    Returns the report's cells, keyed by REPORT_COLUMNS in that order,
+    floats unrounded.  A bound's violated cell is None when the bound is
+    not applicable or only reports a ratio (its constant is unspecified);
+    violations joins the names of the violated bounds with ";".
 
     stab_order may be supplied by campaigns that already know it;
     otherwise it is stabilizer_order(), which reads it off as |SL2| when
@@ -630,16 +624,33 @@ def bound_report(
     size = E.size
     size_nz = E.nonzero_size
     contained = contained_in_line(ctx, E)
+    c = constants
+    small = size <= c.c1 * q**c.alpha
+    rich = stab_order >= c.c2 * q**c.beta
 
-    ratio_full = stab_order / size**1.5 if size else None
-    ratio_nz = stab_order / size_nz**1.5 if size_nz else None
-
-    rows = []
+    cells = {
+        "size": size,
+        "size_nonzero": size_nz,
+        "lines_meeting": lines,
+        "stab_order": stab_order,
+        "ratio_full": stab_order / size**1.5 if size else None,
+        "ratio_nonzero": stab_order / size_nz**1.5 if size_nz else None,
+        "contained_line": contained,
+        "all_classes_small": lines >= 2 and part.all_classes_small,
+        "small": small,
+        "rich": rich,
+        "confirmed": contained if (small and rich) else None,
+    }
+    bad = []
 
     def add(name, applicable, rhs, check):
-        ratio = (stab_order / rhs) if rhs > 0 else None
         violated = (not check()) if (applicable and check is not None) else None
-        rows.append(BoundRow(name, applicable, rhs, ratio, violated))
+        cells[f"{name}_applicable"] = applicable
+        cells[f"{name}_rhs"] = rhs
+        cells[f"{name}_ratio"] = (stab_order / rhs) if rhs > 0 else None
+        cells[f"{name}_violated"] = violated
+        if violated:
+            bad.append(name)
 
     add("two_lines", lines == 2, float(size_nz), lambda: stab_order <= size_nz)
     cap = 2 * lines**3 * (lines - 1) ** 2
@@ -650,30 +661,8 @@ def bound_report(
     add("prime_power", lines >= 2 and proper, float(pp_rhs), lambda: stab_order <= pp_rhs)
     add("whole_plane", proper, float(whole), None)
     add("three_halves", lines >= 2, size**1.5, None)
-
-    c = constants
-    small_rhs = c.c1 * q**c.alpha
-    rich_rhs = c.c2 * q**c.beta
-    small = size <= small_rhs
-    rich = stab_order >= rich_rhs
-    confirmed = contained if (small and rich) else None
-
-    return BoundReport(
-        size=size,
-        size_nonzero=size_nz,
-        lines_meeting=lines,
-        stab_order=stab_order,
-        contained_line=contained,
-        all_classes_small=lines >= 2 and part.all_classes_small,
-        ratio_full=ratio_full,
-        ratio_nonzero=ratio_nz,
-        rows=tuple(rows),
-        small=small,
-        small_rhs=small_rhs,
-        rich=rich,
-        rich_rhs=rich_rhs,
-        confirmed=confirmed,
-    )
+    cells["violations"] = ";".join(bad)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -690,38 +679,46 @@ class TripleCountAudit:
     target: at least (class_count - 4) |S| of them exist, the part from
     x-axis-fixing elements is at most probe_count * target_count, and
     the moving part equals an exact point-line incidence count in
-    3-space, where no plane holds more than 2 * class_count of the
-    transport lines.  All of those identities are asserted, so an audit
-    that returns is an audit that passed.
+    3-space, where no plane holds more than plane_cap = 2 * class_count
+    of the transport lines.  All of those identities are asserted, so an
+    audit that returns is an audit that passed.
+
+    The fields up to final_cap_holds are the audit's report columns, in
+    column order (AUDIT_COLUMNS); the last two record the coordinates
+    the audit worked in.
     """
 
     multiplicity: int
     class_count: int
-    normalizer: tuple
-    base_codes: tuple
     probe_count: int
     target_count: int
     preserver_count: int
     mover_count: int
     fixer_count: int
     transport_total: int
+    lower_bound: int
     fixer_part: int
     mover_part: int
     incidence_count: int
     transport_lines: int
-    plane_max: int
-    lower_bound: int
     pair_cap: int
     class_cap: int
-    mt_rhs: float
-    final_cap_value: float
-    final_cap_applies: bool
-    final_cap_holds: bool
-    stab_order: int
+    plane_max: int
+    plane_cap: int
     skew_pairs: int
     meeting_pairs: int
     parallel_pairs: int
     parallel_triples: int
+    stab_order: int
+    mt_rhs: float
+    final_cap_value: float
+    final_cap_applies: bool
+    final_cap_holds: bool
+    normalizer: tuple
+    base_codes: tuple
+
+
+AUDIT_COLUMNS = tuple(f.name for f in fields(TripleCountAudit)[:-2])
 
 
 def triple_count_audit(
@@ -807,7 +804,8 @@ def triple_count_audit(
     assert inc == mover_part, "mover part must equal the incidence count"
 
     plane_max, _ = plane_richness(ctx, lines3)
-    assert plane_max <= 2 * m0, "plane richness cap failed"
+    plane_cap = 2 * m0
+    assert plane_max <= plane_cap, "plane richness cap failed"
 
     # Skew / parallel structure of the transport lines from one probe:
     # same-origin-line targets give parallel lines (and no three of those
@@ -861,29 +859,30 @@ def triple_count_audit(
     return TripleCountAudit(
         multiplicity=multiplicity,
         class_count=m0,
-        normalizer=normalizer,
-        base_codes=base_codes,
         probe_count=len(probes),
         target_count=len(targets),
         preserver_count=s_count,
         mover_count=len(movers),
         fixer_count=len(fixers),
         transport_total=transport_total,
+        lower_bound=lower,
         fixer_part=fixer_part,
         mover_part=mover_part,
         incidence_count=inc,
         transport_lines=len(lines3),
-        plane_max=plane_max,
-        lower_bound=lower,
         pair_cap=pair_cap,
         class_cap=class_cap,
-        mt_rhs=mt_rhs,
-        final_cap_value=final_cap,
-        final_cap_applies=applies,
-        final_cap_holds=holds,
-        stab_order=len(stab_trans) * len(stab_fixers),
+        plane_max=plane_max,
+        plane_cap=plane_cap,
         skew_pairs=skew_pairs,
         meeting_pairs=meeting_pairs,
         parallel_pairs=parallel_pairs,
         parallel_triples=parallel_triples,
+        stab_order=len(stab_trans) * len(stab_fixers),
+        mt_rhs=mt_rhs,
+        final_cap_value=final_cap,
+        final_cap_applies=applies,
+        final_cap_holds=holds,
+        normalizer=normalizer,
+        base_codes=base_codes,
     )

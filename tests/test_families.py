@@ -58,6 +58,7 @@ def test_parse_shapes():
 @pytest.mark.parametrize("bad", [
     "family:nonsense", "nofamily:empty", "", "family:",
     "family:random:n10", "family:explicit",
+    "points:(0,1);(1,\n2)", "family:origin\n", "points:(0,1);(1,\t2)",
 ])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):

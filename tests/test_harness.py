@@ -29,9 +29,11 @@ from sl2lab.harness import (
     run_campaign,
 )
 from sl2lab.families import gen_family, parse_set_spec
+from sl2lab.incidence3d import all_lines, build_instance, incidence_bound_report
 from sl2lab.plane import PointSet, apply_to_set, parse_point, sl2_materialize
 from sl2lab.rng import DetRng, nth_seed
 from sl2lab.stabilizer import (
+    BOUNDS,
     Constants,
     all_subset_stabilizer_orders,
     bound_report,
@@ -77,30 +79,17 @@ def crash_campaign(monkeypatch, config, at):
 
 def direct_report_row(ctx, index, E, stab_order, config):
     """A report row built straight from bound_report, with no memo."""
-    consts = Constants(config.c, config.c1, config.c2, config.alpha, config.beta)
+    consts = Constants(config.c1, config.c2, config.alpha, config.beta)
     rep = bound_report(ctx, E, consts, stab_order=stab_order)
     row = {
         "index": index,
         "descriptor": "points:" + ";".join(f"({x},{y})" for x, y in E.points()),
-        "size": rep.size,
-        "size_nonzero": rep.size_nonzero,
-        "lines_meeting": rep.lines_meeting,
-        "stab_order": rep.stab_order,
-        "ratio_full": _f6(rep.ratio_full),
-        "ratio_nonzero": _f6(rep.ratio_nonzero),
-        "contained_line": rep.contained_line,
-        "all_classes_small": rep.all_classes_small,
-        "small": rep.small,
-        "rich": rep.rich,
-        "confirmed": rep.confirmed,
     }
-    for b in rep.rows:
-        row[f"{b.name}_applicable"] = b.applicable
-        row[f"{b.name}_rhs"] = _f6(b.rhs)
-        row[f"{b.name}_ratio"] = _f6(b.ratio)
-        row[f"{b.name}_violated"] = b.violated
-    row["violations"] = ";".join(rep.violations())
-    return row, len(rep.violations())
+    for name, value in rep.items():
+        row[name] = _f6(value) if isinstance(value, float) else value
+    bad = [name for name in BOUNDS if rep[f"{name}_violated"]]
+    assert rep["violations"] == ";".join(bad)
+    return row, len(bad)
 
 
 def expand(item):
@@ -138,6 +127,66 @@ def test_columns_for_shapes():
     assert inc[:5] == ["index", "points", "lines", "incidences", "plane_max"]
     for name in CAMPAIGNS:
         assert CAMPAIGNS[name].columns
+    # the full headers, pinned: the report modules name these columns and
+    # a row's cells follow them in order, so a reordered report shows here
+    bounds = ["two_lines", "line_set", "prime_power", "whole_plane", "three_halves"]
+    assert stab_cols == [
+        "index", "descriptor", "size", "size_nonzero", "lines_meeting", "stab_order",
+        "ratio_full", "ratio_nonzero", "contained_line", "all_classes_small", "small",
+        "rich", "confirmed",
+        *(f"{b}_{x}" for b in bounds for x in ("applicable", "rhs", "ratio", "violated")),
+        "violations",
+    ]
+    assert fam == stab_cols + ["complement_match", "expected_order", "expected_match"]
+    assert search == stab_cols + ["strategy", "subgroup_order", "contains_subgroup"]
+    inc_bounds = ["plane_cap", "balanced_deviation", "rich_plane", "projection",
+                  "projection_scale"]
+    assert inc == ["index", "points", "lines", "incidences", "plane_max", *(
+        f"{b}_{x}" for b in inc_bounds for x in ("applicable", "observed", "rhs", "ratio"))]
+    assert audit == [
+        "index", "descriptor", "multiplicity", "class_count", "probe_count",
+        "target_count", "preserver_count", "mover_count", "fixer_count",
+        "transport_total", "lower_bound", "fixer_part", "mover_part", "incidence_count",
+        "transport_lines", "pair_cap", "class_cap", "plane_max", "plane_cap",
+        "skew_pairs", "meeting_pairs", "parallel_pairs", "parallel_triples",
+        "stab_order", "mt_rhs", "final_cap_value", "final_cap_applies",
+        "final_cap_holds", "audit_ok", "audit_error",
+    ]
+
+
+def test_report_keys_are_their_campaigns_columns(monkeypatch):
+    # each report module names its columns; the harness writes a report's
+    # cells in dict order under a header built from those names
+    ctx = make_field(3, 1)
+    table = all_subset_stabilizer_orders(ctx)
+    stab_header = CAMPAIGNS["exhaustive-subsets"].columns
+    for bits in range(1 << 9):
+        rep = bound_report(ctx, PointSet(3, bits), stab_order=table[bits])
+        assert ["index", "descriptor", *rep] == stab_header
+    inc_header = CAMPAIGNS["incidence-report"].columns
+    pool = list(all_lines(ctx))
+    for i in range(60):
+        rng = DetRng(nth_seed(11, i))
+        # from no points up, so the empty-instance cells are keyed too
+        pts = {(c // 9, c // 3 % 3, c % 3) for c in rng.sample(27, rng.below(27))}
+        lns = {pool[k] for k in rng.sample(len(pool), 1 + rng.below(40))}
+        rep = incidence_bound_report(ctx, build_instance(ctx, pts, lns))
+        assert ["index", *rep] == inc_header
+    audit_header = CAMPAIGNS["triple-audit"].columns
+    config = CampaignConfig(p=7, r=1, campaign="triple-audit")
+    ctx = make_field(7, 1)
+    for i in range(8):
+        E, _, m1 = random_uniform_class_set(ctx, nth_seed(12, i))
+        row, nviol = harness._audit_row(ctx, i, E, m1, config)
+        assert list(row) == audit_header and nviol == 0
+
+    def failing(*args, **kwargs):
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(harness, "triple_count_audit", failing)
+    row, nviol = harness._audit_row(ctx, 0, E, m1, config)
+    assert list(row) == audit_header and nviol == 1
+    assert row["multiplicity"] == m1 and row["audit_error"] == "injected"
 
 
 def test_echo_line():
@@ -168,7 +217,7 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
             seen = []
             for mask in range(0, len(table), step):
                 E = PointSet(ctx.q, mask)
-                entry = harness._report_entry(ctx, E, table[mask], config)
+                entry = harness._report_entry(ctx, E, table[mask], harness._constants(config))
                 index, row, nviol = expand((mask, E.text(), entry))
                 want, want_nviol = direct_report_row(ctx, mask, E, table[mask], config)
                 assert index == mask
@@ -238,7 +287,7 @@ def test_gf4_sweep_builds_point_sets_only_for_spot_checks_and_misses(tmp_path, m
     res = run_campaign(cfg(tmp_path, p=2, r=2, campaign="exhaustive-subsets", workers=1))
     assert res.summary["rows"] == 65536
     config = CampaignConfig(p=2, r=2, campaign="exhaustive-subsets")
-    raw_keys = len(make_field(2, 2).memo(("mask_tails", *harness._constants_key(config)), dict))
+    raw_keys = len(make_field(2, 2).memo(("mask_tails", harness._constants(config)), dict))
     assert calls["bound_report"] == 188
     assert calls["stabilizer_brute"] == 656  # every index divisible by 100
     assert calls["line_counts"] == raw_keys
@@ -1100,6 +1149,15 @@ def test_cli_stab_rejects_campaign_flags(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_cli_stab_takes_no_incidence_constant(capsys):
+    # c scales only the incidence and audit reports, which stab does not
+    # print; argparse reads --c as an ambiguous prefix of --c1 and --c2
+    with pytest.raises(SystemExit) as exc:
+        main(["stab", "--p", "5", "--set", "family:origin", "--c", "1"])
+    assert exc.value.code == 2
+    assert "--c could match --c1, --c2" in capsys.readouterr().err
+
+
 def test_cli_family_campaign(tmp_path, capsys):
     out = tmp_path / "fam.csv"
     code = main(["family", "--p", "2", "--r", "2", "--out", str(out)])
@@ -1154,6 +1212,27 @@ def test_cli_audit_without_the_class_leaves_no_output(tmp_path, capsys):
     argv = ["audit", "--p", "7", "--set", "family:line-origin", "--m1", "3", "--out", str(out)]
     assert main(argv) == 2
     assert "no line meets E - 0 in exactly 3 points" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_audit_of_a_set_without_nonzero_points_leaves_no_output(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["audit", "--p", "7", "--set", "family:origin", "--out", str(out)]) == 2
+    assert "error: set has no nonzero points to audit" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["family", "audit", "stab"])
+def test_cli_rejects_a_line_break_in_the_set(command, tmp_path, capsys):
+    # int() reads "\n2" as 2, so the descriptor used to build a set, and
+    # the campaign's echo comment then ran over two lines
+    argv = [command, "--p", "3", "--set", "points:(0,1);(1,\n2)"]
+    if command != "stab":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: descriptor holds a non-printable character" in captured.err
+    assert captured.out == ""
     assert os.listdir(tmp_path) == []
 
 

@@ -266,23 +266,25 @@ def test_incidence_bound_report_shapes(fields):
     lines = random_lines(ctx, rng, 10)
     pts = [(x, y, z) for x in range(5) for y in range(5) for z in range(2)]
     inst = build_instance(ctx, pts, lines)
-    rows = incidence_bound_report(ctx, inst, c=1.0)
-    names = [r.name for r in rows]
+    rep = incidence_bound_report(ctx, inst, c=1.0)
+    names = [k.removesuffix("_applicable") for k in rep if k.endswith("_applicable")]
     assert names == [
         "plane_cap", "balanced_deviation", "rich_plane",
         "projection", "projection_scale",
     ]
-    by = {r.name: r for r in rows}
-    assert by["plane_cap"].applicable and by["balanced_deviation"].applicable
+    assert rep["plane_cap_applicable"] and rep["balanced_deviation_applicable"]
     P, L = len(inst.points), len(inst.lines)
-    assert by["projection"].applicable == (P**0.875 < L < P ** (8 / 7))
-    assert by["rich_plane"].applicable == (inst.plane_max <= L**0.5)
-    assert by["plane_cap"].observed == float(inst.incidences)
+    assert (rep["points"], rep["lines"]) == (P, L)
+    assert (rep["incidences"], rep["plane_max"]) == (inst.incidences, inst.plane_max)
+    assert rep["projection_applicable"] == (P**0.875 < L < P ** (8 / 7))
+    assert rep["rich_plane_applicable"] == (inst.plane_max <= L**0.5)
+    assert rep["plane_cap_observed"] == float(inst.incidences)
     mean = P * L / 25
-    assert by["balanced_deviation"].observed == abs(inst.incidences - mean)
-    for r in rows:
-        if r.observed is not None and r.rhs > 0:
-            assert r.ratio == r.observed / r.rhs
+    assert rep["balanced_deviation_observed"] == abs(inst.incidences - mean)
+    for name in names:
+        observed, rhs = rep[f"{name}_observed"], rep[f"{name}_rhs"]
+        if observed is not None and rhs > 0:
+            assert rep[f"{name}_ratio"] == observed / rhs
 
 
 def test_projection_flag_tracks_window(fields):
@@ -292,9 +294,9 @@ def test_projection_flag_tracks_window(fields):
     # 27 points: window is (27^0.875, 27^(8/7)) ~ (17.9, 43.2)
     for nl, inside in [(10, False), (18, True), (43, True), (44, False)]:
         inst = build_instance(ctx, pts, lines[:nl])
-        by = {r.name: r for r in incidence_bound_report(ctx, inst)}
-        assert by["projection"].applicable == inside
-        assert by["projection_scale"].applicable == inside
+        rep = incidence_bound_report(ctx, inst)
+        assert rep["projection_applicable"] == inside
+        assert rep["projection_scale_applicable"] == inside
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),

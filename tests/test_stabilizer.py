@@ -579,39 +579,37 @@ def test_contained_in_line_matches_cross_product_random(fields, q):
 
 def test_constants_defaults():
     c = Constants()
-    assert (c.c, c.c1, c.c2, c.alpha, c.beta) == (1.0, 1.0, 1.0, 0.5, 0.75)
+    assert (c.c1, c.c2, c.alpha, c.beta) == (1.0, 1.0, 0.5, 0.75)
 
 
 def test_bound_report_subfield_plane(fields):
     ctx = fields[4]
     E = PointSet.from_points(4, [(0, 0), (0, 1), (1, 0), (1, 1)])
     rep = bound_report(ctx, E)
-    assert rep.size == 4 and rep.size_nonzero == 3
-    assert rep.stab_order == 6
-    assert rep.lines_meeting == 3
-    assert rep.ratio_full == pytest.approx(6 / 4**1.5)   # 0.75
-    assert rep.ratio_nonzero == pytest.approx(6 / 3**1.5)
-    by = {r.name: r for r in rep.rows}
-    assert not by["two_lines"].applicable
-    assert by["line_set"].applicable and by["line_set"].rhs == 2 * 27 * 4
-    assert by["prime_power"].applicable and by["prime_power"].rhs == 8.0
-    assert by["prime_power"].violated is False
-    assert by["whole_plane"].violated is None
-    assert by["three_halves"].violated is None
-    assert rep.violations() == []
-    assert not rep.contained_line
+    assert rep["size"] == 4 and rep["size_nonzero"] == 3
+    assert rep["stab_order"] == 6
+    assert rep["lines_meeting"] == 3
+    assert rep["ratio_full"] == pytest.approx(6 / 4**1.5)   # 0.75
+    assert rep["ratio_nonzero"] == pytest.approx(6 / 3**1.5)
+    assert not rep["two_lines_applicable"]
+    assert rep["line_set_applicable"] and rep["line_set_rhs"] == 2 * 27 * 4
+    assert rep["prime_power_applicable"] and rep["prime_power_rhs"] == 8.0
+    assert rep["prime_power_violated"] is False
+    assert rep["whole_plane_violated"] is None
+    assert rep["three_halves_violated"] is None
+    assert rep["violations"] == ""
+    assert not rep["contained_line"]
 
 
 def test_bound_report_two_lines(fields):
     ctx = fields[5]
     E = PointSet.from_points(5, [(0, 1), (0, 2), (1, 0)])
     rep = bound_report(ctx, E)
-    by = {r.name: r for r in rep.rows}
-    assert rep.lines_meeting == 2
-    assert by["two_lines"].applicable
-    assert by["two_lines"].violated is False
-    assert not by["line_set"].applicable
-    assert rep.stab_order <= rep.size_nonzero
+    assert rep["lines_meeting"] == 2
+    assert rep["two_lines_applicable"]
+    assert rep["two_lines_violated"] is False
+    assert not rep["line_set_applicable"]
+    assert rep["stab_order"] <= rep["size_nonzero"]
 
 
 def test_bound_report_accepts_precomputed_order(fields):
@@ -619,7 +617,7 @@ def test_bound_report_accepts_precomputed_order(fields):
     E = random_subset(5, 9)
     want = len(stabilizer_fast(ctx, E))
     rep = bound_report(ctx, E, stab_order=want)
-    assert rep.stab_order == want
+    assert rep["stab_order"] == want
     assert rep == bound_report(ctx, E)
 
 
@@ -628,7 +626,7 @@ def test_bound_report_exhaustive_gf3_no_violations(fields):
     table = all_subset_stabilizer_orders(ctx)
     for bits in range(1 << 9):
         rep = bound_report(ctx, PointSet(3, bits), stab_order=table[bits])
-        assert rep.violations() == []
+        assert rep["violations"] == ""
 
 
 def test_confirmation_logic(fields):
@@ -637,19 +635,19 @@ def test_confirmation_logic(fields):
     from sl2lab.plane import points_on_line
     E = PointSet.from_points(9, points_on_line(ctx, (1, 0)))
     rep = bound_report(ctx, E, Constants(c1=10.0, c2=1.0))
-    assert rep.small and rep.rich
-    assert rep.confirmed is True
+    assert rep["small"] and rep["rich"]
+    assert rep["confirmed"] is True
     # scattered set with trivial stabilizer is not rich, so no verdict
     E2 = PointSet.from_points(9, [(1, 2), (2, 5), (3, 1), (0, 4), (7, 7)])
     rep2 = bound_report(ctx, E2, Constants(c1=10.0, c2=1.0))
-    assert rep2.confirmed is None or rep2.rich
+    assert rep2["confirmed"] is None or rep2["rich"]
 
 
 GF9_SUBFIELD_AUDIT = dict(
     multiplicity=2, class_count=4, probe_count=2, target_count=4,
     preserver_count=24, mover_count=18, fixer_count=6, transport_total=24,
     fixer_part=8, mover_part=16, incidence_count=16, transport_lines=8,
-    plane_max=4, lower_bound=0, pair_cap=8, class_cap=32, stab_order=24,
+    plane_max=4, plane_cap=8, lower_bound=0, pair_cap=8, class_cap=32, stab_order=24,
     skew_pairs=4, meeting_pairs=4, parallel_pairs=4, parallel_triples=0,
     final_cap_applies=False, final_cap_holds=True, normalizer=IDENTITY,
 )
