@@ -11,9 +11,9 @@ byte, is:
     by index ranges, so the bytes written do not depend on the worker
     count.  Random campaigns derive one child seed per index, never a
     shared stream.
-  * Integers are written exactly; every float cell of a report is
-    rounded to six significant digits (_f6_cells) when the row is
-    built, so CSV and JSON agree.
+  * Integers are written exactly; every float cell of a row is rounded
+    to six significant digits (_f6) when the row's entry is built, so
+    CSV and JSON agree.
   * Exhaustive campaigns checkpoint progress to <out>.ckpt after each
     chunk, with the sha256 of every byte written so far; rerunning with
     --resume checks that hash over the kept prefix, appends the
@@ -38,29 +38,27 @@ row's own cells (index, descriptor, a campaign's checks) around them,
 and a row copies the report's cells in order; nothing here lists a
 report's columns again.
 
-Workers (or the parent, in a serial run) render each chunk of rows, as
-CSV text or as one JSON text per row in the layout of
-json.dump(indent=1), and fold the chunk into a partial summary while the
-row producer runs; no row is kept.  The parent writes the text, merges
-the partial summaries in range order and checkpoints.  search-extremal
-is the one exception: its rows are held in the parent until they can be
-ranked, then rendered the same way.  CampaignResult.rows reads the
-output file back when it is first asked for.  Every stabilizer-report
-column after index/descriptor is memoized on the field context, under
-the Constants value, as one entry per canonical key (|R(E)|, |E|, the
-sorted line multiplicities of E, whether E lies on a line), so
-bound_report and the CSV and JSON formatting run once per distinct key.
-An entry holds the tail columns, the violation count, the tail's CSV
-text (which csv.writer rendered once) and JSON members, and the values
-the summary folds.  An unedited report row travels from its producer
-as (index, descriptor, entry) and is written as its index, its
-descriptor (quoted as csv.writer quotes it) and the entry's text; only
-a row that a producer edits becomes a dict, and it goes through
-csv.writer.  The q <= 4 sweeps (exhaustive-subsets and
-prime-bound-exhaustive) run on int masks and per-field tables, with a
-second memo on the raw key (|R(E)|, origin bit, packed line counts,
-whether E lies on a line), which determines the canonical key; they
-build a PointSet only for a spot check or a miss in that memo.
+Every producer yields its rows as (index, descriptor, entry), with a
+string tag ("12+o") as a search row's index and None as an incidence
+row's descriptor.  The entry (_entry) holds the rounded cells after
+them, their text in the run's format alone, the violation count and the
+values the summary folds; a row is written as its index, its descriptor
+and that text.  Workers (or the parent, in a serial run) render each
+chunk, one CSV text or one JSON text per row, and fold it into a partial
+summary; no row is kept.  The parent writes the text, merges the
+summaries in range order and checkpoints.  search-extremal's rows are
+held in the parent until they can be ranked.  CampaignResult.rows reads
+the output file back when it is first asked for.  A pool has no more
+processes than chunks or CPUs, whatever --workers asks for.
+
+Stabilizer-report entries are memoized on the field context, under the
+Constants value and the format, per canonical key (|R(E)|, |E|, the
+sorted line multiplicities of E, whether E lies on a line);
+family-verify and search-extremal extend an entry with their own cells
+and failed checks (_extend).  The q <= 4 sweeps run on int masks and
+per-field tables, with a second memo on the raw key (|R(E)|, origin
+bit, packed line counts, whether E lies on a line), and build a
+PointSet only for a spot check or a miss in that memo.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -184,11 +182,6 @@ def _f6(x):
     return None if x is None else float(f"{float(x):.6g}")
 
 
-def _f6_cells(cells: dict) -> dict:
-    """A report's cells, every float rounded by _f6."""
-    return {k: _f6(v) if isinstance(v, float) else v for k, v in cells.items()}
-
-
 # CSV columns that hold strings; every other cell is decoded by _decode_cell
 _TEXT_COLUMNS = frozenset({"descriptor", "violations", "audit_error", "strategy"})
 
@@ -242,63 +235,60 @@ def _constants(config: CampaignConfig) -> Constants:
 
 
 class _Entry(NamedTuple):
-    """Everything a stabilizer-report row holds but its index and
-    descriptor, shared by every row with the same report."""
+    """A row's cells after index/descriptor and what the writer and the
+    summary read of them."""
 
-    tail: dict  # the columns after index/descriptor, in column order
-    nviol: int  # the number of violated bounds
-    csv: str  # the tail as csv.writer writes it, line end included
-    json: str  # the tail's members, as json.dump(indent=1) lays out a row
-    # the values the summary folds
-    ratio_nonzero: float | None
+    cells: dict  # in column order, every float rounded by _f6
+    nviol: int  # the number of failed checks
+    text: str  # the cells' CSV line or JSON members, in the run's format
+    ratio_nonzero: float | None  # this and the next two are summary folds
     lines_meeting: int
     confirmed: bool | None
 
 
-def _report_entry(ctx, E, stab_order, constants: Constants) -> _Entry:
-    """The report entry of the set E, whose symmetry order is stab_order.
+def _entry(cells: dict, nviol: int, fmt: str) -> _Entry:
+    """The entry of a row with these cells, rendered for fmt alone: as
+    csv.writer writes them, or as json.dump(indent=1) lays out a row."""
+    cells = {k: _f6(v) if isinstance(v, float) else v for k, v in cells.items()}
+    if fmt == "csv":
+        text = _csv_text([[_fmt(v) for v in cells.values()]])
+    else:
+        text = _json_members(cells, _ROW_PAD)
+    get = cells.get
+    return _Entry(
+        cells, nviol, text, get("ratio_nonzero"), get("lines_meeting", 0), get("confirmed")
+    )
 
-    Every report column after index/descriptor depends on E only through
-    |E|, its sorted nonzero line multiplicities and whether it lies on a
-    line, so entries are memoized on the field on that canonical key
-    (with the constants); bound_report runs once per distinct key.  An
-    entry holds bound_report's cells, rounded, as the tail columns, the
-    violation count, the tail already formatted (its finished CSV text
-    and its JSON members) and the three tail values the summary folds.
-    A row is the item (index, descriptor, entry) until a producer edits
-    it, and only then a dict.
-    """
-    memo = ctx.memo(("tails", constants), dict)
+
+def _report_entry(ctx, E, stab_order, constants: Constants, fmt: str) -> _Entry:
+    """The entry of bound_report's cells for the set E, whose symmetry
+    order is stab_order.  The cells depend on E only through |E|, its
+    sorted nonzero line multiplicities and whether it lies on a line, so
+    bound_report runs once per such key (and constants and format)."""
+    memo = ctx.memo(("tails", constants, fmt), dict)
     mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
     key = (stab_order, E.size, mults, contained_in_line(ctx, E))
     entry = memo.get(key)
     if entry is None:
-        tail = _f6_cells(bound_report(ctx, E, constants, stab_order=stab_order))
-        # the tail is rendered in dict order, under the header's names
-        assert tuple(tail) == REPORT_COLUMNS, "bound_report cells out of column order"
-        bad = tail["violations"]
-        entry = memo[key] = _Entry(
-            tail,
-            bad.count(";") + 1 if bad else 0,
-            _csv_text([[_fmt(v) for v in tail.values()]]),
-            _json_members(tail, _ROW_PAD),
-            tail["ratio_nonzero"],
-            tail["lines_meeting"],
-            tail["confirmed"],
-        )
+        cells = bound_report(ctx, E, constants, stab_order=stab_order)
+        # the cells are rendered in dict order, under the header's names
+        assert tuple(cells) == REPORT_COLUMNS, "bound_report cells out of column order"
+        bad = cells["violations"]
+        entry = memo[key] = _entry(cells, bad.count(";") + 1 if bad else 0, fmt)
     return entry
 
 
-def _entry_row(index, descriptor: str, entry: _Entry) -> tuple:
-    """The (row, violations) of a report row that a producer edits."""
-    return {"index": index, "descriptor": descriptor, **entry.tail}, entry.nviol
+def _extend(entry: _Entry, extra: dict, failed: list, fmt: str) -> _Entry:
+    """A report entry with a campaign's own cells after the report's and
+    the names of its failed checks added to the violations cell."""
+    cells = entry.cells
+    bad = ";".join(filter(None, [cells["violations"], *failed]))
+    return _entry({**cells, "violations": bad, **extra}, entry.nviol + len(failed), fmt)
 
 
 # ---------------------------------------------------------------------------
-# Row producers, one per campaign.  Each yields an item for each index in
-# [start, stop), purely from (config, index): (index, descriptor, entry)
-# for an unedited report row, else (index, row, violations) with row a
-# dict of every column.
+# Row producers, one per campaign.  Each yields (index, descriptor, entry)
+# for each index in [start, stop), purely from (config, index).
 
 
 def _line_count_bytes(ctx) -> tuple:
@@ -344,7 +334,7 @@ def _mask_items(ctx, config, masks):
     low_text, high_after, high_alone = ctx.memo("descriptor_bytes", _descriptor_bytes, ctx)
     pair_lines = ctx.memo("pair_lines", dict)
     constants = _constants(config)
-    raw = ctx.memo(("mask_tails", constants), dict)
+    raw = ctx.memo(("mask_tails", constants, config.fmt), dict)
     for mask in masks:
         order = counts[mask]
         lo, hi = mask & 255, mask >> 8
@@ -360,7 +350,7 @@ def _mask_items(ctx, config, masks):
         key = (order, mask & 1, low_counts[lo] + high_counts[hi], contained)
         entry = raw.get(key)
         if entry is None:
-            entry = raw[key] = _report_entry(ctx, PointSet(q, mask), order, constants)
+            entry = raw[key] = _report_entry(ctx, PointSet(q, mask), order, constants, config.fmt)
         if mask % SPOT_EVERY == 0:
             _spot(ctx, PointSet(q, mask), order, mask)
         yield mask, low_text[lo] + (high_after if lo else high_alone)[hi], entry
@@ -384,7 +374,7 @@ def _sampled_items(ctx, config, start, stop):
         E = PointSet(q, sample[i])
         order = stabilizer_order(ctx, E)
         _spot(ctx, E, order, i)
-        yield i, E.text(), _report_entry(ctx, E, order, constants)
+        yield i, E.text(), _report_entry(ctx, E, order, constants, config.fmt)
 
 
 def _two_line_space(ctx):
@@ -430,7 +420,7 @@ def _gen_two_line(config, start, stop):
             axes = PointSet(q, pick(0, sub1) | pick(q, sub2))
             order = orders[sub1, sub2] = stabilizer_order(ctx, axes)
         _spot(ctx, E, order, index)
-        yield index, E.text(), _report_entry(ctx, E, order, constants)
+        yield index, E.text(), _report_entry(ctx, E, order, constants, config.fmt)
 
 
 def _lineset_list(ctx, config):
@@ -469,7 +459,7 @@ def _gen_lineset(config, start, stop):
             raise AssertionError(
                 f"line-set stabilizer mismatch at index {index}: {len(direct)} != {order}"
             )
-        yield index, E.text(), _report_entry(ctx, E, order, constants)
+        yield index, E.text(), _report_entry(ctx, E, order, constants, config.fmt)
 
 
 def _gen_prime_bound(config, start, stop):
@@ -529,19 +519,12 @@ def _gen_family(config, start, stop):
         comp_match = complement_agrees(ctx, E, order)
         expected = _expected_order(ctx, spec)
         exp_match = None if expected is None else order == expected
-        row, nviol = _entry_row(index, spec.text(), _report_entry(ctx, E, order, constants))
-        row["complement_match"] = comp_match
-        row["expected_order"] = expected
-        row["expected_match"] = exp_match
-        bad = [v for v in (row["violations"],) if v]
-        if not comp_match:
-            bad.append("complement_mismatch")
-            nviol += 1
+        failed = ["complement_mismatch"] if not comp_match else []
         if exp_match is False:
-            bad.append("expected_mismatch")
-            nviol += 1
-        row["violations"] = ";".join(bad)
-        yield index, row, nviol
+            failed.append("expected_mismatch")
+        extra = dict(complement_match=comp_match, expected_order=expected, expected_match=exp_match)
+        entry = _report_entry(ctx, E, order, constants, config.fmt)
+        yield index, spec.text(), _extend(entry, extra, failed, config.fmt)
 
 
 def _decode3(q, code):
@@ -568,8 +551,7 @@ def _gen_incidence(config, start, stop):
                 raise AssertionError(
                     f"incidence spot check failed at {index}: {brute} != {inst.incidences}"
                 )
-        cells = _f6_cells(incidence_bound_report(ctx, inst, c=config.c))
-        yield index, {"index": index, **cells}, 0
+        yield index, None, _entry(incidence_bound_report(ctx, inst, c=config.c), 0, config.fmt)
 
 
 def random_uniform_class_set(ctx: FieldCtx, seed: int):
@@ -594,18 +576,6 @@ def random_uniform_class_set(ctx: FieldCtx, seed: int):
     return PointSet.from_codes(q, codes), m0, m1
 
 
-def _audit_row(ctx, index, E, m1, config):
-    head = {"index": index, "descriptor": E.text()}
-    try:
-        aud = triple_count_audit(ctx, E, m1, c=config.c)
-    except AssertionError as err:
-        # a failed audit keeps the column order, with only m1 known
-        cells = {**dict.fromkeys(AUDIT_COLUMNS), "multiplicity": m1}
-        return {**head, **cells, "audit_ok": False, "audit_error": str(err)}, 1
-    cells = _f6_cells({name: getattr(aud, name) for name in AUDIT_COLUMNS})
-    return {**head, **cells, "audit_ok": True, "audit_error": ""}, 0
-
-
 def _pick_multiplicity(ctx, E):
     classes = line_partition(ctx, E.without_origin()).classes
     if not classes:
@@ -618,12 +588,19 @@ def _gen_audit(config, start, stop):
     if config.set_spec:
         E = gen_family(ctx, parse_set_spec(config.set_spec))
         m1 = config.m1 if config.m1 is not None else _pick_multiplicity(ctx, E)
-        for index in range(start, stop):
-            yield (index, *_audit_row(ctx, index, E, m1, config))
-    else:
-        for index in range(start, stop):
+    for index in range(start, stop):
+        if not config.set_spec:
             E, _, m1 = random_uniform_class_set(ctx, nth_seed(config.seed, index))
-            yield (index, *_audit_row(ctx, index, E, m1, config))
+        try:
+            aud = triple_count_audit(ctx, E, m1, c=config.c)
+        except AssertionError as err:
+            # a failed audit keeps the column order, with only m1 known
+            cells = {**dict.fromkeys(AUDIT_COLUMNS), "multiplicity": m1}
+            cells.update(audit_ok=False, audit_error=str(err))
+        else:
+            cells = {name: getattr(aud, name) for name in AUDIT_COLUMNS}
+            cells.update(audit_ok=True, audit_error="")
+        yield index, E.text(), _entry(cells, 0 if cells["audit_ok"] else 1, config.fmt)
 
 
 def _gen_search(config, start, stop):
@@ -640,11 +617,9 @@ def _gen_search(config, start, stop):
             brute = len(stabilizer_brute(ctx, E))  # every random row gets the oracle
             if fast != brute:
                 raise AssertionError(f"search row {index}: fast {fast} != brute {brute}")
-            row, nviol = _entry_row(f"{index}", E.text(), _report_entry(ctx, E, fast, constants))
-            row["strategy"] = "random"
-            row["subgroup_order"] = None
-            row["contains_subgroup"] = None
-            yield index, row, nviol
+            entry = _report_entry(ctx, E, fast, constants, config.fmt)
+            extra = dict(strategy="random", subgroup_order=None, contains_subgroup=None)
+            yield f"{index}", E.text(), _extend(entry, extra, [], config.fmt)
             continue
         ngens = 1 + rng.below(2)
         gens = [sl2_unrank(ctx, rng.below(order)) for _ in range(ngens)]
@@ -662,16 +637,10 @@ def _gen_search(config, start, stop):
             # divides |R(E)|; a route that undercounts R(E) fails that
             kept = all(apply_to_set(ctx, g, E) == E for g in gens)
             contains = kept and stab_order % h_order == 0
-            row, nviol = _entry_row(tag, E.text(), _report_entry(ctx, E, stab_order, constants))
-            row["strategy"] = "orbit-union"
-            row["subgroup_order"] = h_order
-            row["contains_subgroup"] = contains
-            if not contains:
-                nviol += 1
-                row["violations"] = ";".join(
-                    x for x in (row["violations"], "orbit_union_containment") if x
-                )
-            yield index, row, nviol
+            entry = _report_entry(ctx, E, stab_order, constants, config.fmt)
+            extra = dict(strategy="orbit-union", subgroup_order=h_order, contains_subgroup=contains)
+            failed = [] if contains else ["orbit_union_containment"]
+            yield tag, E.text(), _extend(entry, extra, failed, config.fmt)
 
 
 def _rank_search_rows(collected: list) -> list:
@@ -680,13 +649,12 @@ def _rank_search_rows(collected: list) -> list:
     seen = set()
     kept = []
     for pos, item in enumerate(collected):
-        row = item[1]
-        key = row["descriptor"]
-        if key in seen:
+        _, descriptor, entry = item
+        if descriptor in seen:
             continue
-        seen.add(key)
-        if row.get("lines_meeting", 0) >= 2 and row.get("ratio_nonzero") is not None:
-            kept.append((-row["ratio_nonzero"], pos, item))
+        seen.add(descriptor)
+        if entry.lines_meeting >= 2 and entry.ratio_nonzero is not None:
+            kept.append((-entry.ratio_nonzero, pos, item))
     kept.sort(key=lambda t: (t[0], t[1]))
     return [item for _, _, item in kept]
 
@@ -784,6 +752,9 @@ def _csv_text(rows) -> str:
 _ROW_PAD = "   "  # a row's members sit at depth 3 of the JSON document
 
 
+_json_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+
+
 def _json_members(d: dict, pad: str) -> str:
     """The members of a flat dict of scalars, as json.dump(indent=1)
     lays them out at the nesting depth len(pad)."""
@@ -795,45 +766,36 @@ def _json_object(d: dict, depth: int) -> str:
 
 
 def _render(config: CampaignConfig, items) -> tuple:
-    """(summary, pieces) of producer items: the items folded into a
-    partial summary, and their output text as a list of pieces to write
-    in order, one CSV text or one JSON text per row.  A JSON row starts
-    with its line break; the writer puts a comma between rows.
-
-    An unedited report row is written from its entry: its index, its
-    descriptor and the cached tail text.  A descriptor's literals hold
-    commas and never a quote or a line break, so csv.writer quotes it
-    exactly when it holds a point, and JSON escapes none of its
-    characters.  Any other row goes through csv.writer, one row at a
-    time once the row is built, so the writer times formatting alone,
-    not the producer behind the rows."""
+    """(summary, pieces) of rows: the rows folded into a partial summary,
+    and their text as pieces to write in order, one CSV text for the
+    chunk or one JSON text per row (each starts with its line break; the
+    writer puts a comma between rows).  A row is its index, its
+    descriptor and its entry's text.  A descriptor has built its set, so
+    it holds commas but no quote or line break (a family's values are
+    integers, "inf" or descriptors): csv.writer quotes it exactly when
+    it holds a comma.  JSON escapes it, and a search tag, as json.dump
+    does."""
     part = _Acc()
     fold = part.fold
-    # an item is (index, descriptor, _Entry) or (index, row dict, violations)
     if config.fmt == "json":
         pieces = []
-        for index, row, entry in items:
-            if isinstance(entry, _Entry):
-                fold(row, entry.nviol, entry.ratio_nonzero, entry.lines_meeting, entry.confirmed)
-                pieces.append(
-                    f'\n  {{\n{_ROW_PAD}"index": {index},'
-                    f'\n{_ROW_PAD}"descriptor": "{row}",\n{entry.json}\n  }}'
-                )
-            else:
-                part.update(row, entry)
-                pieces.append("\n  " + _json_object(row, 2))
+        for index, descriptor, entry in items:
+            fold(descriptor, entry)
+            head = index if index.__class__ is int else _json_str(index)
+            if descriptor is not None:
+                head = f'{head},\n{_ROW_PAD}"descriptor": {_json_str(descriptor)}'
+            pieces.append(f'\n  {{\n{_ROW_PAD}"index": {head},\n{entry.text}\n  }}')
         return part, pieces
-    cols = CAMPAIGNS[config.campaign].columns
     buf = io.StringIO()
     write = buf.write
-    writer = csv.writer(buf, lineterminator="\n")
-    for index, row, entry in items:
-        if isinstance(entry, _Entry):
-            fold(row, entry.nviol, entry.ratio_nonzero, entry.lines_meeting, entry.confirmed)
-            write(f'{index},"{row}",{entry.csv}' if "," in row else f"{index},{row},{entry.csv}")
+    for index, descriptor, entry in items:
+        fold(descriptor, entry)
+        if descriptor is None:
+            write(f"{index},{entry.text}")
+        elif "," in descriptor:
+            write(f'{index},"{descriptor}",{entry.text}')
         else:
-            part.update(row, entry)
-            writer.writerow([_fmt(row.get(c)) for c in cols])
+            write(f"{index},{descriptor},{entry.text}")
     return part, [buf.getvalue()]
 
 
@@ -922,27 +884,19 @@ class _Acc:
         self.confirmed_checked = 0
         self.confirmed_ok = 0
 
-    def update(self, row: dict, nviol: int) -> None:
-        """Fold in a row given as a dict."""
-        self.fold(
-            row.get("descriptor", ""),
-            nviol,
-            row.get("ratio_nonzero"),
-            row.get("lines_meeting", 0),
-            row.get("confirmed"),
-        )
-
-    def fold(self, descriptor, nviol, ratio, lines_meeting, confirmed) -> None:
-        """Fold in one row given by the values the summary reads."""
+    def fold(self, descriptor, entry: _Entry) -> None:
+        """Fold in one row, given by its descriptor and its entry."""
         self.rows += 1
-        self.violations += nviol
+        self.violations += entry.nviol
+        ratio = entry.ratio_nonzero
         if (
             ratio is not None
-            and lines_meeting >= 2
+            and entry.lines_meeting >= 2
             and (self.max_ratio is None or ratio > self.max_ratio)
         ):
             self.max_ratio = ratio
             self.argmax = descriptor
+        confirmed = entry.confirmed
         if confirmed is not None:
             self.confirmed_checked += 1
             self.confirmed_ok += bool(confirmed)
@@ -1068,7 +1022,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 # imported here to keep concurrent.futures and multiprocessing off start-up
                 from concurrent.futures import ProcessPoolExecutor
 
-                run = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers)).map
+                # a fork pool starts all its workers at once: no more than
+                # there are chunks or CPUs
+                workers = min(config.workers, len(starts), os.cpu_count() or 1)
+                run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
             batches = run(_run_range, itertools.repeat(config), starts, stops)
             if spec.rank is not None:
                 batches = [_ranked(config, batches)]
@@ -1116,7 +1073,7 @@ def _campaign_parser(subs, command: str, help: str) -> argparse.ArgumentParser:
     """The subcommand that runs the table's campaigns for `command`; when
     there are several, --campaign picks one and the first is the default."""
     names = [name for name, spec in CAMPAIGNS.items() if spec.command == command]
-    sub = subs.add_parser(command, help=help)
+    sub = subs.add_parser(command, help=help, allow_abbrev=False)
     _add_field_and_constants(sub)
     sub.add_argument("--c", type=float, default=1.0, help="incidence constant")
     sub.add_argument("--budget", type=int, default=1000)
@@ -1132,19 +1089,23 @@ def _campaign_parser(subs, command: str, help: str) -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flags are spelled in full; subparsers do not inherit allow_abbrev
     parser = argparse.ArgumentParser(
         prog="sl2lab",
         description="symmetry-set campaigns over SL2(F_q) acting on the plane",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    f = subs.add_parser("field", help="build a field and run its self-test")
+    f = subs.add_parser("field", help="build a field and run its self-test", allow_abbrev=False)
     f.add_argument("--p", type=int, required=True)
     f.add_argument("--r", type=int, default=1)
     f.add_argument("--selftest", action="store_true", help="exhaustive axiom check")
     f.set_defaults(run=_cmd_field)
 
-    s = subs.add_parser("stab", help="symmetry set and bound report for one set")
+    s = subs.add_parser(
+        "stab", help="symmetry set and bound report for one set", allow_abbrev=False
+    )
     _add_field_and_constants(s)
     s.add_argument("--set", dest="set_spec", required=True)
     s.set_defaults(run=_cmd_stab)

@@ -93,12 +93,18 @@ def direct_report_row(ctx, index, E, stab_order, config):
 
 
 def expand(item):
-    """A producer item as (index, row, violations): an unedited report
-    row's (index, descriptor, entry) is expanded into its row dict."""
-    index, row, entry = item
-    if isinstance(entry, harness._Entry):
-        return index, {"index": index, "descriptor": row, **entry.tail}, entry.nviol
-    return item
+    """A producer item (index, descriptor, entry) as (index, row,
+    violations), with row the dict of every column."""
+    index, descriptor, entry = item
+    head = {"index": index} if descriptor is None else {"index": index, "descriptor": descriptor}
+    return index, {**head, **entry.cells}, entry.nviol
+
+
+def json_row_members(row):
+    """The members after index and descriptor of a row, as json.dump
+    (indent=1) lays them out in the rows list."""
+    text = json.dumps({"rows": [row]}, indent=1)
+    return "\n".join(text.splitlines()[5:-3])
 
 
 def test_f6_and_fmt():
@@ -173,18 +179,17 @@ def test_report_keys_are_their_campaigns_columns(monkeypatch):
         rep = incidence_bound_report(ctx, build_instance(ctx, pts, lns))
         assert ["index", *rep] == inc_header
     audit_header = CAMPAIGNS["triple-audit"].columns
-    config = CampaignConfig(p=7, r=1, campaign="triple-audit")
-    ctx = make_field(7, 1)
-    for i in range(8):
-        E, _, m1 = random_uniform_class_set(ctx, nth_seed(12, i))
-        row, nviol = harness._audit_row(ctx, i, E, m1, config)
+    config = CampaignConfig(p=7, r=1, campaign="triple-audit", seed=12)
+    for item in harness._gen_audit(config, 0, 8):
+        _, row, nviol = expand(item)
         assert list(row) == audit_header and nviol == 0
 
     def failing(*args, **kwargs):
         raise AssertionError("injected")
 
     monkeypatch.setattr(harness, "triple_count_audit", failing)
-    row, nviol = harness._audit_row(ctx, 0, E, m1, config)
+    _, row, nviol = expand(next(harness._gen_audit(config, 7, 8)))
+    _, _, m1 = random_uniform_class_set(make_field(7, 1), nth_seed(12, 7))
     assert list(row) == audit_header and nviol == 1
     assert row["multiplicity"] == m1 and row["audit_error"] == "injected"
 
@@ -217,13 +222,18 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
             seen = []
             for mask in range(0, len(table), step):
                 E = PointSet(ctx.q, mask)
-                entry = harness._report_entry(ctx, E, table[mask], harness._constants(config))
+                consts = harness._constants(config)
+                entry = harness._report_entry(ctx, E, table[mask], consts, "csv")
                 index, row, nviol = expand((mask, E.text(), entry))
                 want, want_nviol = direct_report_row(ctx, mask, E, table[mask], config)
                 assert index == mask
                 assert list(row.items()) == list(want.items())
                 assert nviol == want_nviol
-                assert entry.csv == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
+                assert entry.text == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
+                # the same process renders the other format under its own key
+                json_entry = harness._report_entry(ctx, E, table[mask], consts, "json")
+                assert json_entry.cells == entry.cells
+                assert json_entry.text == json_row_members(want)
                 seen.append((row["small"], row["rich"], row["confirmed"]))
                 rows += 1
             flags.append(seen)
@@ -250,7 +260,7 @@ def test_mask_loop_rows_match_direct_report():
                 want, want_nviol = direct_report_row(ctx, index, E, table[index], config)
                 assert list(row.items()) == list(want.items())
                 assert nviol == want_nviol
-                assert item[2].csv == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
+                assert item[2].text == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
     ctx = make_field(2, 2)
     config = CampaignConfig(p=2, r=2, campaign="exhaustive-subsets")
     for mask, descriptor, _ in harness._mask_items(ctx, config, range(1 << 16)):
@@ -287,7 +297,8 @@ def test_gf4_sweep_builds_point_sets_only_for_spot_checks_and_misses(tmp_path, m
     res = run_campaign(cfg(tmp_path, p=2, r=2, campaign="exhaustive-subsets", workers=1))
     assert res.summary["rows"] == 65536
     config = CampaignConfig(p=2, r=2, campaign="exhaustive-subsets")
-    raw_keys = len(make_field(2, 2).memo(("mask_tails", harness._constants(config)), dict))
+    key = ("mask_tails", harness._constants(config), "csv")
+    raw_keys = len(make_field(2, 2).memo(key, dict))
     assert calls["bound_report"] == 188
     assert calls["stabilizer_brute"] == 656  # every index divisible by 100
     assert calls["line_counts"] == raw_keys
@@ -380,6 +391,9 @@ EVERY_CAMPAIGN = [
     dict(campaign="search-extremal", p=3, r=1, budget=100),
     dict(campaign="search-extremal", p=5, r=1, budget=70, strategy="random"),
 ]
+# a family row's descriptor echoes the user's --set, and int() reads the
+# Arabic-Indic digit one; JSON escapes it, CSV writes it as it is
+NON_ASCII_SET = dict(campaign="family-verify", p=3, r=1, set_spec="family:line-affine:x=١")
 NO_ROWS = [
     dict(campaign="search-extremal", p=3, r=1, budget=0),
     dict(campaign="exhaustive-subsets", p=5, r=1, allow_sampled=True, budget=0),
@@ -391,19 +405,23 @@ def campaign_id(kw):
 
 
 def producer_items(config):
-    """The (index, row, violations) items the campaign writes, taken
+    """The (index, descriptor, entry) items the campaign writes, taken
     straight from its producer (and ranked, for search), with no writer
     or reader in between."""
     spec = CAMPAIGNS[config.campaign]
     total = spec.total(config, make_field(config.p, config.r))
-    items = [expand(item) for item in spec.produce(config, 0, total)]
+    items = list(spec.produce(config, 0, total))
     return items if spec.rank is None else spec.rank(items)
+
+
+def producer_rows(config):
+    return [expand(item)[1] for item in producer_items(config)]
 
 
 def fold(items):
     acc = harness._Acc()
-    for _, row, nviol in items:
-        acc.update(row, nviol)
+    for _, descriptor, entry in items:
+        acc.fold(descriptor, entry)
     return acc.to_dict()
 
 
@@ -416,7 +434,7 @@ def test_decoded_rows_equal_producer_rows(tmp_path, monkeypatch, kw, fmt, worker
     res = run_campaign(config)
     items = producer_items(config)
     assert items, "every configuration here writes rows"
-    assert res.rows == [row for _, row, _ in items]
+    assert res.rows == [expand(item)[1] for item in items]
     # the merged chunk summaries equal one sequential fold
     assert {k: res.summary[k] for k in harness._Acc().to_dict()} == fold(items)
     if fmt == "csv":
@@ -428,7 +446,8 @@ def test_decoded_rows_equal_producer_rows(tmp_path, monkeypatch, kw, fmt, worker
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
-    "kw", EVERY_CAMPAIGN + [dict(campaign="exhaustive-subsets", p=2, r=1)], ids=campaign_id
+    "kw", EVERY_CAMPAIGN + [dict(campaign="exhaustive-subsets", p=2, r=1), NON_ASCII_SET],
+    ids=campaign_id,
 )
 def test_csv_bytes_match_csv_writer(tmp_path, monkeypatch, kw, workers):
     # GF(2) writes the empty descriptor "points:" and one-point ones, which
@@ -439,7 +458,7 @@ def test_csv_bytes_match_csv_writer(tmp_path, monkeypatch, kw, workers):
     config = CampaignConfig(workers=workers, out=str(out), **kw)
     run_campaign(config)
     cols = CAMPAIGNS[config.campaign].columns
-    rows = [[_fmt(row.get(c)) for c in cols] for _, row, _ in producer_items(config)]
+    rows = [[_fmt(row.get(c)) for c in cols] for row in producer_rows(config)]
     assert out.read_text() == _echo(config) + "\n" + csv_lines([cols] + rows)
 
 
@@ -467,7 +486,7 @@ def test_output_matches_pinned_digest(tmp_path, kw):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kw", EVERY_CAMPAIGN + NO_ROWS, ids=campaign_id)
+@pytest.mark.parametrize("kw", EVERY_CAMPAIGN + NO_ROWS + [NON_ASCII_SET], ids=campaign_id)
 def test_json_bytes_match_json_dump(tmp_path, monkeypatch, kw, workers):
     monkeypatch.setattr(harness, "CHUNK", 64)
     out = tmp_path / "x.json"
@@ -478,7 +497,7 @@ def test_json_bytes_match_json_dump(tmp_path, monkeypatch, kw, workers):
         "schema": "slab-v1",
         "campaign": config.campaign,
         "config": {k: v for k, v in vars(config).items() if v is not None and k not in run_only},
-        "rows": [row for _, row, _ in producer_items(config)],
+        "rows": producer_rows(config),
         "summary": {k: v for k, v in res.summary.items() if k not in ("campaign", "total_indices")},
     }
     assert out.read_text() == json.dumps(doc, indent=1) + "\n"
@@ -511,7 +530,8 @@ def test_acc_merge_matches_sequential_fold():
         (2, 0.8, True, 0),
     ]
     items = [
-        (i, {"descriptor": f"set{i}", "lines_meeting": m, "ratio_nonzero": r, "confirmed": c}, v)
+        (i, f"set{i}", harness._entry(
+            {"lines_meeting": m, "ratio_nonzero": r, "confirmed": c}, v, "csv"))
         for i, (m, r, c, v) in enumerate(shapes)
     ]
     for n in range(len(items) + 1):
@@ -526,8 +546,8 @@ def test_acc_merge_matches_sequential_fold():
                     acc = harness._Acc.from_dict(saved)
                     for lo, hi in zip(bounds[resumed:], bounds[resumed + 1:]):
                         part = harness._Acc()
-                        for _, row, nviol in prefix[lo:hi]:
-                            part.update(row, nviol)
+                        for _, descriptor, entry in prefix[lo:hi]:
+                            part.fold(descriptor, entry)
                         acc.merge(part)
                     assert acc.to_dict() == want, (cuts, resumed)
     assert fold(items[:7])["argmax"] == "set3" and fold(items)["argmax"] == "set7"
@@ -544,6 +564,37 @@ def test_env_var_sets_workers(tmp_path, monkeypatch):
     run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
                                 workers=2, out=str(b)))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_pool_asks_for_no_more_processes_than_chunks(tmp_path, monkeypatch):
+    # a fork pool starts every worker it is given on the first submit, so
+    # the count is capped; a stand-in records it and starts no process
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    kw = dict(p=3, r=1, campaign="exhaustive-subsets")  # 512 rows, 8 chunks
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    run_campaign(CampaignConfig(workers=1, out=str(serial), **kw))
+    assert asked == []
+    run_campaign(CampaignConfig(workers=1000, out=str(pooled), **kw))
+    assert len(asked) == 1 and 1 <= asked[0] <= 8
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path, monkeypatch):
@@ -1151,11 +1202,28 @@ def test_cli_stab_rejects_campaign_flags(flag, capsys):
 
 def test_cli_stab_takes_no_incidence_constant(capsys):
     # c scales only the incidence and audit reports, which stab does not
-    # print; argparse reads --c as an ambiguous prefix of --c1 and --c2
+    # print; flags are spelled in full, so --c is not a prefix of --c1
     with pytest.raises(SystemExit) as exc:
         main(["stab", "--p", "5", "--set", "family:origin", "--c", "1"])
     assert exc.value.code == 2
-    assert "--c could match --c1, --c2" in capsys.readouterr().err
+    assert "unrecognized arguments: --c 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["stab", "--p", "5", "--set", "family:origin"], "--b 2"),
+    (["incidence", "--p", "3", "--out", "x.csv"], "--bud 3"),
+    (["exhaustive", "--p", "2", "--out", "x.csv"], "--camp prime-bound-exhaustive"),
+    (["field", "--p", "3"], "--self"),
+], ids=lambda v: v[0] if isinstance(v, list) else v.split()[0])
+def test_cli_rejects_flag_prefixes(argv, prefix, tmp_path, monkeypatch, capsys):
+    # a prefix used to stand for the one flag it began (--b for --beta,
+    # --bud for --budget), so a typo could set another value silently
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *prefix.split()])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_family_campaign(tmp_path, capsys):
