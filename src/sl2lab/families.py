@@ -188,11 +188,11 @@ def gen_family(ctx: FieldCtx, spec: FamilySpec) -> PointSet:
     if name == "axis-subgroup":
         c = _int_param(spec, "c")
         sub = multiplicative_subgroup(ctx, c)  # validates c | q - 1
-        return PointSet.from_codes(q, [y for y in sorted(sub.members)])
+        return PointSet.from_codes(q, sub)
 
     if name == "subfield-plane":
         r_sub = _int_param(spec, "sub-r")
-        elems = sorted(subfield_elements(ctx, r_sub).members)  # validates r_sub | r
+        elems = sorted(subfield_elements(ctx, r_sub))  # validates r_sub | r
         return PointSet.from_codes(q, [x * q + y for x in elems for y in elems])
 
     if name == "orbit-union":

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .rng import DetRng
 
@@ -292,52 +291,24 @@ def make_field(p: int, r: int) -> FieldCtx:
 
 
 # ---------------------------------------------------------------------------
-# Tagged element sets
+# Element subsets
 
 
-@dataclass(frozen=True)
-class ElemSet:
-    """A set of element codes with a structural role tag."""
-
-    members: frozenset
-    role: str  # "subfield" | "multiplicative-subgroup" | "generic"
-
-    def __len__(self):
-        return len(self.members)
-
-    def validate(self, ctx: FieldCtx) -> None:
-        """Check the closure properties promised by the role tag."""
-        m = self.members
-        if self.role == "subfield":
-            assert 0 in m and 1 in m
-            for x in m:
-                for y in m:
-                    assert ctx.add(x, y) in m and ctx.mul(x, y) in m
-                if x:
-                    assert ctx.inv(x) in m
-        elif self.role == "multiplicative-subgroup":
-            assert 1 in m and 0 not in m
-            for x in m:
-                assert ctx.inv(x) in m
-                for y in m:
-                    assert ctx.mul(x, y) in m
-        elif self.role != "generic":
-            raise ValueError(f"unknown role {self.role!r}")
-
-
-def subfield_elements(ctx: FieldCtx, r_sub: int) -> ElemSet:
+def subfield_elements(ctx: FieldCtx, r_sub: int) -> frozenset:
     """The copy of GF(p^r_sub) inside ctx: fixed points of x -> x^(p^r_sub)."""
     if r_sub < 1 or ctx.r % r_sub != 0:
         raise ValueError(f"subfield degree {r_sub} does not divide {ctx.r}")
     s = ctx.p**r_sub
     members = frozenset(x for x in range(ctx.q) if ctx.pow(x, s) == x)
     assert len(members) == s
-    out = ElemSet(members, "subfield")
-    out.validate(ctx)
-    return out
+    # closed under + and *, so a subfield: a finite domain is a field
+    for x in members:
+        for y in members:
+            assert ctx.add(x, y) in members and ctx.mul(x, y) in members
+    return members
 
 
-def multiplicative_subgroup(ctx: FieldCtx, c: int) -> ElemSet:
+def multiplicative_subgroup(ctx: FieldCtx, c: int) -> frozenset:
     """The index-c subgroup of the multiplicative group, size (q-1)/c."""
     qm1 = ctx.q - 1
     if c < 1 or qm1 % c != 0:
@@ -345,9 +316,11 @@ def multiplicative_subgroup(ctx: FieldCtx, c: int) -> ElemSet:
     g = ctx.primitive
     members = frozenset(ctx.pow(g, c * k) for k in range(qm1 // c))
     assert members == frozenset(x for x in range(1, ctx.q) if ctx.pow(x, qm1 // c) == 1)
-    out = ElemSet(members, "multiplicative-subgroup")
-    out.validate(ctx)
-    return out
+    # closed under products, so a subgroup of the finite group
+    for x in members:
+        for y in members:
+            assert ctx.mul(x, y) in members
+    return members
 
 
 def selftest(ctx: FieldCtx, rng_seed: int = 0) -> None:

@@ -52,13 +52,13 @@ the output file back when it is first asked for.  A pool has no more
 processes than chunks or CPUs, whatever --workers asks for.
 
 Stabilizer-report entries are memoized on the field context, under the
-Constants value and the format, per canonical key (|R(E)|, |E|, the
-sorted line multiplicities of E, whether E lies on a line);
-family-verify and search-extremal extend an entry with their own cells
-and failed checks (_extend).  The q <= 4 sweeps run on int masks and
-per-field tables, with a second memo on the raw key (|R(E)|, origin
-bit, packed line counts, whether E lies on a line), and build a
-PointSet only for a spot check or a miss in that memo.
+Constants value and the format, per stabilizer.report_key, the one thing
+bound_report reads; family-verify and search-extremal extend an entry
+with their own cells and failed checks (_extend).  The q <= 4 sweeps run
+on int masks and per-field tables, with a second memo on the raw key
+(|R(E)|, origin bit, packed line counts, whether E lies on a line); a
+miss there reads the report key off the packed counts, so a PointSet is
+built only for a spot check.
 
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
@@ -93,7 +93,6 @@ from .incidence3d import (
 from .plane import (
     PointSet,
     _text_chunk,
-    affine_line_mask,
     apply_to_set,
     line_nonzero_masks,
     proj_lines,
@@ -110,9 +109,9 @@ from .stabilizer import (
     bound_report,
     complement_agrees,
     contained_in_line,
-    line_counts,
     line_partition,
     line_set_stabilizer,
+    report_key,
     stabilizer_brute,
     stabilizer_order,
     subgroup_orbits,
@@ -230,7 +229,7 @@ def _spot(ctx: FieldCtx, E: PointSet, stab_order: int, index: int) -> None:
             )
 
 
-def _constants(config: CampaignConfig) -> Constants:
+def _constants(config) -> Constants:  # a CampaignConfig or the stab args
     return Constants(config.c1, config.c2, config.alpha, config.beta)
 
 
@@ -260,17 +259,13 @@ def _entry(cells: dict, nviol: int, fmt: str) -> _Entry:
     )
 
 
-def _report_entry(ctx, E, stab_order, constants: Constants, fmt: str) -> _Entry:
-    """The entry of bound_report's cells for the set E, whose symmetry
-    order is stab_order.  The cells depend on E only through |E|, its
-    sorted nonzero line multiplicities and whether it lies on a line, so
-    bound_report runs once per such key (and constants and format)."""
+def _report_entry(ctx, key: tuple, constants: Constants, fmt: str) -> _Entry:
+    """The entry of bound_report's cells for a set with this report_key;
+    bound_report runs once per key (and constants and format)."""
     memo = ctx.memo(("tails", constants, fmt), dict)
-    mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
-    key = (stab_order, E.size, mults, contained_in_line(ctx, E))
     entry = memo.get(key)
     if entry is None:
-        cells = bound_report(ctx, E, constants, stab_order=stab_order)
+        cells = bound_report(ctx, key, constants)
         # the cells are rendered in dict order, under the header's names
         assert tuple(cells) == REPORT_COLUMNS, "bound_report cells out of column order"
         bad = cells["violations"]
@@ -321,36 +316,30 @@ def _mask_items(ctx, config, masks):
     """The report items of the masks of a q <= 4 plane, in order.
 
     The loop works on the int mask and per-field tables: the order comes
-    from the subset table, the packed line counts from _line_count_bytes,
-    the descriptor from _descriptor_bytes and containment from the
-    pair_lines cache that contained_in_line keeps.  A second memo maps
-    the raw key (order, origin bit, packed counts, contained), which
-    determines the canonical key of _report_entry, to its entry, so a
-    PointSet is built only on a miss there and for the spot check.
+    from the subset table, the packed line counts from _line_count_bytes
+    and the descriptor from _descriptor_bytes.  A second memo maps the
+    raw key (order, origin bit, packed counts, contained) to its entry;
+    on a miss the report key is read off the packed counts, so a
+    PointSet is built only for the spot check.
     """
     q = ctx.q
     counts = ctx.memo("counts", all_subset_stabilizer_orders, ctx)
     low_counts, high_counts = ctx.memo("line_count_bytes", _line_count_bytes, ctx)
     low_text, high_after, high_alone = ctx.memo("descriptor_bytes", _descriptor_bytes, ctx)
-    pair_lines = ctx.memo("pair_lines", dict)
+    shifts = range(0, 4 * (q + 1), 4)  # one 4-bit field per origin line
     constants = _constants(config)
     raw = ctx.memo(("mask_tails", constants, config.fmt), dict)
     for mask in masks:
         order = counts[mask]
         lo, hi = mask & 255, mask >> 8
-        contained = True
-        if mask.bit_count() > 2:
-            a = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            b = (rest & -rest).bit_length() - 1
-            line = pair_lines.get((a, b))
-            if line is None:
-                line = pair_lines[a, b] = affine_line_mask(ctx, a, b)
-            contained = mask & ~line == 0
-        key = (order, mask & 1, low_counts[lo] + high_counts[hi], contained)
-        entry = raw.get(key)
+        packed = low_counts[lo] + high_counts[hi]
+        contained = contained_in_line(ctx, mask)
+        raw_key = (order, mask & 1, packed, contained)
+        entry = raw.get(raw_key)
         if entry is None:
-            entry = raw[key] = _report_entry(ctx, PointSet(q, mask), order, constants, config.fmt)
+            mults = tuple(sorted(filter(None, (packed >> s & 15 for s in shifts))))
+            key = (order, mask.bit_count(), mults, contained)
+            entry = raw[raw_key] = _report_entry(ctx, key, constants, config.fmt)
         if mask % SPOT_EVERY == 0:
             _spot(ctx, PointSet(q, mask), order, mask)
         yield mask, low_text[lo] + (high_after if lo else high_alone)[hi], entry
@@ -374,7 +363,7 @@ def _sampled_items(ctx, config, start, stop):
         E = PointSet(q, sample[i])
         order = stabilizer_order(ctx, E)
         _spot(ctx, E, order, i)
-        yield i, E.text(), _report_entry(ctx, E, order, constants, config.fmt)
+        yield i, E.text(), _report_entry(ctx, report_key(ctx, E, order), constants, config.fmt)
 
 
 def _two_line_space(ctx):
@@ -420,7 +409,7 @@ def _gen_two_line(config, start, stop):
             axes = PointSet(q, pick(0, sub1) | pick(q, sub2))
             order = orders[sub1, sub2] = stabilizer_order(ctx, axes)
         _spot(ctx, E, order, index)
-        yield index, E.text(), _report_entry(ctx, E, order, constants, config.fmt)
+        yield index, E.text(), _report_entry(ctx, report_key(ctx, E, order), constants, config.fmt)
 
 
 def _lineset_list(ctx, config):
@@ -459,19 +448,16 @@ def _gen_lineset(config, start, stop):
             raise AssertionError(
                 f"line-set stabilizer mismatch at index {index}: {len(direct)} != {order}"
             )
-        yield index, E.text(), _report_entry(ctx, E, order, constants, config.fmt)
+        yield index, E.text(), _report_entry(ctx, report_key(ctx, E, order), constants, config.fmt)
 
 
 def _gen_prime_bound(config, start, stop):
     ctx = make_field(config.p, config.r)
-    masks = line_nonzero_masks(ctx)
     full_nz = ctx.q * ctx.q - 1
-
-    def kept(mask):
-        nz = mask & ~1
-        return 0 < nz.bit_count() < full_nz and sum(1 for lm in masks if nz & lm) >= 2
-
-    return _mask_items(ctx, config, filter(kept, range(start, stop)))
+    for item in _mask_items(ctx, config, range(start, stop)):
+        entry = item[2]
+        if entry.lines_meeting >= 2 and entry.cells["size_nonzero"] < full_nz:
+            yield item
 
 
 _EXPECTED_ORDER = {
@@ -523,7 +509,7 @@ def _gen_family(config, start, stop):
         if exp_match is False:
             failed.append("expected_mismatch")
         extra = dict(complement_match=comp_match, expected_order=expected, expected_match=exp_match)
-        entry = _report_entry(ctx, E, order, constants, config.fmt)
+        entry = _report_entry(ctx, report_key(ctx, E, order), constants, config.fmt)
         yield index, spec.text(), _extend(entry, extra, failed, config.fmt)
 
 
@@ -577,7 +563,7 @@ def random_uniform_class_set(ctx: FieldCtx, seed: int):
 
 
 def _pick_multiplicity(ctx, E):
-    classes = line_partition(ctx, E.without_origin()).classes
+    classes = line_partition(ctx, E.without_origin())
     if not classes:
         raise ValueError("set has no nonzero points to audit")
     return min(classes, key=lambda k: (-len(classes[k]), k))
@@ -617,7 +603,7 @@ def _gen_search(config, start, stop):
             brute = len(stabilizer_brute(ctx, E))  # every random row gets the oracle
             if fast != brute:
                 raise AssertionError(f"search row {index}: fast {fast} != brute {brute}")
-            entry = _report_entry(ctx, E, fast, constants, config.fmt)
+            entry = _report_entry(ctx, report_key(ctx, E, fast), constants, config.fmt)
             extra = dict(strategy="random", subgroup_order=None, contains_subgroup=None)
             yield f"{index}", E.text(), _extend(entry, extra, [], config.fmt)
             continue
@@ -637,7 +623,7 @@ def _gen_search(config, start, stop):
             # divides |R(E)|; a route that undercounts R(E) fails that
             kept = all(apply_to_set(ctx, g, E) == E for g in gens)
             contains = kept and stab_order % h_order == 0
-            entry = _report_entry(ctx, E, stab_order, constants, config.fmt)
+            entry = _report_entry(ctx, report_key(ctx, E, stab_order), constants, config.fmt)
             extra = dict(strategy="orbit-union", subgroup_order=h_order, contains_subgroup=contains)
             failed = [] if contains else ["orbit_union_containment"]
             yield tag, E.text(), _extend(entry, extra, failed, config.fmt)
@@ -938,6 +924,23 @@ def _write_ckpt(
     os.replace(tmp, path)
 
 
+def _read_ckpt(path: str, total: int) -> dict:
+    """The checkpoint at path, refused unless it has _write_ckpt's layout,
+    value types included, and a next_start in [0, total]."""
+    with open(path) as fh:
+        state = json.load(fh)
+    layout = {"echo": str, "next_start": int, "offset": int, "sha256": str, "acc": dict}
+    acc = {k: type(v) for k, v in vars(_Acc()).items()}  # max_ratio is None until a row counts
+    if not (
+        isinstance(state, dict)
+        and {k: type(v) for k, v in state.items()} == layout
+        and {k: type(v) for k, v in state["acc"].items()} in (acc, {**acc, "max_ratio": float})
+        and 0 <= state["next_start"] <= total
+    ):
+        raise ValueError(f"cannot resume: {path} does not fit this version and run")
+    return state
+
+
 def _emit(fh, digest, text: str) -> None:
     data = text.encode()
     fh.write(data)
@@ -987,8 +990,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     digest = hashlib.sha256() if checkpoints else None
     mode = "wb"
     if config.resume and checkpoints and os.path.exists(ckpt_path):
-        with open(ckpt_path) as fh:
-            state = json.load(fh)
+        state = _read_ckpt(ckpt_path, total)
         if state["echo"] != echo:
             raise ValueError("checkpoint does not match this configuration")
         if not os.path.isfile(out):
@@ -997,7 +999,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             raise ValueError(f"cannot resume: {out} is shorter than its checkpoint offset")
         with open(out, "rb") as raw:
             digest.update(raw.read(state["offset"]))
-        if state.get("sha256") != digest.hexdigest():
+        if state["sha256"] != digest.hexdigest():
             raise ValueError(f"cannot resume: {out} does not match its checkpoint hash")
         start = state["next_start"]
         acc = _Acc.from_dict(state["acc"])
@@ -1140,7 +1142,7 @@ def _cmd_field(args) -> int:
 def _cmd_stab(args) -> int:
     ctx = make_field(args.p, args.r)
     E = gen_family(ctx, parse_set_spec(args.set_spec))
-    rep = bound_report(ctx, E, Constants(args.c1, args.c2, args.alpha, args.beta))
+    rep = bound_report(ctx, report_key(ctx, E, stabilizer_order(ctx, E)), _constants(args))
     cell = {k: _fmt(v) for k, v in rep.items()}
     print(f"descriptor={args.set_spec}")
     # the set's first eight cells, four to a line, then one line per bound

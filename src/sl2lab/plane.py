@@ -24,9 +24,8 @@ and sl2_unrank(i) is its i-th element, so sampled group elements do not
 depend on how work is partitioned.
 
 The group, the canonical directions and their point bitsets are kept by
-ctx.memo.  affine_line_mask builds a line afresh on every call; its two
-callers, stabilizer.contained_in_line and the q <= 4 sweep loop
-harness._mask_items, share one "pair_lines" memo of the lines they meet.
+ctx.memo.  affine_line_mask builds a line afresh on every call; its one
+caller, stabilizer.contained_in_line, memoizes the lines it meets.
 """
 
 from __future__ import annotations

@@ -39,13 +39,14 @@ orbit decompositions and orders of a generated subgroup (again by
 orbit-stabilizer, with Schreier generators for the point stabilizer),
 per-set bound reports, and the triple-count audit that replays the
 incidence-geometry argument behind the |R(E)| <= 16 c^2 (m0 m1)^{3/2}
-cap, identity by identity.  This module names the columns of both
-reports: bound_report returns its cells as a dict keyed by
-REPORT_COLUMNS, in that order, and TripleCountAudit holds its cells as
-fields in the order of AUDIT_COLUMNS; campaigns build their headers
-from those names.  The line-set stabilizer intersects bitsets over the
-group, one per (direction, image direction) pair, built once per field
-from the action on directions.  The audit's group S of
+cap, identity by identity.  bound_report reads a set only through
+report_key, the key campaigns memoize the report on.  This module names
+the columns of both reports: bound_report returns its cells as a dict
+keyed by REPORT_COLUMNS, in that order, and TripleCountAudit holds its
+cells as fields in the order of AUDIT_COLUMNS; campaigns build their
+headers from those names.  The line-set stabilizer intersects bitsets
+over the group, one per (direction, image direction) pair, built once
+per field from the action on directions.  The audit's group S of
 class-set permuters is R(U) for the union U of the class sets, found by
 stabilizer_brute, so it shares no candidates with the transport route
 it checks.
@@ -328,33 +329,16 @@ def complement_agrees(ctx: FieldCtx, E: PointSet, order: int) -> bool:
 # Line partitions
 
 
-@dataclass(frozen=True)
-class LinePartition:
-    """Directions through the origin grouped by |line  ∩ (E - 0)|.
-
-    classes maps each multiplicity >= 1 to the tuple of canonical
-    directions meeting E - 0 that many times, in pencil order; lines
-    missing E entirely are not recorded.
-    """
-
-    classes: dict
-
-    @property
-    def lines_meeting(self) -> int:
-        return sum(len(v) for v in self.classes.values())
-
-    @property
-    def all_classes_small(self) -> bool:
-        """True when every multiplicity class holds at most two lines."""
-        return all(len(v) <= 2 for v in self.classes.values())
-
-
 def line_counts(ctx: FieldCtx, bits: int) -> list:
     """|L ∩ (E - 0)| for every origin line L, in pencil order."""
     return [(bits & mask).bit_count() for mask in line_nonzero_masks(ctx)]
 
 
-def line_partition(ctx: FieldCtx, E: PointSet) -> LinePartition:
+def line_partition(ctx: FieldCtx, E: PointSet) -> dict:
+    """Directions through the origin grouped by |L ∩ (E - 0)|: each
+    multiplicity >= 1, ascending, maps to the tuple of canonical
+    directions meeting E - 0 that many times, in pencil order; lines
+    missing E entirely are not recorded."""
     by_mult: dict = {}
     covered = 0
     for line, m in zip(proj_lines(ctx), line_counts(ctx, E.bits)):
@@ -362,7 +346,7 @@ def line_partition(ctx: FieldCtx, E: PointSet) -> LinePartition:
             by_mult.setdefault(m, []).append(line)
             covered += m
     assert covered == E.nonzero_size, "pencil must partition the nonzero points"
-    return LinePartition({k: tuple(by_mult[k]) for k in sorted(by_mult)})
+    return {k: tuple(by_mult[k]) for k in sorted(by_mult)}
 
 
 def _line_action(ctx: FieldCtx) -> tuple:
@@ -539,15 +523,14 @@ def all_subset_stabilizer_orders(ctx: FieldCtx) -> list:
     return counts
 
 
-def contained_in_line(ctx: FieldCtx, E: PointSet) -> bool:
-    """Whether E lies on a single line of the plane (affine lines count).
+def contained_in_line(ctx: FieldCtx, bits: int) -> bool:
+    """Whether the bitset's points lie on one line (affine lines count).
 
-    The line through E's two lowest points is memoized per point pair,
+    The line through its two lowest points is memoized per point pair,
     in a dict fetched once per call.
     """
-    if E.size <= 2:
+    if bits.bit_count() <= 2:
         return True
-    bits = E.bits
     a = (bits & -bits).bit_length() - 1
     rest = bits & (bits - 1)
     b = (rest & -rest).bit_length() - 1
@@ -596,34 +579,30 @@ REPORT_COLUMNS = (
 )
 
 
-def bound_report(
-    ctx: FieldCtx,
-    E: PointSet,
-    constants: Constants = Constants(),
-    stab_order: int | None = None,
-) -> dict:
-    """Compare |R(E)| against every bound with checkable hypotheses.
+def report_key(ctx: FieldCtx, E: PointSet, stab_order: int) -> tuple:
+    """(|R(E)|, |E|, the sorted |L ∩ (E - 0)| of the origin lines L meeting
+    E, whether E lies on a line): every bound the report checks sees E
+    only through how it meets the pencil of origin lines."""
+    mults = tuple(sorted(m for m in line_counts(ctx, E.bits) if m))
+    return stab_order, E.size, mults, contained_in_line(ctx, E.bits)
+
+
+def bound_report(ctx: FieldCtx, key: tuple, constants: Constants = Constants()) -> dict:
+    """Compare |R(E)| against every bound with checkable hypotheses, for
+    the set E with this report_key.
 
     Returns the report's cells, keyed by REPORT_COLUMNS in that order,
     floats unrounded.  A bound's violated cell is None when the bound is
     not applicable or only reports a ratio (its constant is unspecified);
     violations joins the names of the violated bounds with ";".
-
-    stab_order may be supplied by campaigns that already know it;
-    otherwise it is stabilizer_order(), which reads it off as |SL2| when
-    E minus 0 or its complement minus 0 is empty, so whole-group sets
-    never build the group.  Cardinalities: size
-    counts the origin when present, while every line hypothesis and the
-    two-line bound use E minus the origin.
+    Cardinalities: size counts the origin when present, while every line
+    hypothesis and the two-line bound use E minus the origin, whose size
+    is the sum of the multiplicities.
     """
     q = ctx.q
-    if stab_order is None:
-        stab_order = stabilizer_order(ctx, E)
-    part = line_partition(ctx, E)
-    lines = part.lines_meeting
-    size = E.size
-    size_nz = E.nonzero_size
-    contained = contained_in_line(ctx, E)
+    stab_order, size, mults, contained = key
+    lines = len(mults)
+    size_nz = sum(mults)
     c = constants
     small = size <= c.c1 * q**c.alpha
     rich = stab_order >= c.c2 * q**c.beta
@@ -636,7 +615,9 @@ def bound_report(
         "ratio_full": stab_order / size**1.5 if size else None,
         "ratio_nonzero": stab_order / size_nz**1.5 if size_nz else None,
         "contained_line": contained,
-        "all_classes_small": lines >= 2 and part.all_classes_small,
+        # no multiplicity class holds three lines: with mults sorted, no
+        # multiplicity recurs two places on
+        "all_classes_small": lines >= 2 and all(a != b for a, b in zip(mults, mults[2:])),
         "small": small,
         "rich": rich,
         "confirmed": contained if (small and rich) else None,
@@ -735,10 +716,10 @@ def triple_count_audit(
     """
     q = ctx.q
     E = E.without_origin()
-    part = line_partition(ctx, E)
-    if multiplicity not in part.classes:
+    classes = line_partition(ctx, E)
+    if multiplicity not in classes:
         raise ValueError(f"no line meets E - 0 in exactly {multiplicity} points")
-    lines = part.classes[multiplicity]
+    lines = classes[multiplicity]
     m0 = len(lines)
 
     axes = ((1, 0), (0, 1))
@@ -746,8 +727,7 @@ def triple_count_audit(
     if m0 >= 2 and not any(ln in axes for ln in lines):
         normalizer = normalize_two_lines(ctx, lines[0], lines[1])
         E = apply_to_set(ctx, normalizer, E)
-        part = line_partition(ctx, E)
-        lines = part.classes[multiplicity]
+        lines = line_partition(ctx, E)[multiplicity]
         assert len(lines) == m0, "normalization must preserve multiplicities"
 
     masks = line_nonzero_masks(ctx)

@@ -97,10 +97,10 @@ def test_c02_axis_subgroup_family(capsys):
         ctx = make_field(p, 1)
         q = ctx.q
         S = multiplicative_subgroup(ctx, c)
-        E = PointSet.from_points(q, [(0, s) for s in S.members])
+        E = PointSet.from_points(q, [(0, s) for s in S])
         fast = set(stabilizer_fast(ctx, E))
         brute = set(stabilizer_brute(ctx, E))
-        family = {(a, 0, t, ctx.inv(a)) for a in S.members for t in range(q)}
+        family = {(a, 0, t, ctx.inv(a)) for a in S for t in range(q)}
         if fast != brute:
             problems.append(f"(q={q}, c={c}): fast != brute")
         if fast != family:
@@ -125,7 +125,7 @@ def test_c03_subfield_plane_brute(capsys):
     for (p, r, r_sub) in [(2, 2, 1), (3, 2, 1), (5, 2, 1), (2, 4, 2)]:
         ctx = make_field(p, r)
         q = ctx.q
-        sub = subfield_elements(ctx, r_sub).members
+        sub = subfield_elements(ctx, r_sub)
         E = PointSet.from_points(q, [(x, y) for x in sub for y in sub])
         brute = set(stabilizer_brute(ctx, E))
         embedded = {m for m in sl2_materialize(ctx) if all(e in sub for e in m)}
@@ -400,7 +400,7 @@ def test_c09_triple_count_audits(capsys, tmp_path):
     problems = []
     t0 = time.perf_counter()
     ctx9 = make_field(3, 2)
-    sub = subfield_elements(ctx9, 1).members
+    sub = subfield_elements(ctx9, 1)
     E = PointSet.from_points(9, [(x, y) for x in sub for y in sub])
     aud = triple_count_audit(ctx9, E, 2)
     checks = [

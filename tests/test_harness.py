@@ -30,7 +30,13 @@ from sl2lab.harness import (
 )
 from sl2lab.families import gen_family, parse_set_spec
 from sl2lab.incidence3d import all_lines, build_instance, incidence_bound_report
-from sl2lab.plane import PointSet, apply_to_set, parse_point, sl2_materialize
+from sl2lab.plane import (
+    PointSet,
+    apply_to_set,
+    line_nonzero_masks,
+    parse_point,
+    sl2_materialize,
+)
 from sl2lab.rng import DetRng, nth_seed
 from sl2lab.stabilizer import (
     BOUNDS,
@@ -38,6 +44,7 @@ from sl2lab.stabilizer import (
     all_subset_stabilizer_orders,
     bound_report,
     line_partition,
+    report_key,
     stabilizer_brute,
 )
 
@@ -80,7 +87,7 @@ def crash_campaign(monkeypatch, config, at):
 def direct_report_row(ctx, index, E, stab_order, config):
     """A report row built straight from bound_report, with no memo."""
     consts = Constants(config.c1, config.c2, config.alpha, config.beta)
-    rep = bound_report(ctx, E, consts, stab_order=stab_order)
+    rep = bound_report(ctx, report_key(ctx, E, stab_order), consts)
     row = {
         "index": index,
         "descriptor": "points:" + ";".join(f"({x},{y})" for x, y in E.points()),
@@ -90,6 +97,11 @@ def direct_report_row(ctx, index, E, stab_order, config):
     bad = [name for name in BOUNDS if rep[f"{name}_violated"]]
     assert rep["violations"] == ";".join(bad)
     return row, len(bad)
+
+
+def lines_meeting(ctx, E):
+    """The number of origin lines meeting E - 0, from its line partition."""
+    return sum(len(lines) for lines in line_partition(ctx, E).values())
 
 
 def expand(item):
@@ -167,7 +179,7 @@ def test_report_keys_are_their_campaigns_columns(monkeypatch):
     table = all_subset_stabilizer_orders(ctx)
     stab_header = CAMPAIGNS["exhaustive-subsets"].columns
     for bits in range(1 << 9):
-        rep = bound_report(ctx, PointSet(3, bits), stab_order=table[bits])
+        rep = bound_report(ctx, report_key(ctx, PointSet(3, bits), table[bits]))
         assert ["index", "descriptor", *rep] == stab_header
     inc_header = CAMPAIGNS["incidence-report"].columns
     pool = list(all_lines(ctx))
@@ -223,7 +235,8 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
             for mask in range(0, len(table), step):
                 E = PointSet(ctx.q, mask)
                 consts = harness._constants(config)
-                entry = harness._report_entry(ctx, E, table[mask], consts, "csv")
+                key = report_key(ctx, E, table[mask])
+                entry = harness._report_entry(ctx, key, consts, "csv")
                 index, row, nviol = expand((mask, E.text(), entry))
                 want, want_nviol = direct_report_row(ctx, mask, E, table[mask], config)
                 assert index == mask
@@ -231,7 +244,7 @@ def test_report_row_memo_matches_direct_report(monkeypatch):
                 assert nviol == want_nviol
                 assert entry.text == csv_lines([[_fmt(v) for v in list(want.values())[2:]]])
                 # the same process renders the other format under its own key
-                json_entry = harness._report_entry(ctx, E, table[mask], consts, "json")
+                json_entry = harness._report_entry(ctx, key, consts, "json")
                 assert json_entry.cells == entry.cells
                 assert json_entry.text == json_row_members(want)
                 seen.append((row["small"], row["rich"], row["confirmed"]))
@@ -267,43 +280,41 @@ def test_mask_loop_rows_match_direct_report():
         assert descriptor == PointSet(4, mask).text()
 
 
-def test_gf4_sweep_builds_point_sets_only_for_spot_checks_and_misses(tmp_path, monkeypatch):
-    # structural, untimed: 65,536 rows share 188 reports, and a row costs
-    # no PointSet and no line_counts unless it is spot-checked or misses
-    # the loop's raw-key memo
-    calls = dict.fromkeys(["bound_report", "stabilizer_brute", "line_counts", "PointSet"], 0)
+def test_gf4_sweep_builds_point_sets_only_for_spot_checks(tmp_path, monkeypatch):
+    # structural, untimed: 65,536 rows share 188 reports; the loop reads
+    # every report key off its packed line counts, so it builds a PointSet
+    # only for a spot-checked mask and never calls line_counts
+    calls = dict.fromkeys(["bound_report", "stabilizer_brute", "line_counts"], 0)
 
-    def counted(name):
-        real = getattr(harness, name)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
         def call(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        return call
+        monkeypatch.setattr(owner, name, call)
 
-    for name in ("bound_report", "stabilizer_brute", "line_counts"):
-        monkeypatch.setattr(harness, name, counted(name))
+    counted(harness, "bound_report")
+    counted(harness, "stabilizer_brute")
+    counted(stabmod, "line_counts")
+    built = []
 
     class CountedPointSet(PointSet):
         __slots__ = ()
 
         def __init__(self, q, bits=0):
-            calls["PointSet"] += 1
+            built.append(bits)
             super().__init__(q, bits)
 
     monkeypatch.setattr(harness, "PointSet", CountedPointSet)
     make_field.cache_clear()
     res = run_campaign(cfg(tmp_path, p=2, r=2, campaign="exhaustive-subsets", workers=1))
     assert res.summary["rows"] == 65536
-    config = CampaignConfig(p=2, r=2, campaign="exhaustive-subsets")
-    key = ("mask_tails", harness._constants(config), "csv")
-    raw_keys = len(make_field(2, 2).memo(key, dict))
     assert calls["bound_report"] == 188
     assert calls["stabilizer_brute"] == 656  # every index divisible by 100
-    assert calls["line_counts"] == raw_keys
-    assert calls["PointSet"] <= 656 + raw_keys + 4
-    assert 656 + raw_keys < 65536 // 4
+    assert calls["line_counts"] == 0
+    assert built == list(range(0, 1 << 16, 100))
 
 
 def test_benchmark_child_sequence_builds_its_field_once(tmp_path, monkeypatch):
@@ -613,6 +624,19 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, monkeypatch):
     assert res.summary["rows"] == 512
 
 
+def test_resume_accepts_checkpoint_with_no_ratio_yet(tmp_path, monkeypatch):
+    # incidence rows never set max_ratio, so their checkpoints hold None
+    monkeypatch.setattr(harness, "CHUNK", 16)
+    kw = dict(p=3, r=1, campaign="incidence-report", budget=60)
+    full = tmp_path / "full.csv"
+    run_campaign(CampaignConfig(out=str(full), **kw))
+    part = tmp_path / "part.csv"
+    crash_campaign(monkeypatch, CampaignConfig(out=str(part), **kw), at=32)
+    assert json.loads((tmp_path / "part.csv.ckpt").read_text())["acc"]["max_ratio"] is None
+    run_campaign(CampaignConfig(out=str(part), resume=True, **kw))
+    assert part.read_bytes() == full.read_bytes()
+
+
 KILL_AT_CHUNK = """
 import os, signal, sys
 import sl2lab.harness as harness
@@ -705,6 +729,40 @@ def test_resume_refuses_changed_prefix(tmp_path, monkeypatch, capsys, damage):
     assert out.read_bytes() == before
 
 
+CHECKPOINT_DAMAGE = {
+    "empty": lambda state: {},
+    "list": lambda state: [1, 2],
+    "offset": lambda state: {**state, "offset": "abc"},
+    "float_start": lambda state: {**state, "next_start": float(state["next_start"])},
+    # a negative start re-emitted rows from the table's end (exit 1); one
+    # past the total ended the run early with exit 0
+    "negative_start": lambda state: {**state, "next_start": -64},
+    "start_past_total": lambda state: {**state, "next_start": 513},
+    "str_rows": lambda state: {**state, "acc": {**state["acc"], "rows": str(state["acc"]["rows"])}},
+    "str_max_ratio": lambda state: {**state, "acc": {**state["acc"], "max_ratio": "1.5"}},
+    # an older summary layout: the resumed summary would miss rows' counts
+    "old_acc": lambda state: {
+        **state, "acc": {k: v for k, v in state["acc"].items() if k != "confirmed_ok"}},
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+def test_resume_refuses_malformed_checkpoint(tmp_path, monkeypatch, capsys, damage):
+    # exit 1 means a violated bound; a checkpoint of the wrong shape exits
+    # 2 before the output file is touched
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    out = tmp_path / "x.csv"
+    crash_campaign(monkeypatch, CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
+                                               out=str(out)), at=192)
+    ckpt = tmp_path / "x.csv.ckpt"
+    ckpt.write_text(json.dumps(CHECKPOINT_DAMAGE[damage](json.loads(ckpt.read_text()))))
+    before = out.read_bytes()
+    code = main(["exhaustive", "--p", "3", "--resume", "--out", str(out)])
+    assert code == 2
+    assert "error: cannot resume" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 def test_checkpoint_removed_after_clean_run(tmp_path):
     res = run_campaign(cfg(tmp_path, p=2, r=1, campaign="exhaustive-subsets"))
     assert not os.path.exists(res.out + ".ckpt")
@@ -725,7 +783,7 @@ def test_exhaustive_gf2_summary_matches_table(tmp_path):
     best = None
     for bits in range(16):
         E = PointSet(2, bits)
-        if line_partition(ctx, E).lines_meeting >= 2 and E.nonzero_size:
+        if lines_meeting(ctx, E) >= 2 and E.nonzero_size:
             ratio = _f6(table[bits] / E.nonzero_size**1.5)
             if best is None or ratio > best:
                 best = ratio
@@ -824,7 +882,7 @@ def test_prime_bound_campaign_gf3(tmp_path):
     want = sum(
         1 for bits in range(1 << 9)
         if 0 < (bits & ~1).bit_count() < 8
-        and line_partition(ctx, PointSet(3, bits)).lines_meeting >= 2
+        and lines_meeting(ctx, PointSet(3, bits)) >= 2
     )
     assert res.summary["rows"] == want
     assert res.violations == 0
@@ -834,6 +892,37 @@ def test_prime_bound_campaign_gf3(tmp_path):
         assert row["prime_power_violated"] is False
         # r = 1 so the bound is just |E|
         assert row["stab_order"] <= row["size"]
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (2, 2)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_prime_bound_rows_are_the_filtered_sweep_rows(tmp_path, p, r, fmt):
+    # prime-bound keeps the sweep's rows by their entries' cells; the rows
+    # it writes must be the exhaustive-subsets rows whose mask passes the
+    # predicate written out on the line masks: E - 0 is neither empty nor
+    # the whole punctured plane and meets at least two origin lines
+    ctx = make_field(p, r)
+    masks = line_nonzero_masks(ctx)
+    full_nz = ctx.q * ctx.q - 1
+
+    def kept(mask):
+        nz = mask & ~1
+        return 0 < nz.bit_count() < full_nz and sum(1 for lm in masks if nz & lm) >= 2
+
+    runs = {}
+    for campaign in ("exhaustive-subsets", "prime-bound-exhaustive"):
+        out = tmp_path / f"{campaign}.{fmt}"
+        run_campaign(CampaignConfig(p=p, r=r, campaign=campaign, fmt=fmt, out=str(out)))
+        if fmt == "json":
+            runs[campaign] = json.loads(out.read_text())["rows"]
+        else:
+            runs[campaign] = out.read_text().splitlines()[2:]  # after echo and header
+    if fmt == "json":
+        want = [row for row in runs["exhaustive-subsets"] if kept(row["index"])]
+    else:
+        want = [ln for ln in runs["exhaustive-subsets"] if kept(int(ln.split(",", 1)[0]))]
+    assert len(want) == sum(map(kept, range(1 << (ctx.q * ctx.q))))
+    assert runs["prime-bound-exhaustive"] == want
 
 
 def test_incidence_campaign_gf3(tmp_path):

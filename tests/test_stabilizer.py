@@ -31,6 +31,7 @@ from sl2lab.stabilizer import (
     contained_in_line,
     line_partition,
     line_set_stabilizer,
+    report_key,
     stabilizer_brute,
     stabilizer_fast,
     stabilizer_order,
@@ -38,6 +39,11 @@ from sl2lab.stabilizer import (
     subgroup_orbits,
     triple_count_audit,
 )
+
+
+def report(ctx, E, constants=Constants()):
+    """bound_report for the set E, its order from stabilizer_order."""
+    return bound_report(ctx, report_key(ctx, E, stabilizer_order(ctx, E)), constants)
 
 
 def random_subset(q, seed):
@@ -270,7 +276,7 @@ def _subgroup_generators(ctx, rng):
     }
     for r_sub in range(1, r):
         if r % r_sub == 0:
-            sub = sorted(subfield_elements(ctx, r_sub).members)
+            sub = sorted(subfield_elements(ctx, r_sub))
             out[f"subfield-{r_sub}"] = [(1, b, 0, 1) for b in sub] + [(1, 0, b, 1) for b in sub]
     for k in range(2):
         out[f"random-{k}"] = [
@@ -366,9 +372,9 @@ def test_affine_line_order(fields, q):
 def test_axis_subgroup_is_triangular_family(fields, q, c):
     ctx = fields[q]
     S = multiplicative_subgroup(ctx, c)
-    E = PointSet.from_points(q, [(0, s) for s in S.members])
+    E = PointSet.from_points(q, [(0, s) for s in S])
     stab = stabilizer_brute(ctx, E) if q <= 7 else stabilizer_fast(ctx, E)
-    family = {(a, 0, t, ctx.inv(a)) for a in S.members for t in range(q)}
+    family = {(a, 0, t, ctx.inv(a)) for a in S for t in range(q)}
     assert stab == family
     assert len(stab) == q * (q - 1) // c
 
@@ -377,11 +383,11 @@ def test_axis_subgroup_is_triangular_family(fields, q, c):
 def test_subfield_plane_order(p, r, r_sub):
     ctx = make_field(p, r)
     sub = subfield_elements(ctx, r_sub)
-    E = PointSet.from_points(ctx.q, [(x, y) for x in sub.members for y in sub.members])
+    E = PointSet.from_points(ctx.q, [(x, y) for x in sub for y in sub])
     stab = stabilizer_brute(ctx, E)
     s = p**r_sub
     assert len(stab) == s**3 - s
-    embedded = {m for m in stab if all(x in sub.members for x in m)}
+    embedded = {m for m in stab if all(x in sub for x in m)}
     assert len(embedded) == s**3 - s  # the whole stabilizer is the embedded copy
 
 
@@ -390,15 +396,13 @@ def test_line_partition(fields):
     # two full axes minus origin plus one extra point off both
     pts = [(0, y) for y in range(1, 5)] + [(x, 0) for x in range(1, 5)] + [(1, 1)]
     E = PointSet.from_points(5, pts)
-    part = line_partition(ctx, E)
-    assert part.classes == {1: ((1, 1),), 4: ((1, 0), (0, 1))}
-    assert part.lines_meeting == 3
-    assert len(part.classes[4]) == 2
-    assert 2 not in part.classes
-    assert part.all_classes_small
-    part_full = line_partition(ctx, PointSet.full(5))
-    assert part_full.classes == {4: tuple(proj_lines(ctx))}
-    assert not part_full.all_classes_small
+    classes = line_partition(ctx, E)
+    assert classes == {1: ((1, 1),), 4: ((1, 0), (0, 1))}
+    assert 2 not in classes
+    rep = report(ctx, E)
+    assert rep["lines_meeting"] == 3 and rep["all_classes_small"]
+    assert line_partition(ctx, PointSet.full(5)) == {4: tuple(proj_lines(ctx))}
+    assert not report(ctx, PointSet.full(5))["all_classes_small"]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
@@ -517,17 +521,20 @@ def test_all_subset_table_gf4_spots(fields):
 
 def test_contained_in_line(fields):
     ctx = fields[5]
-    assert contained_in_line(ctx, PointSet.from_points(5, [(0, 1), (0, 3)]))
-    assert contained_in_line(ctx, PointSet.from_points(5, [(1, 2), (2, 4), (0, 0)]))
-    assert contained_in_line(ctx, PointSet.from_points(5, [(1, 1)]))
-    assert contained_in_line(ctx, PointSet(5))
+
+    def on_line(points):
+        return contained_in_line(ctx, PointSet.from_points(5, points).bits)
+
+    assert on_line([(0, 1), (0, 3)])
+    assert on_line([(1, 2), (2, 4), (0, 0)])
+    assert on_line([(1, 1)])
+    assert on_line([])
     # any pair is collinear; a proper triangle is not
-    assert contained_in_line(ctx, PointSet.from_points(5, [(1, 0), (0, 1)]))
-    assert not contained_in_line(ctx, PointSet.from_points(5, [(1, 0), (0, 1), (1, 1)]))
+    assert on_line([(1, 0), (0, 1)])
+    assert not on_line([(1, 0), (0, 1), (1, 1)])
     # affine line not through the origin still counts as a line
-    assert contained_in_line(ctx, PointSet.from_points(5, [(1, y) for y in range(5)]))
-    assert contained_in_line(
-        ctx, PointSet.from_points(5, [(1, 0), (0, 1), (2, 4)]))  # x + y = 1
+    assert on_line([(1, y) for y in range(5)])
+    assert on_line([(1, 0), (0, 1), (2, 4)])  # x + y = 1
 
 
 def contained_in_line_reference(ctx, E):
@@ -562,7 +569,7 @@ def test_contained_in_line_matches_cross_product_exhaustive(fields, q):
     ctx = fields[q]
     for bits in range(1 << (q * q)):
         E = PointSet(q, bits)
-        assert contained_in_line(ctx, E) == contained_in_line_reference(ctx, E)
+        assert contained_in_line(ctx, bits) == contained_in_line_reference(ctx, E)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
@@ -572,7 +579,7 @@ def test_contained_in_line_matches_cross_product_random(fields, q):
     for trial in range(500):
         E = near_line_subset(ctx, nth_seed(3000 + q, trial))
         want = contained_in_line_reference(ctx, E)
-        assert contained_in_line(ctx, E) == want
+        assert contained_in_line(ctx, E.bits) == want
         hits += want and E.size > 2
     assert hits >= 50  # the sample tests lines, not only scattered sets
 
@@ -585,7 +592,7 @@ def test_constants_defaults():
 def test_bound_report_subfield_plane(fields):
     ctx = fields[4]
     E = PointSet.from_points(4, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    rep = bound_report(ctx, E)
+    rep = report(ctx, E)
     assert rep["size"] == 4 and rep["size_nonzero"] == 3
     assert rep["stab_order"] == 6
     assert rep["lines_meeting"] == 3
@@ -604,7 +611,7 @@ def test_bound_report_subfield_plane(fields):
 def test_bound_report_two_lines(fields):
     ctx = fields[5]
     E = PointSet.from_points(5, [(0, 1), (0, 2), (1, 0)])
-    rep = bound_report(ctx, E)
+    rep = report(ctx, E)
     assert rep["lines_meeting"] == 2
     assert rep["two_lines_applicable"]
     assert rep["two_lines_violated"] is False
@@ -616,16 +623,48 @@ def test_bound_report_accepts_precomputed_order(fields):
     ctx = fields[5]
     E = random_subset(5, 9)
     want = len(stabilizer_fast(ctx, E))
-    rep = bound_report(ctx, E, stab_order=want)
+    rep = bound_report(ctx, report_key(ctx, E, want))
     assert rep["stab_order"] == want
-    assert rep == bound_report(ctx, E)
+    assert rep == report(ctx, E)
+
+
+def check_key_cells(ctx, E):
+    """bound_report's cells read off the key against the same quantities
+    counted from line_partition's classes."""
+    classes = line_partition(ctx, E)
+    lines = sum(len(v) for v in classes.values())
+    rep = bound_report(ctx, report_key(ctx, E, 1))
+    assert rep["size"] == E.size
+    assert rep["lines_meeting"] == lines
+    assert rep["size_nonzero"] == sum(m * len(v) for m, v in classes.items()) == E.nonzero_size
+    assert rep["all_classes_small"] == (lines >= 2 and all(len(v) <= 2 for v in classes.values()))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_bound_report_key_cells_match_line_partition_exhaustive(fields, q):
+    ctx = fields[q]
+    for bits in range(1 << (q * q)):
+        check_key_cells(ctx, PointSet(q, bits))
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_bound_report_key_cells_match_line_partition_random(fields, q):
+    ctx = fields[q]
+    for trial in range(200):
+        rng = DetRng(nth_seed(5000 + q, trial))
+        # half dense, half a few points, so small classes come up too
+        if trial % 2:
+            E = PointSet.from_codes(q, rng.sample(q * q, 1 + rng.below(q)))
+        else:
+            E = PointSet(q, rng.bits(q * q))
+        check_key_cells(ctx, E)
 
 
 def test_bound_report_exhaustive_gf3_no_violations(fields):
     ctx = fields[3]
     table = all_subset_stabilizer_orders(ctx)
     for bits in range(1 << 9):
-        rep = bound_report(ctx, PointSet(3, bits), stab_order=table[bits])
+        rep = bound_report(ctx, report_key(ctx, PointSet(3, bits), table[bits]))
         assert rep["violations"] == ""
 
 
@@ -634,12 +673,12 @@ def test_confirmation_logic(fields):
     # small and line-rich: an origin line is confirmed contained
     from sl2lab.plane import points_on_line
     E = PointSet.from_points(9, points_on_line(ctx, (1, 0)))
-    rep = bound_report(ctx, E, Constants(c1=10.0, c2=1.0))
+    rep = report(ctx, E, Constants(c1=10.0, c2=1.0))
     assert rep["small"] and rep["rich"]
     assert rep["confirmed"] is True
     # scattered set with trivial stabilizer is not rich, so no verdict
     E2 = PointSet.from_points(9, [(1, 2), (2, 5), (3, 1), (0, 4), (7, 7)])
-    rep2 = bound_report(ctx, E2, Constants(c1=10.0, c2=1.0))
+    rep2 = report(ctx, E2, Constants(c1=10.0, c2=1.0))
     assert rep2["confirmed"] is None or rep2["rich"]
 
 
@@ -656,7 +695,7 @@ GF9_SUBFIELD_AUDIT = dict(
 def test_audit_gf9_subfield_plane(fields):
     ctx = fields[9]
     sub = subfield_elements(ctx, 1)
-    E = PointSet.from_points(9, [(x, y) for x in sub.members for y in sub.members])
+    E = PointSet.from_points(9, [(x, y) for x in sub for y in sub])
     audit = triple_count_audit(ctx, E, 2)
     for name, want in GF9_SUBFIELD_AUDIT.items():
         assert getattr(audit, name) == want, name
@@ -719,7 +758,7 @@ def test_audit_preservers_match_act_images(fields, q, monkeypatch):
     monkeypatch.setattr(stabmod, "stabilizer_brute", recorded)
     cases = [random_uniform_class_set(ctx, nth_seed(7100 + q, t)) for t in range(40)]
     if q == 9:
-        sub = subfield_elements(ctx, 1).members
+        sub = subfield_elements(ctx, 1)
         cases.append((PointSet.from_points(9, [(x, y) for x in sub for y in sub]), 4, 2))
     normalized = 0
     for E, _, m1 in cases:
