@@ -15,10 +15,11 @@ byte, is:
     to six significant digits (_f6) when the row's entry is built, so
     CSV and JSON agree.
   * Exhaustive campaigns checkpoint progress to <out>.ckpt after each
-    chunk, with the sha256 of every byte written so far; rerunning with
-    --resume checks that hash over the kept prefix, appends the
-    remaining rows, and the concatenated file is identical to an
-    uninterrupted run (CSV only).  JSON is written to <out>.tmp and
+    chunk, sealed by the sha256 of every byte written so far followed
+    by the checkpoint's own fields; rerunning with --resume checks that
+    seal over the kept prefix and the checkpoint, appends the remaining
+    rows, and the concatenated file is identical to an uninterrupted
+    run (CSV only).  JSON is written to <out>.tmp and
     renamed to <out> only when the run succeeds.  A failed CSV run
     removes its output file unless --resume can pick it up: a file with
     a checkpoint is kept, and so is the file of a --resume run.
@@ -29,8 +30,9 @@ byte, is:
     failure.
 
 Each campaign is one row of CAMPAIGNS: its row producer, columns, row
-total, q limit and CLI subcommand.  The report modules name their own
-columns: stabilizer.bound_report and incidence3d.incidence_bound_report
+total, q limits (one of them the q up to which it never pools) and CLI
+subcommand.  The report modules name their own columns:
+stabilizer.bound_report and incidence3d.incidence_bound_report
 return their cells as dicts in column order, and
 stabilizer.TripleCountAudit holds its cells as fields in that order.  A
 header is REPORT_COLUMNS, INCIDENCE_COLUMNS or AUDIT_COLUMNS with the
@@ -49,14 +51,18 @@ summary; no row is kept.  The parent writes the text, merges the
 summaries in range order and checkpoints.  search-extremal's rows are
 held in the parent until they can be ranked.  CampaignResult.rows reads
 the output file back when it is first asked for.  A pool has no more
-processes than chunks or CPUs, whatever --workers asks for.
+processes than chunks or CPUs, whatever --workers asks for, and the
+q <= 4 sweeps never pool: their rows are table lookups, cheaper than a
+pool's start-up and pickling, so a campaign's serial_max_q keeps them in
+the parent.
 
 Stabilizer-report entries are memoized on the field context, under the
 Constants value and the format, per stabilizer.report_key, the one thing
 bound_report reads; family-verify and search-extremal extend an entry
 with their own cells and failed checks (_extend).  The q <= 4 sweeps run
 on int masks and per-field tables, with a second memo on the raw key
-(|R(E)|, origin bit, packed line counts, whether E lies on a line); a
+(|R(E)|, origin bit, packed line counts, whether E lies on a line)
+packed into one int, containment read off the set of collinear masks; a
 miss there reads the report key off the packed counts, so a PointSet is
 built only for a spot check.
 
@@ -93,6 +99,7 @@ from .incidence3d import (
 from .plane import (
     PointSet,
     _text_chunk,
+    affine_line_mask,
     apply_to_set,
     line_nonzero_masks,
     proj_lines,
@@ -108,7 +115,6 @@ from .stabilizer import (
     all_subset_stabilizer_orders,
     bound_report,
     complement_agrees,
-    contained_in_line,
     line_partition,
     line_set_stabilizer,
     report_key,
@@ -312,13 +318,28 @@ def _descriptor_bytes(ctx) -> tuple:
     )
 
 
+def _lined_masks(ctx) -> frozenset:
+    """Every mask of a q <= 4 plane whose points lie on one line: the
+    submasks of the q^2 + q affine lines, which hold every mask of at
+    most two points."""
+    pairs = itertools.combinations(range(ctx.q * ctx.q), 2)
+    lined = {0}
+    for line in {affine_line_mask(ctx, a, b) for a, b in pairs}:
+        sub = line
+        while sub:
+            lined.add(sub)
+            sub = (sub - 1) & line
+    return frozenset(lined)
+
+
 def _mask_items(ctx, config, masks):
     """The report items of the masks of a q <= 4 plane, in order.
 
     The loop works on the int mask and per-field tables: the order comes
-    from the subset table, the packed line counts from _line_count_bytes
-    and the descriptor from _descriptor_bytes.  A second memo maps the
-    raw key (order, origin bit, packed counts, contained) to its entry;
+    from the subset table, the packed line counts from _line_count_bytes,
+    containment from _lined_masks and the descriptor from
+    _descriptor_bytes.  A second memo maps the raw key (order, origin
+    bit, packed counts, contained), packed into one int, to its entry;
     on a miss the report key is read off the packed counts, so a
     PointSet is built only for the spot check.
     """
@@ -326,19 +347,19 @@ def _mask_items(ctx, config, masks):
     counts = ctx.memo("counts", all_subset_stabilizer_orders, ctx)
     low_counts, high_counts = ctx.memo("line_count_bytes", _line_count_bytes, ctx)
     low_text, high_after, high_alone = ctx.memo("descriptor_bytes", _descriptor_bytes, ctx)
-    shifts = range(0, 4 * (q + 1), 4)  # one 4-bit field per origin line
+    lined = ctx.memo("lined_masks", _lined_masks, ctx)
+    width = 4 * (q + 1)  # one 4-bit field per origin line
     constants = _constants(config)
     raw = ctx.memo(("mask_tails", constants, config.fmt), dict)
     for mask in masks:
         order = counts[mask]
         lo, hi = mask & 255, mask >> 8
         packed = low_counts[lo] + high_counts[hi]
-        contained = contained_in_line(ctx, mask)
-        raw_key = (order, mask & 1, packed, contained)
+        raw_key = ((order << 1 | mask & 1) << width | packed) << 1 | (mask in lined)
         entry = raw.get(raw_key)
         if entry is None:
-            mults = tuple(sorted(filter(None, (packed >> s & 15 for s in shifts))))
-            key = (order, mask.bit_count(), mults, contained)
+            mults = tuple(sorted(filter(None, (packed >> s & 15 for s in range(0, width, 4)))))
+            key = (order, mask.bit_count(), mults, bool(raw_key & 1))
             entry = raw[raw_key] = _report_entry(ctx, key, constants, config.fmt)
         if mask % SPOT_EVERY == 0:
             _spot(ctx, PointSet(q, mask), order, mask)
@@ -655,6 +676,9 @@ class Campaign:
     total: Callable  # (config, ctx) -> number of indices to enumerate
     max_q: int
     sampled_max_q: int = 0  # larger q this far runs sampled with allow_sampled
+    # rows up to this q are table lookups, cheaper than a pool's start-up
+    # and pickling: such a run stays in the parent whatever --workers says
+    serial_max_q: int = 0
     rank: Callable | None = None  # items are held, then ranked, before writing
 
 
@@ -675,6 +699,7 @@ CAMPAIGNS = {
         total=lambda config, ctx: (1 << (ctx.q * ctx.q)) if ctx.q <= 4 else config.budget,
         max_q=4,
         sampled_max_q=5,
+        serial_max_q=4,
     ),
     "two-line-exhaustive": Campaign(
         command="exhaustive",
@@ -703,6 +728,7 @@ CAMPAIGNS = {
         columns=_STAB_COLUMNS,
         total=lambda config, ctx: 1 << (ctx.q * ctx.q),
         max_q=4,
+        serial_max_q=4,
     ),
     "incidence-report": Campaign(
         command="incidence",
@@ -913,20 +939,29 @@ def _default_out(config: CampaignConfig) -> str:
     return f"{config.campaign}-p{config.p}-r{config.r}.{config.fmt}"
 
 
-def _write_ckpt(
-    path: str, echo: str, next_start: int, offset: int, sha256: str, acc: _Acc
-) -> None:
-    """sha256 is the digest of the output's first offset bytes."""
+def _seal(digest, state: dict) -> str:
+    """The checkpoint's sha256: digest (the output's first offset bytes)
+    continued by the checkpoint's own fields, so an edit to either shows."""
+    seal = digest.copy()
+    seal.update(json.dumps(state, sort_keys=True).encode())
+    return seal.hexdigest()
+
+
+def _write_ckpt(path: str, echo: str, next_start: int, offset: int, digest, acc: _Acc) -> None:
+    """digest is the sha256 of the output's first offset bytes."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        state = {"echo": echo, "next_start": next_start, "offset": offset, "sha256": sha256}
-        json.dump({**state, "acc": acc.to_dict()}, fh)
+        state = {"echo": echo, "next_start": next_start, "offset": offset, "acc": acc.to_dict()}
+        json.dump({**state, "sha256": _seal(digest, state)}, fh)
     os.replace(tmp, path)
 
 
-def _read_ckpt(path: str, total: int) -> dict:
-    """The checkpoint at path, refused unless it has _write_ckpt's layout,
-    value types included, and a next_start in [0, total]."""
+def _read_ckpt(path: str, out: str, echo: str, total: int) -> tuple:
+    """(state, digest): the checkpoint at path and the sha256 of the
+    first offset bytes of out.  The checkpoint is refused unless it has
+    _write_ckpt's layout, value types included, a next_start in
+    [0, total] and this run's echo, and its seal matches out's prefix
+    and its own fields."""
     with open(path) as fh:
         state = json.load(fh)
     layout = {"echo": str, "next_start": int, "offset": int, "sha256": str, "acc": dict}
@@ -938,7 +973,18 @@ def _read_ckpt(path: str, total: int) -> dict:
         and 0 <= state["next_start"] <= total
     ):
         raise ValueError(f"cannot resume: {path} does not fit this version and run")
-    return state
+    if state["echo"] != echo:
+        raise ValueError("checkpoint does not match this configuration")
+    if not os.path.isfile(out):
+        raise ValueError(f"cannot resume: {out} is missing")
+    if os.path.getsize(out) < state["offset"]:
+        raise ValueError(f"cannot resume: {out} is shorter than its checkpoint offset")
+    digest = hashlib.sha256()
+    with open(out, "rb") as raw:
+        digest.update(raw.read(state["offset"]))
+    if state.pop("sha256") != _seal(digest, state):
+        raise ValueError(f"cannot resume: {out} or its checkpoint changed after it was written")
+    return state, digest
 
 
 def _emit(fh, digest, text: str) -> None:
@@ -990,17 +1036,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     digest = hashlib.sha256() if checkpoints else None
     mode = "wb"
     if config.resume and checkpoints and os.path.exists(ckpt_path):
-        state = _read_ckpt(ckpt_path, total)
-        if state["echo"] != echo:
-            raise ValueError("checkpoint does not match this configuration")
-        if not os.path.isfile(out):
-            raise ValueError(f"cannot resume: {out} is missing")
-        if os.path.getsize(out) < state["offset"]:
-            raise ValueError(f"cannot resume: {out} is shorter than its checkpoint offset")
-        with open(out, "rb") as raw:
-            digest.update(raw.read(state["offset"]))
-        if state["sha256"] != digest.hexdigest():
-            raise ValueError(f"cannot resume: {out} does not match its checkpoint hash")
+        state, digest = _read_ckpt(ckpt_path, out, echo, total)
         start = state["next_start"]
         acc = _Acc.from_dict(state["acc"])
         # drop any rows written after the last completed chunk
@@ -1020,7 +1056,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             if mode == "wb":
                 _emit(fh, digest, _head(config, echo))
             run = map
-            if config.workers > 1 and total - start > CHUNK:
+            if config.workers > 1 and total - start > CHUNK and ctx.q > spec.serial_max_q:
                 # imported here to keep concurrent.futures and multiprocessing off start-up
                 from concurrent.futures import ProcessPoolExecutor
 
@@ -1039,7 +1075,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                     sep = joiner
                 if checkpoints:
                     fh.flush()
-                    _write_ckpt(ckpt_path, echo, stop, fh.tell(), digest.hexdigest(), acc)
+                    _write_ckpt(ckpt_path, echo, stop, fh.tell(), digest, acc)
                     remove = False
             if config.fmt == "json":
                 _emit(fh, digest, _json_close(acc))

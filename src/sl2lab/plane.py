@@ -24,8 +24,10 @@ and sl2_unrank(i) is its i-th element, so sampled group elements do not
 depend on how work is partitioned.
 
 The group, the canonical directions and their point bitsets are kept by
-ctx.memo.  affine_line_mask builds a line afresh on every call; its one
-caller, stabilizer.contained_in_line, memoizes the lines it meets.
+ctx.memo.  affine_line_mask builds a line afresh on every call; its two
+callers memoize what they build: stabilizer.contained_in_line the lines
+it meets, and harness._lined_masks the submasks of every line of a
+q <= 4 plane.
 """
 
 from __future__ import annotations

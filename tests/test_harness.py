@@ -280,6 +280,18 @@ def test_mask_loop_rows_match_direct_report():
         assert descriptor == PointSet(4, mask).text()
 
 
+@pytest.mark.parametrize("p,r,size", [(2, 1, 11), (3, 1, 58), (2, 2, 237)])
+def test_lined_masks_match_contained_in_line(p, r, size):
+    # two routes to "E lies on one line": the table enumerates the lines
+    # and their submasks, contained_in_line tests one set's two lowest
+    # points' line
+    ctx = make_field(p, r)
+    lined = harness._lined_masks(ctx)
+    assert len(lined) == size
+    for mask in range(1 << (ctx.q * ctx.q)):
+        assert (mask in lined) == stabmod.contained_in_line(ctx, mask), mask
+
+
 def test_gf4_sweep_builds_point_sets_only_for_spot_checks(tmp_path, monkeypatch):
     # structural, untimed: 65,536 rows share 188 reports; the loop reads
     # every report key off its packed line counts, so it builds a PointSet
@@ -367,9 +379,12 @@ def test_rerun_is_byte_identical(tmp_path):
     dict(campaign="prime-bound-exhaustive", p=3, r=1),
     dict(campaign="incidence-report", p=3, r=1, budget=100),
     dict(campaign="triple-audit", p=3, r=1, budget=70),
-], ids=lambda kw: kw["campaign"])
+    # past the table sweep's q, rows are sampled and the pool engages
+    dict(campaign="exhaustive-subsets", p=5, r=1, allow_sampled=True, budget=130, seed=3),
+], ids=lambda kw: kw["campaign"] + ("-sampled" if kw.get("allow_sampled") else ""))
 def test_workers_do_not_change_bytes(tmp_path, monkeypatch, kw):
-    # chunk small enough that two workers actually engage
+    # chunk small enough that two workers actually engage (the q <= 4
+    # sweeps stay in the parent; their bytes must still match)
     monkeypatch.setattr(harness, "CHUNK", 64)
     a = tmp_path / "serial.csv"
     b = tmp_path / "pooled.csv"
@@ -565,21 +580,9 @@ def test_acc_merge_matches_sequential_fold():
     assert fold(items[:2])["max_ratio"] is None
 
 
-def test_env_var_sets_workers(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "CHUNK", 64)
-    a = tmp_path / "env.csv"
-    b = tmp_path / "flag.csv"
-    monkeypatch.setenv("SL2LAB_WORKERS", "2")
-    run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets", out=str(a)))
-    monkeypatch.delenv("SL2LAB_WORKERS")
-    run_campaign(CampaignConfig(p=3, r=1, campaign="exhaustive-subsets",
-                                workers=2, out=str(b)))
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_pool_asks_for_no_more_processes_than_chunks(tmp_path, monkeypatch):
-    # a fork pool starts every worker it is given on the first submit, so
-    # the count is capped; a stand-in records it and starts no process
+def record_pools(monkeypatch) -> list:
+    """Replace ProcessPoolExecutor with a stand-in that records the
+    max_workers of each pool asked for and maps in this process."""
     import concurrent.futures
 
     asked = []
@@ -597,8 +600,29 @@ def test_pool_asks_for_no_more_processes_than_chunks(tmp_path, monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
+def test_env_var_sets_workers(tmp_path, monkeypatch):
+    asked = record_pools(monkeypatch)
     monkeypatch.setattr(harness, "CHUNK", 64)
-    kw = dict(p=3, r=1, campaign="exhaustive-subsets")  # 512 rows, 8 chunks
+    kw = dict(p=3, r=1, campaign="incidence-report", budget=100, seed=2)  # 2 chunks
+    a = tmp_path / "env.csv"
+    b = tmp_path / "flag.csv"
+    monkeypatch.setenv("SL2LAB_WORKERS", "2")
+    run_campaign(CampaignConfig(out=str(a), **kw))
+    monkeypatch.delenv("SL2LAB_WORKERS")
+    run_campaign(CampaignConfig(workers=2, out=str(b), **kw))
+    assert len(asked) == 2 and asked[0] == asked[1]  # the variable started the flag's pool
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_pool_asks_for_no_more_processes_than_chunks(tmp_path, monkeypatch):
+    # a fork pool starts every worker it is given on the first submit, so
+    # the count is capped; a stand-in records it and starts no process
+    asked = record_pools(monkeypatch)
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    kw = dict(p=3, r=1, campaign="incidence-report", budget=512)  # 8 chunks
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
     run_campaign(CampaignConfig(workers=1, out=str(serial), **kw))
@@ -606,6 +630,48 @@ def test_pool_asks_for_no_more_processes_than_chunks(tmp_path, monkeypatch):
     run_campaign(CampaignConfig(workers=1000, out=str(pooled), **kw))
     assert len(asked) == 1 and 1 <= asked[0] <= 8
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+def count_calls(monkeypatch, owner, *names) -> dict:
+    """Wrap owner's functions of these names to count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(owner, name)
+
+        def call(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("kw,pools", [
+    (dict(campaign="exhaustive-subsets", p=2, r=2), False),
+    (dict(campaign="prime-bound-exhaustive", p=3, r=1), False),
+    (dict(campaign="prime-bound-exhaustive", p=2, r=2), False),
+    (dict(campaign="incidence-report", p=3, r=1, budget=100), True),
+], ids=lambda v: campaign_id(v) if isinstance(v, dict) else None)
+def test_table_sweeps_start_no_pool(tmp_path, monkeypatch, kw, pools):
+    # q <= 4 sweep rows are table lookups: at two workers the run stays
+    # in the parent, makes the serial run's calls and writes its bytes;
+    # a campaign whose rows are not table lookups still pools
+    asked = record_pools(monkeypatch)
+    calls = count_calls(monkeypatch, harness, "bound_report", "stabilizer_brute")
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    runs = []
+    for workers in (1, 2):
+        make_field.cache_clear()
+        out = tmp_path / f"w{workers}.csv"
+        res = run_campaign(CampaignConfig(workers=workers, out=str(out), **kw))
+        runs.append((out.read_bytes(), dict(calls)))
+        calls.update(dict.fromkeys(calls, 0))
+    assert res.summary["total_indices"] > 64
+    assert len(asked) == pools
+    assert runs[0] == runs[1]
+    if kw == dict(campaign="exhaustive-subsets", p=2, r=2):
+        # 65,536 rows share 188 reports; every index divisible by 100
+        assert runs[1][1] == {"bound_report": 188, "stabilizer_brute": 656}
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path, monkeypatch):
@@ -743,6 +809,10 @@ CHECKPOINT_DAMAGE = {
     # an older summary layout: the resumed summary would miss rows' counts
     "old_acc": lambda state: {
         **state, "acc": {k: v for k, v in state["acc"].items() if k != "confirmed_ok"}},
+    # well formed but edited: the seal covers the checkpoint's own fields,
+    # so an earlier start no longer writes rows 128-191 twice with exit 0
+    "edited_start": lambda state: {**state, "next_start": 128},
+    "edited_rows": lambda state: {**state, "acc": {**state["acc"], "rows": 0}},
 }
 
 
