@@ -11,34 +11,64 @@ Examples: ``family:line-origin``, ``family:axis-subgroup:c=2``,
 ``family:orbit-union:gens=[1,1;0,1]|[1,0;1,1],orbits=1|2``,
 ``family:complement:of=family:origin``, ``points:(1,0);(0,1)``.
 
-Values never contain commas except inside ``[...]`` matrix brackets or
-a nested ``of=`` descriptor, so splitting is bracket- and depth-aware.
+Parameters split on commas outside ``[...]`` matrix brackets, and a body
+that starts ``of=`` is complement's one parameter: the nested descriptor,
+commas and all.
+
+FAMILIES is the one table of the named families: each one's parameter
+keys and the closed-form |R(E)| of the set it builds, where there is
+one.  expected_order reads it, so family-verify can check the transport
+route against it without naming a family.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf import FieldCtx, multiplicative_subgroup, subfield_elements
-from .plane import PointSet, parse_mat, parse_point
+from .plane import PointSet, parse_mat, parse_point, sl2_order
 from .rng import DetRng
 from .stabilizer import subgroup_orbits
 
-# Every family and the parameter keys it accepts; "explicit" is only
-# written as points:...
-FAMILY_KEYS = {
-    "empty": (),
-    "origin": (),
-    "full": (),
-    "full-minus-origin": (),
-    "line-origin": ("dir",),
-    "line-affine": ("x",),
-    "complement": ("of",),
-    "axis-subgroup": ("c",),
-    "subfield-plane": ("sub-r",),
-    "orbit-union": ("gens", "orbits"),
-    "random": ("n", "seed"),
-    "explicit": ("pts",),
+
+class Family(NamedTuple):
+    keys: tuple  # the parameter keys it accepts
+    order: Callable | None  # (ctx, spec) -> closed-form |R(E)|, or None
+
+
+def _whole(ctx, spec):
+    return sl2_order(ctx.q)
+
+
+def _subfield_order(ctx, spec):
+    # R(E) is SL2 of the subfield GF(p^sub-r)
+    sub_q = ctx.p ** _int_param(spec, "sub-r")
+    return sub_q**3 - sub_q
+
+
+# Every family; "explicit" is only written as points:...
+FAMILIES = {
+    "empty": Family((), _whole),
+    "origin": Family((), _whole),
+    "full": Family((), _whole),
+    "full-minus-origin": Family((), _whole),
+    "line-origin": Family(("dir",), lambda ctx, spec: ctx.q * ctx.q - ctx.q),
+    # x = 0 is the y-axis, an origin line
+    "line-affine": Family(
+        ("x",), lambda ctx, spec: ctx.q if _int_param(spec, "x", 1) else ctx.q * ctx.q - ctx.q
+    ),
+    # R(E) is R of E's complement
+    "complement": Family(
+        ("of",), lambda ctx, spec: expected_order(ctx, parse_set_spec(spec.get("of")))
+    ),
+    "axis-subgroup": Family(("c",), lambda ctx, spec: ctx.q * (ctx.q - 1) // _int_param(spec, "c")),
+    "subfield-plane": Family(("sub-r",), _subfield_order),
+    "orbit-union": Family(("gens", "orbits"), None),
+    "random": Family(("n", "seed"), None),
+    "explicit": Family(("pts",), None),
 }
 
 
@@ -69,33 +99,7 @@ class FamilySpec:
         return f"family:{self.name}:{body}"
 
 
-def _split_top(s: str, sep: str) -> list:
-    """Split on sep outside [...] brackets and nested descriptors."""
-    parts = []
-    depth = 0
-    cur = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif depth == 0 and s.startswith("family:", i) and cur and cur[-1] == "=":
-            # a nested descriptor swallows the rest of this part
-            cur.extend(s[i:])
-            parts.append("".join(cur))
-            cur = []
-            break
-        if depth == 0 and ch == sep:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-        i += 1
-    if cur or not parts:
-        parts.append("".join(cur))
-    return parts
+_COMMA = re.compile(r",(?![^\[\]]*\])")  # a comma outside [...]
 
 
 def parse_set_spec(text: str) -> FamilySpec:
@@ -115,15 +119,15 @@ def parse_set_spec(text: str) -> FamilySpec:
         raise ValueError(f"descriptor must start with family: or points: ({text!r})")
     body = text[len("family:"):]
     head, _, rest = body.partition(":")
-    if head not in FAMILY_KEYS or head == "explicit":
+    if head not in FAMILIES or head == "explicit":
         raise ValueError(f"unknown family {head!r}")
     params = []
     if rest:
-        for part in _split_top(rest, ","):
+        for part in [rest] if rest.startswith("of=") else _COMMA.split(rest):
             key, eq, value = part.partition("=")
             if not eq or not key or not value:
                 raise ValueError(f"malformed parameter {part!r} in {text!r}")
-            if key not in FAMILY_KEYS[head]:
+            if key not in FAMILIES[head].keys:
                 raise ValueError(f"family {head!r} takes no parameter {key!r}")
             if any(key == k for k, _ in params):
                 raise ValueError(f"parameter {key!r} repeated in {text!r}")
@@ -226,6 +230,13 @@ def gen_family(ctx: FieldCtx, spec: FamilySpec) -> PointSet:
         return PointSet.from_points(q, pts)
 
     raise ValueError(f"unknown family {name!r}")
+
+
+def expected_order(ctx: FieldCtx, spec: FamilySpec) -> int | None:
+    """The closed-form |R(E)| of gen_family(ctx, spec), or None where the
+    family has none.  Reads parameters gen_family has already checked."""
+    order = FAMILIES[spec.name].order
+    return None if order is None else order(ctx, spec)
 
 
 def default_battery(ctx: FieldCtx) -> list:

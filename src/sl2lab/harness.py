@@ -59,7 +59,9 @@ the parent.
 Stabilizer-report entries are memoized on the field context, under the
 Constants value and the format, per stabilizer.report_key, the one thing
 bound_report reads; family-verify and search-extremal extend an entry
-with their own cells and failed checks (_extend).  The q <= 4 sweeps run
+with their own cells and failed checks (_extend).  family-verify reads
+each set and its closed-form order from families (gen_family,
+expected_order), so no family is named here.  The q <= 4 sweeps run
 on int masks and per-field tables, with a second memo on the raw key
 (|R(E)|, origin bit, packed line counts, whether E lies on a line)
 packed into one int, containment read off the set of collinear masks; a
@@ -87,7 +89,7 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
-from .families import default_battery, gen_family, parse_set_spec
+from .families import default_battery, expected_order, gen_family, parse_set_spec
 from .gf import FieldCtx, make_field, selftest
 from .incidence3d import (
     INCIDENCE_COLUMNS,
@@ -481,29 +483,6 @@ def _gen_prime_bound(config, start, stop):
             yield item
 
 
-_EXPECTED_ORDER = {
-    "empty": lambda ctx, spec: sl2_order(ctx.q),
-    "origin": lambda ctx, spec: sl2_order(ctx.q),
-    "full": lambda ctx, spec: sl2_order(ctx.q),
-    "full-minus-origin": lambda ctx, spec: sl2_order(ctx.q),
-    "line-origin": lambda ctx, spec: ctx.q * ctx.q - ctx.q,
-    "line-affine": lambda ctx, spec: (
-        ctx.q if int(spec.get("x", "1")) != 0 else ctx.q * ctx.q - ctx.q
-    ),
-    "axis-subgroup": lambda ctx, spec: ctx.q * (ctx.q - 1) // int(spec.get("c")),
-    "subfield-plane": lambda ctx, spec: (
-        ctx.p ** (3 * int(spec.get("sub-r"))) - ctx.p ** int(spec.get("sub-r"))
-    ),
-}
-
-
-def _expected_order(ctx, spec):
-    if spec.name == "complement":
-        return _expected_order(ctx, parse_set_spec(spec.get("of")))
-    fn = _EXPECTED_ORDER.get(spec.name)
-    return fn(ctx, spec) if fn else None
-
-
 def _family_specs(ctx, config):
     if config.set_spec:
         return [parse_set_spec(config.set_spec)]
@@ -524,7 +503,7 @@ def _gen_family(config, start, stop):
         order = stabilizer_order(ctx, E)
         _spot(ctx, E, order, index)
         comp_match = complement_agrees(ctx, E, order)
-        expected = _expected_order(ctx, spec)
+        expected = expected_order(ctx, spec)
         exp_match = None if expected is None else order == expected
         failed = ["complement_mismatch"] if not comp_match else []
         if exp_match is False:

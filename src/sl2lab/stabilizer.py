@@ -665,8 +665,8 @@ class TripleCountAudit:
     audit that returns is an audit that passed.
 
     The fields up to final_cap_holds are the audit's report columns, in
-    column order (AUDIT_COLUMNS); the last two record the coordinates
-    the audit worked in.
+    column order (AUDIT_COLUMNS); the last, normalizer, records the
+    coordinates the audit worked in.
     """
 
     multiplicity: int
@@ -696,10 +696,9 @@ class TripleCountAudit:
     final_cap_applies: bool
     final_cap_holds: bool
     normalizer: tuple
-    base_codes: tuple
 
 
-AUDIT_COLUMNS = tuple(f.name for f in fields(TripleCountAudit)[:-2])
+AUDIT_COLUMNS = tuple(f.name for f in fields(TripleCountAudit)[:-1])
 
 
 def triple_count_audit(
@@ -864,5 +863,4 @@ def triple_count_audit(
         final_cap_applies=applies,
         final_cap_holds=holds,
         normalizer=normalizer,
-        base_codes=base_codes,
     )

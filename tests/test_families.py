@@ -1,21 +1,25 @@
 """Set-descriptor grammar and family generators."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from sl2lab.families import (
-    FAMILY_KEYS,
+    FAMILIES,
     FamilySpec,
     default_battery,
+    expected_order,
     gen_family,
     parse_set_spec,
 )
 from sl2lab.gf import make_field
 from sl2lab.harness import main
 from sl2lab.plane import PointSet, points_on_line
-from sl2lab.stabilizer import subgroup_orbits
+from sl2lab.stabilizer import stabilizer_order, subgroup_orbits
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CANONICAL = [
     "family:empty",
@@ -59,14 +63,24 @@ def test_parse_shapes():
     "family:nonsense", "nofamily:empty", "", "family:",
     "family:random:n10", "family:explicit",
     "points:(0,1);(1,\n2)", "family:origin\n", "points:(0,1);(1,\t2)",
+    "family:random:n=3,seed=1,", "family:random:,n=3,seed=1", "family:random:n=3,,seed=1",
+    "family:complement:of=",
 ])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_set_spec(bad)
 
 
+def test_trailing_comma_refused_by_cli(tmp_path, capsys):
+    out = tmp_path / "fam.csv"
+    argv = ["family", "--p", "5", "--set", "family:random:n=3,seed=1,", "--out", str(out)]
+    assert main(argv) == 2
+    assert "malformed parameter ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_family_names_complete():
-    assert set(FAMILY_KEYS) == {
+    assert set(FAMILIES) == {
         "empty", "origin", "full", "full-minus-origin", "line-origin",
         "line-affine", "complement", "axis-subgroup", "subfield-plane",
         "orbit-union", "random", "explicit",
@@ -99,8 +113,7 @@ def test_repeated_parameters_rejected(bad, capsys):
 def test_readme_descriptors_build():
     # every descriptor the README shows parses and builds over GF(9);
     # "\|" is a pipe escaped inside a markdown table
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text().replace("\\|", "|")
+    text = README.read_text().replace("\\|", "|")
     found = re.findall(r"(?:family|points):[^\s`'\"]+", text)
     assert len(found) >= 12
     ctx = make_field(3, 2)
@@ -110,6 +123,17 @@ def test_readme_descriptors_build():
             gen_family(ctx, parse_set_spec(literal))
         except ValueError as err:
             failed.append(f"{literal}: {err}")
+    assert not failed
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # every sl2lab line of the README's CLI block runs cleanly
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sl2lab ")]
+    assert len(commands) >= 13
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SL2LAB_WORKERS", raising=False)
+    failed = [" ".join(argv) for argv in commands if main(argv) != 0]
     assert not failed
 
 
@@ -248,3 +272,40 @@ def test_default_battery_generates_everywhere(fields, q):
     for spec in default_battery(ctx):
         E = gen_family(ctx, spec)
         assert E == gen_family(ctx, parse_set_spec(spec.text()))
+
+
+FIELDS_TO_27 = [
+    pytest.param(p, r, id=f"q{p**r}")
+    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (2, 4),
+                 (5, 2), (3, 3)]
+]
+
+
+@pytest.mark.parametrize("p, r", FIELDS_TO_27)
+def test_expected_order_matches_stabilizer(p, r):
+    # the closed forms against the transport route, over the default
+    # battery, both line-affine kinds and nested complements
+    ctx = make_field(p, r)
+    texts = [
+        "family:line-affine:x=0",
+        "family:complement:of=family:line-affine:x=0",
+        "family:complement:of=family:complement:of=family:line-affine",
+        "family:complement:of=family:complement:of=family:full-minus-origin",
+    ]
+    if ctx.q > 2:
+        texts.append("family:line-affine:x=2")
+    specs = default_battery(ctx) + [parse_set_spec(t) for t in texts]
+    for spec in specs:
+        expected = expected_order(ctx, spec)
+        assert expected is not None, spec.text()
+        assert expected == stabilizer_order(ctx, gen_family(ctx, spec)), spec.text()
+
+
+@pytest.mark.parametrize("text", [
+    "family:random:n=10,seed=42",
+    "family:orbit-union:gens=[1,1;0,1],orbits=1|5",
+    "points:(1,0);(0,1)",
+    "family:complement:of=family:random:n=3,seed=7",
+])
+def test_expected_order_none_without_closed_form(fields, text):
+    assert expected_order(fields[5], parse_set_spec(text)) is None

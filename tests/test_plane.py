@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sl2lab.gf import make_field
 from sl2lab.plane import (
     IDENTITY,
+    MATERIALIZE_LIMIT,
     PointSet,
     act,
     apply_to_set,
@@ -33,7 +34,7 @@ from sl2lab.plane import (
     sl2_unrank,
 )
 from sl2lab.rng import DetRng
-from sl2lab.stabilizer import stabilizer_fast, stabilizer_order
+from sl2lab.stabilizer import stabilizer_brute, stabilizer_fast, stabilizer_order
 
 
 def brute_sl2(ctx):
@@ -85,6 +86,17 @@ def test_unrank_out_of_range(fields):
 def test_materialize_equals_brute(fields):
     for q in (2, 3, 4):
         assert set(sl2_materialize(fields[q])) == brute_sl2(fields[q])
+
+
+def test_materialize_guard_refuses_gf256(monkeypatch):
+    # |SL2(256)| = 16,776,960: both calls refuse before enumerating a matrix
+    ctx = make_field(2, 8)
+    assert sl2_order(ctx.q) > MATERIALIZE_LIMIT
+    monkeypatch.setattr("sl2lab.plane.sl2_elements", lambda ctx: pytest.fail("SL2 enumerated"))
+    with pytest.raises(ValueError, match="materialization guard"):
+        sl2_materialize(ctx)
+    with pytest.raises(ValueError, match="materialization guard"):
+        stabilizer_brute(ctx, PointSet.from_points(ctx.q, [(1, 0)]))
 
 
 @given(st.integers(0, 335), st.integers(0, 335), st.integers(0, 335))
