@@ -396,21 +396,26 @@ def _two_line_space(ctx):
     return pairs, per_line - 1
 
 
+def _line_codes(ctx):
+    """Each origin line's nonzero codes, in pencil order.  A line's codes
+    ascend, so for its canonical direction u (first nonzero coordinate
+    1) the k-th is t * u with t the k-th nonzero element."""
+    return [PointSet(ctx.q, b).nonzero_codes for b in line_nonzero_masks(ctx)]
+
+
 def _gen_two_line(config, start, stop):
     ctx = make_field(config.p, config.r)
     q = ctx.q
     pairs, m = _two_line_space(ctx)
-    codes = ctx.memo(
-        "line_codes", lambda: [PointSet(q, b).nonzero_codes for b in line_nonzero_masks(ctx)]
-    )
+    codes = ctx.memo("line_codes", _line_codes, ctx)
     # |R(E)| depends on (sub1, sub2) alone.  The k-th code of a line is
-    # t * u with t the k-th nonzero element, for every canonical
-    # direction u, so some h in GL2 with h(t * u_i) = (t, 0) and
-    # h(t * u_j) = (0, t) carries E onto the set with the same
-    # sub-indices on the axis pair (0, q).  SL2 is normal in GL2, so
-    # R(hE) = h R(E) h^-1 and the orders agree; the origin bit is
-    # ignored by R(E).  The memo holds the axis-pair order per
-    # (sub1, sub2), and _spot still checks the row's own E by brute force.
+    # t * u with t the k-th nonzero element (_line_codes), so some h in
+    # GL2 with h(t * u_i) = (t, 0) and h(t * u_j) = (0, t) carries E
+    # onto the set with the same sub-indices on the axis pair (0, q).
+    # SL2 is normal in GL2, so R(hE) = h R(E) h^-1 and the orders agree;
+    # the origin bit is ignored by R(E).  The memo holds the axis-pair
+    # order per (sub1, sub2), and _spot still checks the row's own E by
+    # brute force.
     orders = ctx.memo("two_line_orders", dict)
     constants = _constants(config)
 
@@ -551,14 +556,11 @@ def random_uniform_class_set(ctx: FieldCtx, seed: int):
     rng = DetRng(seed)
     m0 = 2 + rng.below(q)
     m1 = 1 + rng.below(q - 1)
-    lines = proj_lines(ctx)
+    lines = ctx.memo("line_codes", _line_codes, ctx)
     codes = []
     for li in rng.sample(q + 1, m0):
-        u, v = lines[li]
-        pts = [(ctx.mul(t, u), ctx.mul(t, v)) for t in range(1, q)]
-        for j in rng.sample(q - 1, m1):
-            x, y = pts[j]
-            codes.append(x * q + y)
+        line = lines[li]
+        codes += [line[j] for j in rng.sample(q - 1, m1)]
     return PointSet.from_codes(q, codes), m0, m1
 
 

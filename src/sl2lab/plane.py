@@ -332,16 +332,6 @@ class PointSet:
     def nonzero_size(self) -> int:
         return (self.bits & ~1).bit_count()
 
-    def codes(self) -> list:
-        out = list(self.nonzero_codes)
-        if self.bits & 1:
-            out.insert(0, 0)
-        return out
-
-    def points(self) -> list:
-        q = self.q
-        return [divmod(c, q) for c in self.codes()]
-
     def complement(self) -> "PointSet":
         mask = (1 << (self.q * self.q)) - 1
         return PointSet(self.q, self.bits ^ mask)

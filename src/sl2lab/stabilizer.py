@@ -11,9 +11,11 @@ symmetry set of the complement.  Two independent routes compute it:
     point in that side's multiplicity class with the fewest points
     (theta permutes origin lines and keeps |L ∩ E|, so the base can
     only go to points of its class).  The q elements carrying base to
-    a point (two linear equations plus the determinant condition) are
-    all tested only for the base itself, which gives Stab_R(base).  The
-    orbit R * base is closed by a BFS on points under the elements
+    a point dst form a line, theta_b = F_dst (1 b; 0 1) F_base^-1 =
+    M0 + b*M1 for b in the field, with F_x a frame carrying e1 = (1, 0)
+    to x.  All q are tested only for the base itself, which gives
+    Stab_R(base) as the b that pass, a span of b under field addition.
+    The orbit R * base is closed by a BFS on points under the elements
     accepted so far, and only a point of the class it has not reached
     is tested, so by orbit-stabilizer |R(E)| = |R * base| *
     |Stab_R(base)| comes from points alone.  stabilizer_order reports
@@ -25,7 +27,7 @@ side's points into the side); they stay independent through where their
 candidates come from.  _maps_into is the point-filter kernel: act's
 formula inline off the field's mul and add rows, with membership read
 from a bytearray that each route call builds once (_filter_side).
-_transport_candidates solves for the q transporters off the same rows.
+_transport_candidates builds the q transporters M0 + b*M1 off the same rows.
 The two routes must agree exactly; the test suite holds them together,
 through stabilizer_fast (R(E) as a set, kept for the tests), on every
 subset of small planes, on random subsets and on orbit unions of random
@@ -54,7 +56,6 @@ it checks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -142,55 +143,50 @@ def stabilizer_brute(ctx: FieldCtx, E: PointSet) -> set:
     return out
 
 
+def _frame(ctx: FieldCtx, code: int):
+    """A member of SL2 carrying e1 = (1, 0) to the nonzero point code."""
+    x, y = divmod(code, ctx.q)
+    if x:
+        return (x, 0, y, ctx.inv(x))
+    return (0, ctx.neg(ctx.inv(y)), y, 0)
+
+
 def _transport_candidates(ctx: FieldCtx, src, dst) -> list:
-    """The q solutions of theta(src) = dst, for nonzero src and dst.
+    """The q solutions of theta(src) = dst, for nonzero src and dst, in
+    ascending b: theta_b = F_dst (1 b; 0 1) F_src^-1 = M0 + b*M1.
 
-    With src = (u1, v1), dst = (u2, v2), theta = (a b; c d) must solve
-    a*u1 + b*v1 = u2 and c*u1 + d*v1 = v2 under ad - bc = 1.  For u1 != 0
-    this leaves the single linear relation u2*d - v2*b = u1; on the
-    y-axis (u1 = 0) it fixes b = u2/v1, d = v2/v1 and leaves
-    a*v2 - c*u2 = v1.  Whichever coefficient is nonzero parametrizes the
-    family, swept in ascending order.  Each u - w*v is read as
-    u + w*(-v), off the field's add and mul rows.
+    F_x is _frame's matrix for x (first column x), and (1 b; 0 1) runs
+    over U, the stabilizer of e1, so these are the coset of U carrying
+    src to dst.  M0 = F_dst F_src^-1 and M1 = dst (-v1, u1) for src =
+    (u1, v1), (-v1, u1) being F_src^-1's second row.  Each entry is one
+    add row indexed by one mul row, as in the kernel.
     """
-    q = ctx.q
-    add, mul, neg, inv = ctx.add_rows, ctx.mul_rows, ctx.neg_table, ctx.inv
-    u1, v1 = src
-    u2, v2 = dst
-    if u1 == 0:
-        iv1 = mul[inv(v1)]
-        b, d = iv1[u2], iv1[v2]
-        if v2 != 0:
-            # a = (v1 + c*u2) / v2
-            iv2, v1_plus, ru2 = mul[inv(v2)], add[v1], mul[u2]
-            return [(iv2[v1_plus[ru2[c]]], b, c, d) for c in range(q)]
-        c = neg[mul[v1][inv(u2)]]
-        return [(a, b, c, d) for a in range(q)]
-    iu1, rnv1 = mul[inv(u1)], mul[neg[v1]]
-    v2_plus = add[v2]
-    if u2 != 0:
-        # d = (u1 + v2*b) / u2, a = (u2 - b*v1) / u1, c = (v2 - d*v1) / u1
-        iu2, u1_plus, rv2, u2_plus = mul[inv(u2)], add[u1], mul[v2], add[u2]
-        out = []
-        for b in range(q):
-            d = iu2[u1_plus[rv2[b]]]
-            out.append((iu1[u2_plus[rnv1[b]]], b, iu1[v2_plus[rnv1[d]]], d))
-        return out
-    b = neg[mul[u1][inv(v2)]]
-    a = iu1[add[u2][rnv1[b]]]
-    return [(a, b, iu1[v2_plus[rnv1[d]]], d) for d in range(q)]
+    add, mul, inv = ctx.add_rows, ctx.mul_rows, ctx.inv
+    (u1, v1), (u2, v2) = src, dst
+    # F_src^-1 = (t1 n1; -v1 u1) and F_dst = (u2 s2; v2 t2), each frame in
+    # its two cases; rn and ru are the rows of F_src^-1's second row
+    t1, n1 = (inv(u1), 0) if u1 else (0, inv(v1))
+    s2, t2 = (0, inv(u2)) if u2 else (ctx.neg_table[inv(v2)], 0)
+    rn, ru, ru2, rv2 = mul[ctx.neg_table[v1]], mul[u1], mul[u2], mul[v2]
+    # M0's entries as add rows, M1's as mul rows
+    a0, b0 = add[add[ru2[t1]][rn[s2]]], add[add[ru2[n1]][ru[s2]]]
+    c0, d0 = add[add[rv2[t1]][rn[t2]]], add[add[rv2[n1]][ru[t2]]]
+    a1, b1, c1, d1 = mul[rn[u2]], mul[ru[u2]], mul[rn[v2]], mul[ru[v2]]
+    out = []  # a loop, not a comprehension, keeps the rows plain locals
+    for b in range(ctx.q):
+        out.append((a0[a1[b]], b0[b1[b]], c0[c1[b]], d0[d1[b]]))
+    return out
 
 
-def _grow_span(span: set, step, p: int) -> None:
-    """Close span, an elementary abelian p-group, under one more element.
+def _grow_span(span: set, row, p: int) -> None:
+    """Close span, a subgroup of the field's additive group, under one
+    more element t, where row is t's add row.
 
-    step(x) multiplies x by the new element, which commutes with span
-    and has order p, so the enlarged group is the p translates of span
-    by its powers.
+    The enlarged group is the p translates of span by 0, t, ..., (p-1)t.
     """
     layer = span
     for _ in range(p - 1):
-        layer = {step(x) for x in layer}
+        layer = {row[x] for x in layer}
         span |= layer
 
 
@@ -203,8 +199,11 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
     (ties to the smaller multiplicity): theta maps origin lines to
     origin lines and keeps |L ∩ E|, so it can only carry the base
     within that class.  Stab_R(base) is the q candidates fixing the
-    base, filtered; it is elementary abelian (a group of transvections),
-    so a few of them generate it.  The transversal maps each point of
+    base, filtered.  They are I + b*N with N^2 = 0 (M0 = I in
+    _transport_candidates), so they multiply by adding b: the b that
+    pass are an additive subgroup of the field, whose span the route
+    grows by field additions, accepting one candidate per new
+    dimension as a generator.  The transversal maps each point of
     the orbit R * base to a member of R carrying base there.  It grows
     by a BFS on points under the accepted elements (those generators of
     Stab_R(base) and every transporter accepted so far); a point of the
@@ -223,9 +222,8 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
     rare = min(by_mult.items(), key=lambda kv: (kv[1].bit_count(), kv[0]))[1]
     dsts = PointSet(q, rare).nonzero_codes
     base = divmod(dsts[0], q)
-    fixers = [
-        m for m in _transport_candidates(ctx, base, base) if _maps_into(ctx, m, pts, member)
-    ]
+    cands = _transport_candidates(ctx, base, base)
+    kept = [b for b, m in enumerate(cands) if _maps_into(ctx, m, pts, member)]
     trans = {dsts[0]: IDENTITY}
     gens = []
 
@@ -246,11 +244,11 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
                     trans[to] = mat_mul(ctx, x, trans[pt])
                     new.append(to)
 
-    spanned = {IDENTITY}
-    for h in fixers:
-        if h not in spanned:
-            _grow_span(spanned, functools.partial(mat_mul, ctx, h), ctx.p)
-            accept(h)
+    spanned = {0}
+    for b in kept:
+        if b not in spanned:
+            _grow_span(spanned, ctx.add_rows[b], ctx.p)
+            accept(cands[b])
     for dst in dsts[1:]:
         if dst in trans:
             continue
@@ -258,7 +256,7 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
             if _maps_into(ctx, g, pts, member):
                 accept(g)
                 break
-    return fixers, trans
+    return [cands[b] for b in kept], trans
 
 
 def _sides(ctx: FieldCtx, E: PointSet) -> tuple:
@@ -429,14 +427,6 @@ def subgroup_closure(ctx: FieldCtx, generators, limit: int = 1_000_000) -> froze
     return frozenset(seen)
 
 
-def _frame(ctx: FieldCtx, code: int):
-    """A member of SL2 carrying e1 = (1, 0) to the nonzero point code."""
-    x, y = divmod(code, ctx.q)
-    if x:
-        return (x, 0, y, ctx.inv(x))
-    return (0, ctx.neg(ctx.inv(y)), y, 0)
-
-
 def subgroup_orbits(ctx: FieldCtx, generators) -> tuple:
     """(|H|, orbits) for the subgroup H the given matrices generate,
     without building H.
@@ -480,7 +470,7 @@ def subgroup_orbits(ctx: FieldCtx, generators) -> tuple:
                     s = mat_mul(ctx, mat_inv(ctx, frames[to]), gu)
                     assert (s[0], s[2], s[3]) == (1, 0, 1), "Schreier generator must fix e1"
                     if s[1] not in span:
-                        _grow_span(span, functools.partial(ctx.add, s[1]), ctx.p)
+                        _grow_span(span, ctx.add_rows[s[1]], ctx.p)
         orbits.append(PointSet.from_codes(q, frames))
         orders.add(len(frames) * len(span))
     assert len(orders) == 1, f"orbits give different subgroup orders {sorted(orders)}"

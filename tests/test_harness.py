@@ -31,10 +31,12 @@ from sl2lab.harness import (
 from sl2lab.families import gen_family, parse_set_spec
 from sl2lab.incidence3d import all_lines, build_instance, incidence_bound_report
 from sl2lab.plane import (
+    IDENTITY,
     PointSet,
     apply_to_set,
     line_nonzero_masks,
     parse_point,
+    proj_lines,
     sl2_materialize,
 )
 from sl2lab.rng import DetRng, nth_seed
@@ -88,9 +90,10 @@ def direct_report_row(ctx, index, E, stab_order, config):
     """A report row built straight from bound_report, with no memo."""
     consts = Constants(config.c1, config.c2, config.alpha, config.beta)
     rep = bound_report(ctx, report_key(ctx, E, stab_order), consts)
+    pts = [(0, 0)] * (E.bits & 1) + [divmod(c, ctx.q) for c in E.nonzero_codes]
     row = {
         "index": index,
-        "descriptor": "points:" + ";".join(f"({x},{y})" for x, y in E.points()),
+        "descriptor": "points:" + ";".join(f"({x},{y})" for x, y in pts),
     }
     for name, value in rep.items():
         row[name] = _f6(value) if isinstance(value, float) else value
@@ -1026,13 +1029,24 @@ def test_audit_campaign_random_gf5(tmp_path):
     assert res.violations == 0
 
 
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (13, 1), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6)])
+def test_line_codes_are_multiples_of_the_direction(p, r):
+    # two-line-exhaustive and random_uniform_class_set read a line's k-th
+    # code as t * u, for t the k-th nonzero element and u its direction
+    ctx = make_field(p, r)
+    q = ctx.q
+    for codes, (u, v) in zip(harness._line_codes(ctx), proj_lines(ctx), strict=True):
+        assert list(codes) == [ctx.mul(t, u) * q + ctx.mul(t, v) for t in range(1, q)]
+
+
 def test_random_uniform_class_set_shapes():
     ctx = make_field(7, 1)
     for trial in range(12):
         E, m0, m1 = random_uniform_class_set(ctx, nth_seed(42, trial))
         assert 2 <= m0 <= 8 and 1 <= m1 <= 6
         assert E.nonzero_size == m0 * m1
-        assert not (0 in E.codes())
+        assert not E.bits & 1
 
 
 def test_search_random_gf5(tmp_path):
@@ -1179,6 +1193,51 @@ def test_complement_mismatch_is_reported(tmp_path, monkeypatch, fault):
     assert row["complement_match"] is False
     assert row["violations"].split(";") == ["complement_mismatch"]
     assert res.violations == 1
+
+
+def one_more(got):
+    return got + 1
+
+
+@pytest.mark.parametrize("name,fault,argv,message", [
+    # the line-set stabilizer one element short of the point-set order
+    ("line_set_stabilizer", lambda got: got - {IDENTITY},
+     ["exhaustive", "--campaign", "lineset-exhaustive", "--p", "5", "--budget", "3"],
+     "line-set stabilizer mismatch at index 0"),
+    # the brute incidence loop one off the fast count
+    ("count_incidences_brute", one_more, ["incidence", "--p", "3", "--budget", "5"],
+     "incidence spot check failed at 0"),
+    # a random search row's order one off the brute filter's
+    ("stabilizer_order", one_more,
+     ["search", "--p", "5", "--strategy", "random", "--budget", "3"],
+     "search row 0: fast"),
+], ids=["lineset", "incidence", "search-random"])
+def test_route_disagreement_exits_2(tmp_path, monkeypatch, capsys, name, fault, argv, message):
+    # each campaign's second route must stop the run when the first
+    # disagrees with it, and the fresh run leaves no file behind
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args: fault(real(*args)))
+    assert main([*argv, "--workers", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_expected_order_mismatch_is_reported(tmp_path, monkeypatch, capsys):
+    # a closed-form order one off the transport route's flags the row
+    # (exit 1: a check failed, not a crash)
+    real = harness.expected_order
+    monkeypatch.setattr(harness, "expected_order", lambda *args: one_more(real(*args)))
+    out = tmp_path / "f.csv"
+    argv = ["family", "--p", "5", "--set", "family:line-origin", "--workers", "1",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert "violations=1" in capsys.readouterr().out
+    _, header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert len(rows) == 1
+    assert (row["stab_order"], row["expected_order"]) == ("20", "21")
+    assert (row["expected_match"], row["complement_match"]) == ("false", "true")
+    assert row["violations"] == "expected_mismatch"
 
 
 def test_audit_flags_accepted_element_outside_s(tmp_path, monkeypatch):
@@ -1460,6 +1519,31 @@ def test_cli_rejects_a_line_break_in_the_set(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: descriptor holds a non-printable character" in captured.err
     assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("descriptor,message", [
+    ("family:random:n=x,seed=1", "parameter n='x' is not an integer"),
+    ("family:orbit-union:gens=1,orbits=1", "bad matrix literal '1'"),
+    ("family:orbit-union:gens=[1,1;0],orbits=1", "bad matrix literal '[1,1;0]'"),
+    ("points:(1,2", "bad point literal '(1,2'"),
+], ids=["int-param", "matrix-no-brackets", "matrix-short-row", "point-unclosed"])
+@pytest.mark.parametrize("command", ["stab", "family"])
+def test_cli_refuses_a_bad_descriptor_value(command, descriptor, message, tmp_path, capsys):
+    argv = [command, "--p", "5", "--set", descriptor]
+    if command != "stab":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_unknown_format_is_refused_before_any_file(tmp_path):
+    # the CLI's --format choices hide this path; run_campaign checks too
+    with pytest.raises(ValueError, match="format must be csv or json"):
+        run_campaign(cfg(tmp_path, p=3, r=1, campaign="exhaustive-subsets", fmt="xml"))
     assert os.listdir(tmp_path) == []
 
 

@@ -4,7 +4,7 @@ by the package.
 A helper only the tests call is dead weight in src/; the exceptions are
 brute-force oracles that exist for the tests to compare against.  Only
 a load of the name counts as a use, so an import or re-export alone
-does not.
+does not; a plain method counts only where it is called.
 """
 
 import ast
@@ -68,6 +68,11 @@ def test_every_public_name_is_used_in_src():
     assert not unused, "public names nothing in src/ uses: " + ", ".join(unused)
 
 
+# DetRng.bits draws the random masks of several tests; nothing in src/
+# needs it, and it stays as test support.
+TEST_SUPPORT_METHODS = {"DetRng.bits"}
+
+
 def _attribute_loads(node) -> Counter:
     return Counter(
         n.attr
@@ -76,22 +81,47 @@ def _attribute_loads(node) -> Counter:
     )
 
 
+def _method_calls(node) -> Counter:
+    """Calls of the form x.name(...), by name."""
+    return Counter(
+        n.func.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    )
+
+
+def _is_property(fn) -> bool:
+    return any(
+        getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+        for d in fn.decorator_list
+    )
+
+
 def test_every_public_method_is_used_in_src():
-    # Matching is by attribute name alone, so a load of another object's
-    # attribute with the same name hides a dead method: E.bits (a
-    # PointSet field) hides DetRng.bits, which stays as test support.
+    # A plain method counts as used only where src/ calls it, x.name(...),
+    # outside its own body; a property is read, not called, so any load
+    # of its name counts.  Matching is by name alone, so a call of another
+    # class's method with the same name still hides a dead one.
     src = Path(sl2lab.__file__).resolve().parent
     trees = [(path.name, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
     loads = sum((_attribute_loads(tree) for _, tree in trees), Counter())
+    calls = sum((_method_calls(tree) for _, tree in trees), Counter())
     unused = []
     for module, tree in trees:
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
                 continue
             for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
-                    if loads[fn.name] == _attribute_loads(fn)[fn.name]:
-                        unused.append(f"{module}: {cls.name}.{fn.name}")
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                if f"{cls.name}.{fn.name}" in TEST_SUPPORT_METHODS:
+                    continue
+                if _is_property(fn):
+                    uses, own = loads, _attribute_loads
+                else:
+                    uses, own = calls, _method_calls
+                if uses[fn.name] == own(fn)[fn.name]:
+                    unused.append(f"{module}: {cls.name}.{fn.name}")
     assert not unused, "public methods nothing in src/ uses: " + ", ".join(unused)
 
 

@@ -23,6 +23,7 @@ from sl2lab.plane import (
 from sl2lab.rng import DetRng, nth_seed
 from sl2lab.stabilizer import (
     Constants,
+    _frame,
     _transport_candidates,
     _transport_route,
     all_subset_stabilizer_orders,
@@ -124,32 +125,20 @@ def test_transport_candidates_match_brute(fields, q):
             assert set(got) == transport_set(ctx, src, dst)
 
 
-def transport_by_field_ops(ctx, src, dst):
-    """_transport_candidates' formulas with ctx.add/sub/mul, in its order."""
+def transport_by_frames(ctx, src, dst):
+    """theta_b = F_dst (1 b; 0 1) F_src^-1 for b ascending, by matrix
+    products of _frame's matrices."""
     q = ctx.q
-    add, sub, mul, inv, neg = ctx.add, ctx.sub, ctx.mul, ctx.inv, ctx.neg
-    (u1, v1), (u2, v2) = src, dst
-    if u1 == 0:
-        b, d = mul(u2, inv(v1)), mul(v2, inv(v1))
-        if v2 != 0:
-            return [(mul(add(v1, mul(c, u2)), inv(v2)), b, c, d) for c in range(q)]
-        return [(a, b, neg(mul(v1, inv(u2))), d) for a in range(q)]
-    out = []
-    if u2 != 0:
-        for b in range(q):
-            d = mul(add(u1, mul(v2, b)), inv(u2))
-            out.append((mul(sub(u2, mul(b, v1)), inv(u1)), b, mul(sub(v2, mul(d, v1)), inv(u1)), d))
-        return out
-    b = neg(mul(u1, inv(v2)))
-    a = mul(sub(u2, mul(b, v1)), inv(u1))
-    return [(a, b, mul(sub(v2, mul(d, v1)), inv(u1)), d) for d in range(q)]
+    f_dst = _frame(ctx, dst[0] * q + dst[1])
+    f_src_inv = mat_inv(ctx, _frame(ctx, src[0] * q + src[1]))
+    return [mat_mul(ctx, mat_mul(ctx, f_dst, (1, b, 0, 1)), f_src_inv) for b in range(q)]
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 16])
 def test_transport_candidates_match_brute_sampled(fields, q):
     # two seeded pairs for each (src, dst) shape: on the y-axis (u = 0),
-    # on the x-axis (v = 0) or off both, so every branch runs, including
-    # u1 = 0 with v2 = 0 and u1 != 0 with u2 = 0
+    # on the x-axis (v = 0) or off both, so both frame cases run for src
+    # and for dst
     ctx = fields[q]
     rng = DetRng(q)
 
@@ -162,18 +151,33 @@ def test_transport_candidates_match_brute_sampled(fields, q):
         for _ in range(2):
             src, dst = point(src_shape), point(dst_shape)
             got = _transport_candidates(ctx, src, dst)
-            assert got == transport_by_field_ops(ctx, src, dst)
+            assert got == transport_by_frames(ctx, src, dst)
             assert set(got) == transport_set(ctx, src, dst)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_transport_candidates_order_matches_field_ops(fields, q):
-    # the same candidates in the same order, so transversals do not move
+    # the same candidates in the same b order as the matrix products
     ctx = fields[q]
     pts = [divmod(code, q) for code in range(1, q * q)]
     for src in pts[:: max(1, len(pts) // 12)]:
         for dst in pts:
-            assert _transport_candidates(ctx, src, dst) == transport_by_field_ops(ctx, src, dst)
+            assert _transport_candidates(ctx, src, dst) == transport_by_frames(ctx, src, dst)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_base_candidates_multiply_by_adding_b(fields, q):
+    # base -> base, theta_b = I + b*N with N^2 = 0: theta_0 is the
+    # identity and theta_b theta_c = theta_{b+c}, the field's addition,
+    # which is what lets _transport_route grow Stab_R(base) as a span of
+    # b.  Every nonzero base, every pair (b, c)
+    ctx = fields[q]
+    for code in range(1, q * q):
+        base = divmod(code, q)
+        cands = _transport_candidates(ctx, base, base)
+        assert cands[0] == IDENTITY
+        for b, c in itertools.product(range(q), repeat=2):
+            assert mat_mul(ctx, cands[b], cands[c]) == cands[ctx.add(b, c)]
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -295,7 +299,7 @@ def test_subgroup_order_matches_closure(fields, q):
         H = subgroup_closure(ctx, gens)
         assert order == len(H), name
         for orb in orbits:  # the orbits are H's: invariant, and covering
-            rep = min(orb.codes())
+            rep = min(orb.nonzero_codes, default=0)
             assert orb == PointSet.from_codes(q, {act(ctx, h, rep) for h in H}), name
     assert len(subgroup_closure(ctx, named["whole"])) == sl2_order(q)
     assert len(subgroup_closure(ctx, named["unipotent"])) == ctx.p
@@ -539,7 +543,7 @@ def test_contained_in_line(fields):
 
 def contained_in_line_reference(ctx, E):
     """The cross-product test: every point lies on the line through the first two."""
-    pts = E.points()
+    pts = [(0, 0)] * (E.bits & 1) + [divmod(c, ctx.q) for c in E.nonzero_codes]
     if len(pts) <= 2:
         return True
     sub, mul = ctx.sub, ctx.mul
