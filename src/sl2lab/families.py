@@ -16,9 +16,9 @@ that starts ``of=`` is complement's one parameter: the nested descriptor,
 commas and all.
 
 FAMILIES is the one table of the named families: each one's parameter
-keys and the closed-form |R(E)| of the set it builds, where there is
-one.  expected_order reads it, so family-verify can check the transport
-route against it without naming a family.
+keys, its builder and the closed-form |R(E)| of the set it builds, where
+there is one.  gen_family and expected_order read it, so family-verify
+can check the transport route against it without naming a family.
 """
 
 from __future__ import annotations
@@ -36,11 +36,49 @@ from .stabilizer import subgroup_orbits
 
 class Family(NamedTuple):
     keys: tuple  # the parameter keys it accepts
+    build: Callable  # (ctx, spec) -> the PointSet it names
     order: Callable | None  # (ctx, spec) -> closed-form |R(E)|, or None
 
 
 def _whole(ctx, spec):
     return sl2_order(ctx.q)
+
+
+def _line_origin(ctx, spec):
+    # dir=<t> is the line {(x, t*x)}, dir=inf the y-axis (the default, so
+    # it contrasts with line-affine's default {x = 1}: same size q,
+    # stabilizer order q**2 - q versus q)
+    q = ctx.q
+    if spec.get("dir", "inf") == "inf":
+        return PointSet.from_codes(q, range(q))
+    t = _int_param(spec, "dir")
+    if not 0 <= t < q:
+        raise ValueError(f"dir={t} outside field of size {q}")
+    return PointSet.from_codes(q, [x * q + ctx.mul(t, x) for x in range(q)])
+
+
+def _line_affine(ctx, spec):
+    q, x = ctx.q, _int_param(spec, "x", 1)
+    if not 0 <= x < q:
+        raise ValueError(f"x={x} outside field of size {q}")
+    return PointSet.from_codes(q, [x * q + y for y in range(q)])
+
+
+def _complement(ctx, spec):
+    if spec.get("of") is None:
+        raise ValueError("complement needs of=<descriptor>")
+    return gen_family(ctx, parse_set_spec(spec.get("of"))).complement()
+
+
+def _axis_subgroup(ctx, spec):
+    # multiplicative_subgroup validates c | q - 1
+    return PointSet.from_codes(ctx.q, multiplicative_subgroup(ctx, _int_param(spec, "c")))
+
+
+def _subfield_plane(ctx, spec):
+    q = ctx.q
+    elems = sorted(subfield_elements(ctx, _int_param(spec, "sub-r")))  # validates sub-r | r
+    return PointSet.from_codes(q, [x * q + y for x in elems for y in elems])
 
 
 def _subfield_order(ctx, spec):
@@ -49,26 +87,63 @@ def _subfield_order(ctx, spec):
     return sub_q**3 - sub_q
 
 
+def _orbit_union(ctx, spec):
+    raw_gens, raw_orbits = spec.get("gens"), spec.get("orbits")
+    if raw_gens is None or raw_orbits is None:
+        raise ValueError("orbit-union needs gens=<mat>|<mat>... and orbits=<i>|<j>...")
+    gens = [parse_mat(part) for part in raw_gens.split("|")]
+    picks = sorted({_as_int("orbits", part) for part in raw_orbits.split("|")})
+    _, orbits = subgroup_orbits(ctx, gens)
+    if picks and not 0 <= picks[-1] < len(orbits):
+        raise ValueError(f"orbit index {picks[-1]} out of range ({len(orbits)} orbits)")
+    return PointSet(ctx.q, sum(orbits[i].bits for i in picks))  # orbits are disjoint
+
+
+def _random(ctx, spec):
+    q = ctx.q
+    n, seed = _int_param(spec, "n"), _int_param(spec, "seed")
+    if not 0 <= n <= q * q:
+        raise ValueError(f"n={n} exceeds plane size {q * q}")
+    return PointSet.from_codes(q, DetRng(seed).sample(q * q, n))
+
+
+def _explicit(ctx, spec):
+    q = ctx.q
+    pts = [parse_point(part) for part in spec.get("pts", "").split(";") if part]
+    for x, y in pts:
+        if not (0 <= x < q and 0 <= y < q):
+            raise ValueError(f"point ({x},{y}) outside plane of size {q}")
+    return PointSet.from_points(q, pts)
+
+
 # Every family; "explicit" is only written as points:...
 FAMILIES = {
-    "empty": Family((), _whole),
-    "origin": Family((), _whole),
-    "full": Family((), _whole),
-    "full-minus-origin": Family((), _whole),
-    "line-origin": Family(("dir",), lambda ctx, spec: ctx.q * ctx.q - ctx.q),
+    "empty": Family((), lambda ctx, spec: PointSet.from_codes(ctx.q, ()), _whole),
+    "origin": Family((), lambda ctx, spec: PointSet.from_codes(ctx.q, (0,)), _whole),
+    "full": Family((), lambda ctx, spec: PointSet.full(ctx.q), _whole),
+    "full-minus-origin": Family(
+        (), lambda ctx, spec: PointSet.full(ctx.q).without_origin(), _whole
+    ),
+    "line-origin": Family(("dir",), _line_origin, lambda ctx, spec: ctx.q * ctx.q - ctx.q),
     # x = 0 is the y-axis, an origin line
     "line-affine": Family(
-        ("x",), lambda ctx, spec: ctx.q if _int_param(spec, "x", 1) else ctx.q * ctx.q - ctx.q
+        ("x",),
+        _line_affine,
+        lambda ctx, spec: ctx.q if _int_param(spec, "x", 1) else ctx.q * ctx.q - ctx.q,
     ),
     # R(E) is R of E's complement
     "complement": Family(
-        ("of",), lambda ctx, spec: expected_order(ctx, parse_set_spec(spec.get("of")))
+        ("of",),
+        _complement,
+        lambda ctx, spec: expected_order(ctx, parse_set_spec(spec.get("of"))),
     ),
-    "axis-subgroup": Family(("c",), lambda ctx, spec: ctx.q * (ctx.q - 1) // _int_param(spec, "c")),
-    "subfield-plane": Family(("sub-r",), _subfield_order),
-    "orbit-union": Family(("gens", "orbits"), None),
-    "random": Family(("n", "seed"), None),
-    "explicit": Family(("pts",), None),
+    "axis-subgroup": Family(
+        ("c",), _axis_subgroup, lambda ctx, spec: ctx.q * (ctx.q - 1) // _int_param(spec, "c")
+    ),
+    "subfield-plane": Family(("sub-r",), _subfield_plane, _subfield_order),
+    "orbit-union": Family(("gens", "orbits"), _orbit_union, None),
+    "random": Family(("n", "seed"), _random, None),
+    "explicit": Family(("pts",), _explicit, None),
 }
 
 
@@ -135,101 +210,25 @@ def parse_set_spec(text: str) -> FamilySpec:
     return FamilySpec(head, tuple(params))
 
 
-def _int_param(spec: FamilySpec, key: str, default: int | None = None) -> int:
-    raw = spec.get(key)
-    if raw is None:
-        if default is None:
-            raise ValueError(f"family {spec.name!r} needs parameter {key!r}")
-        return default
+def _as_int(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"parameter {key}={raw!r} is not an integer") from None
 
 
+def _int_param(spec: FamilySpec, key: str, default: int | None = None) -> int:
+    raw = spec.get(key)
+    if raw is None:
+        if default is None:
+            raise ValueError(f"family {spec.name!r} needs parameter {key!r}")
+        return default
+    return _as_int(key, raw)
+
+
 def gen_family(ctx: FieldCtx, spec: FamilySpec) -> PointSet:
-    """Build the named set over ctx.  Deterministic per (spec, field).
-
-    line-origin takes dir=<t> for the line {(x, t*x)} or dir=inf for
-    the y-axis (the default, so it contrasts with line-affine's default
-    {x = 1}: same size q, stabilizer order q**2 - q versus q).
-    """
-    q = ctx.q
-    name = spec.name
-
-    if name == "empty":
-        return PointSet.from_codes(q, ())
-    if name == "origin":
-        return PointSet.from_codes(q, (0,))
-    if name == "full":
-        return PointSet.full(q)
-    if name == "full-minus-origin":
-        return PointSet.full(q).without_origin()
-
-    if name == "line-origin":
-        raw = spec.get("dir", "inf")
-        if raw == "inf":
-            codes = [0 * q + y for y in range(q)]
-        else:
-            t = int(raw)
-            if not 0 <= t < q:
-                raise ValueError(f"dir={t} outside field of size {q}")
-            codes = [x * q + ctx.mul(t, x) for x in range(q)]
-        return PointSet.from_codes(q, codes)
-
-    if name == "line-affine":
-        x = _int_param(spec, "x", 1)
-        if not 0 <= x < q:
-            raise ValueError(f"x={x} outside field of size {q}")
-        return PointSet.from_codes(q, [x * q + y for y in range(q)])
-
-    if name == "complement":
-        inner = spec.get("of")
-        if inner is None:
-            raise ValueError("complement needs of=<descriptor>")
-        return gen_family(ctx, parse_set_spec(inner)).complement()
-
-    if name == "axis-subgroup":
-        c = _int_param(spec, "c")
-        sub = multiplicative_subgroup(ctx, c)  # validates c | q - 1
-        return PointSet.from_codes(q, sub)
-
-    if name == "subfield-plane":
-        r_sub = _int_param(spec, "sub-r")
-        elems = sorted(subfield_elements(ctx, r_sub))  # validates r_sub | r
-        return PointSet.from_codes(q, [x * q + y for x in elems for y in elems])
-
-    if name == "orbit-union":
-        raw_gens = spec.get("gens")
-        raw_orbits = spec.get("orbits")
-        if raw_gens is None or raw_orbits is None:
-            raise ValueError("orbit-union needs gens=<mat>|<mat>... and orbits=<i>|<j>...")
-        gens = [parse_mat(part) for part in raw_gens.split("|")]
-        picks = sorted({int(part) for part in raw_orbits.split("|")})
-        _, orbits = subgroup_orbits(ctx, gens)
-        if picks and not 0 <= picks[-1] < len(orbits):
-            raise ValueError(f"orbit index {picks[-1]} out of range ({len(orbits)} orbits)")
-        out = PointSet.from_codes(q, ())
-        for i in picks:
-            out = out.union(orbits[i])
-        return out
-
-    if name == "random":
-        n = _int_param(spec, "n")
-        seed = _int_param(spec, "seed")
-        if not 0 <= n <= q * q:
-            raise ValueError(f"n={n} exceeds plane size {q * q}")
-        return PointSet.from_codes(q, DetRng(seed).sample(q * q, n))
-
-    if name == "explicit":
-        raw = spec.get("pts", "")
-        pts = [parse_point(part) for part in raw.split(";") if part]
-        for x, y in pts:
-            if not (0 <= x < q and 0 <= y < q):
-                raise ValueError(f"point ({x},{y}) outside plane of size {q}")
-        return PointSet.from_points(q, pts)
-
-    raise ValueError(f"unknown family {name!r}")
+    """Build the named set over ctx.  Deterministic per (spec, field)."""
+    return FAMILIES[spec.name].build(ctx, spec)
 
 
 def expected_order(ctx: FieldCtx, spec: FamilySpec) -> int | None:

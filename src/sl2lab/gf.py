@@ -74,8 +74,6 @@ def _trim(a):
 
 
 def _pmul(a, b, p):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

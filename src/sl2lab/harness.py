@@ -20,9 +20,9 @@ byte, is:
     seal over the kept prefix and the checkpoint, appends the remaining
     rows, and the concatenated file is identical to an uninterrupted
     run (CSV only).  JSON is written to <out>.tmp and
-    renamed to <out> only when the run succeeds.  A failed CSV run
-    removes its output file unless --resume can pick it up: a file with
-    a checkpoint is kept, and so is the file of a --resume run.
+    renamed to <out> only when the run succeeds.  A failed run removes
+    its output file unless a checkpoint backs it for --resume; so does
+    a --resume run that found no checkpoint and started afresh.
   * Exit status: 0 clean, 1 when any proved bound is violated (that
     means an implementation bug, so it fails loudly), 2 on bad
     configuration, a file that cannot be read or written, a checkpoint
@@ -998,7 +998,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run one campaign: write the result file, return its summary."""
     ctx = make_field(config.p, config.r)
     if config.workers is None:
-        config = replace(config, workers=int(os.environ.get("SL2LAB_WORKERS", "1")))
+        raw = os.environ.get("SL2LAB_WORKERS", "1")
+        try:
+            config = replace(config, workers=int(raw))
+        except ValueError:
+            raise ValueError(f"SL2LAB_WORKERS={raw!r} is not an integer") from None
     _validate(config, ctx)
     spec = CAMPAIGNS[config.campaign]
     out = config.out or _default_out(config)
@@ -1027,13 +1031,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     starts = range(start, total, CHUNK)
     stops = [min(s + CHUNK, total) for s in starts]
-    # a failed run removes the file it opened, unless --resume can pick it
-    # up: a resumed run's file, or one with a checkpoint
+    # a failed run removes the file it opened unless a checkpoint backs
+    # it: the one a resumed run started from, or one this run wrote
     remove = False
     try:
         with ExitStack() as stack:
             fh = stack.enter_context(open(path, mode))
-            remove = not config.resume
+            remove = mode == "wb"
             if mode == "wb":
                 _emit(fh, digest, _head(config, echo))
             run = map

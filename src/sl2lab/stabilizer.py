@@ -18,9 +18,10 @@ symmetry set of the complement.  Two independent routes compute it:
     The orbit R * base is closed by a BFS on points under the elements
     accepted so far, and only a point of the class it has not reached
     is tested, so by orbit-stabilizer |R(E)| = |R * base| *
-    |Stab_R(base)| comes from points alone.  stabilizer_order reports
-    that order, and the elements the route accepted generate R(E), so
-    no caller builds R(E) as a set.
+    |Stab_R(base)| comes from points alone.  The route returns that
+    order and the elements it accepted, which generate R(E):
+    stabilizer_order reports the order, and a check that holds on the
+    generators holds on R(E), so no caller builds R(E) as a set.
 
 Both keep a candidate by the same test (_maps_into: theta sends the
 side's points into the side); they stay independent through where their
@@ -29,11 +30,12 @@ formula inline off the field's mul and add rows, with membership read
 from a bytearray that each route call builds once (_filter_side).
 _transport_candidates builds the q transporters M0 + b*M1 off the same rows.
 The two routes must agree exactly; the test suite holds them together,
-through stabilizer_fast (R(E) as a set, kept for the tests), on every
-subset of small planes, on random subsets and on orbit unions of random
-subgroups of larger ones.  complement_agrees runs the
-transport route on the side stabilizer_order did not use, which keeps
-family-verify's complement check a comparison of two computations.
+through stabilizer_fast (the subgroup the route's generators generate,
+of the route's order; kept for the tests), on every subset of small
+planes, on random subsets and on orbit unions of random subgroups of
+larger ones.  complement_agrees runs the transport route on the side
+stabilizer_order did not use, which keeps family-verify's complement
+check a comparison of two computations.
 
 The rest of the module turns theorems about R(E) into checkable
 reports: line partitions, the exact stabilizer of a set of directions,
@@ -191,8 +193,8 @@ def _grow_span(span: set, row, p: int) -> None:
 
 
 def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
-    """(Stab_R(base), transversal) for the points in bits, a nonempty
-    bitset without the origin bit.
+    """(|R|, generators of R) for R the symmetry set of the points in
+    bits, a nonempty bitset without the origin bit.
 
     It works on bits as given and never switches sides.  The base is
     the lowest point of the multiplicity class with the fewest points
@@ -203,13 +205,12 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
     _transport_candidates), so they multiply by adding b: the b that
     pass are an additive subgroup of the field, whose span the route
     grows by field additions, accepting one candidate per new
-    dimension as a generator.  The transversal maps each point of
-    the orbit R * base to a member of R carrying base there.  It grows
-    by a BFS on points under the accepted elements (those generators of
+    dimension as a generator.  The orbit R * base grows by a BFS on
+    points under the accepted elements (those generators of
     Stab_R(base) and every transporter accepted so far); a point of the
     class the BFS has not reached is tested directly, and its first
-    passing candidate is accepted.  So |R| = |transversal| *
-    |Stab_R(base)|, and R is the products t * h (stabilizer_fast).
+    passing candidate is accepted.  So |R| = |orbit| * |Stab_R(base)|,
+    and the accepted elements, in that order, generate R.
     """
     q = ctx.q
     pts, member = _filter_side(q, bits)
@@ -224,24 +225,20 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
     base = divmod(dsts[0], q)
     cands = _transport_candidates(ctx, base, base)
     kept = [b for b, m in enumerate(cands) if _maps_into(ctx, m, pts, member)]
-    trans = {dsts[0]: IDENTITY}
+    orbit = {dsts[0]}
     gens = []
 
     def accept(g):
         # g on every known point, then every generator on each new one
         gens.append(g)
-        new = []
-        for pt, t in list(trans.items()):
-            to = act(ctx, g, pt)
-            if to not in trans:
-                trans[to] = mat_mul(ctx, g, t)
-                new.append(to)
+        new = list({act(ctx, g, pt) for pt in orbit} - orbit)
+        orbit.update(new)
         while new:
             pt = new.pop()
             for x in gens:
                 to = act(ctx, x, pt)
-                if to not in trans:
-                    trans[to] = mat_mul(ctx, x, trans[pt])
+                if to not in orbit:
+                    orbit.add(to)
                     new.append(to)
 
     spanned = {0}
@@ -250,13 +247,13 @@ def _transport_route(ctx: FieldCtx, bits: int) -> tuple:
             _grow_span(spanned, ctx.add_rows[b], ctx.p)
             accept(cands[b])
     for dst in dsts[1:]:
-        if dst in trans:
+        if dst in orbit:
             continue
         for g in _transport_candidates(ctx, base, divmod(dst, q)):
             if _maps_into(ctx, g, pts, member):
                 accept(g)
                 break
-    return [cands[b] for b in kept], trans
+    return len(orbit) * len(kept), gens
 
 
 def _sides(ctx: FieldCtx, E: PointSet) -> tuple:
@@ -274,19 +271,19 @@ def _sides(ctx: FieldCtx, E: PointSet) -> tuple:
 
 
 def stabilizer_fast(ctx: FieldCtx, E: PointSet) -> set:
-    """R(E) as a set, by the transport route on the smaller of E and its
-    complement: one transversal element times Stab_R(base) per orbit
-    point.  A test oracle; campaigns need only stabilizer_order.
+    """R(E) as a set: the subgroup the transport route's generators
+    generate, on the smaller of E and its complement, asserted to have
+    the route's order.  A test oracle; campaigns need only
+    stabilizer_order.
 
     Raises ValueError when E minus the origin is empty (the answer
     would be the whole group).
     """
     if not E.nonzero_size:
         raise ValueError("E minus the origin is empty; its symmetry set is all of SL2")
-    fixers, trans = _transport_route(ctx, _sides(ctx, E)[0])
-    found = {mat_mul(ctx, t, h) for t in trans.values() for h in fixers}
-    assert len(found) == len(trans) * len(fixers), "cosets of Stab_R(base) must be disjoint"
-    _group_spot_check(ctx, found)
+    order, gens = _transport_route(ctx, _sides(ctx, E)[0])
+    found = set(subgroup_closure(ctx, gens))
+    assert len(found) == order, "the accepted elements must generate a group of the route's order"
     return found
 
 
@@ -297,30 +294,28 @@ def stabilizer_order(ctx: FieldCtx, E: PointSet) -> int:
     full = sl2_order(ctx.q)
     if E.nonzero_size in (0, ctx.q * ctx.q - 1):
         return full
-    fixers, trans = _transport_route(ctx, _sides(ctx, E)[0])
-    order = len(trans) * len(fixers)
+    order = _transport_route(ctx, _sides(ctx, E)[0])[0]
     assert full % order == 0, f"|R| = {order} does not divide |SL2| = {full}"
     return order
 
 
 def complement_agrees(ctx: FieldCtx, E: PointSet, order: int) -> bool:
     """Whether the transport route on the side stabilizer_order did not
-    use finds a group of the given order whose accepted elements all
-    keep the used side.
+    use finds a group of the given order whose generators all keep the
+    used side.
 
-    Those elements (the Stab_R(base) candidates and the transversal)
-    generate R(other side), so they put it inside R(E), and equal
-    orders make the two equal.  Where the other side has no nonzero
-    point its symmetry set is the whole group, q^3 - q.
+    Those generators put R(other side) inside R(E), and equal orders
+    make the two equal.  Where the other side has no nonzero point its
+    symmetry set is the whole group, q^3 - q.
     """
     used, other = _sides(ctx, E)
     if not other:
         return order == sl2_order(ctx.q)
-    fixers, trans = _transport_route(ctx, other)
-    if len(trans) * len(fixers) != order:
+    other_order, gens = _transport_route(ctx, other)
+    if other_order != order:
         return False
     pts, member = _filter_side(ctx.q, used)
-    return all(_maps_into(ctx, g, pts, member) for g in (*fixers, *trans.values()))
+    return all(_maps_into(ctx, g, pts, member) for g in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -811,9 +806,8 @@ def triple_count_audit(
 
     # R(E) sits inside S: S is a group, so it is enough that the elements
     # the transport route accepted, which generate R(E), lie in S
-    stab_fixers, stab_trans = _transport_route(ctx, _sides(ctx, E)[0])
-    accepted = (*stab_fixers, *stab_trans.values())
-    assert preservers.issuperset(accepted), "symmetries must permute the class sets"
+    stab_order, gens = _transport_route(ctx, _sides(ctx, E)[0])
+    assert preservers.issuperset(gens), "symmetries must permute the class sets"
 
     s_count = len(preservers)
     mt_rhs = 2 * c * (
@@ -847,7 +841,7 @@ def triple_count_audit(
         meeting_pairs=meeting_pairs,
         parallel_pairs=parallel_pairs,
         parallel_triples=parallel_triples,
-        stab_order=len(stab_trans) * len(stab_fixers),
+        stab_order=stab_order,
         mt_rhs=mt_rhs,
         final_cap_value=final_cap,
         final_cap_applies=applies,

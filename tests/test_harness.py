@@ -1166,8 +1166,8 @@ def test_exhaustive_gf5_requires_sampling_flag(tmp_path):
 @pytest.mark.parametrize("fault", ["lost-coset", "foreign-element"])
 def test_complement_mismatch_is_reported(tmp_path, monkeypatch, fault):
     # a fault on the side stabilizer_order did not use must surface in the
-    # row: a lost coset changes that side's order, and a transversal
-    # element that does not keep E keeps the order but fails the filter
+    # row: a lost coset halves that side's order, and a generator that
+    # does not keep E keeps the order but fails the filter
     real = stabmod._transport_route
     ctx = make_field(5, 1)
     spec = "family:line-origin"
@@ -1176,14 +1176,13 @@ def test_complement_mismatch_is_reported(tmp_path, monkeypatch, fault):
     foreign = next(m for m in sl2_materialize(ctx) if apply_to_set(ctx, m, E) != E)
 
     def faulty(ctx, bits):
-        fixers, trans = real(ctx, bits)
+        order, gens = real(ctx, bits)
         if bits == other:
-            last = list(trans)[-1]
             if fault == "lost-coset":
-                del trans[last]
+                order //= 2
             else:
-                trans[last] = foreign
-        return fixers, trans
+                gens = [*gens, foreign]
+        return order, gens
 
     monkeypatch.setattr(stabmod, "_transport_route", faulty)
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="family-verify",
@@ -1250,8 +1249,8 @@ def test_audit_flags_accepted_element_outside_s(tmp_path, monkeypatch):
     foreign = next(m for m in sl2_materialize(ctx) if apply_to_set(ctx, m, E) != E)
 
     def faulty(ctx, bits):
-        fixers, trans = real(ctx, bits)
-        return [*fixers, foreign], trans
+        order, gens = real(ctx, bits)
+        return order, [*gens, foreign]
 
     audit = stabmod.triple_count_audit(ctx, E, 2)
     assert audit.preserver_count == audit.stab_order == 24
@@ -1527,7 +1526,11 @@ def test_cli_rejects_a_line_break_in_the_set(command, tmp_path, capsys):
     ("family:orbit-union:gens=1,orbits=1", "bad matrix literal '1'"),
     ("family:orbit-union:gens=[1,1;0],orbits=1", "bad matrix literal '[1,1;0]'"),
     ("points:(1,2", "bad point literal '(1,2'"),
-], ids=["int-param", "matrix-no-brackets", "matrix-short-row", "point-unclosed"])
+    ("family:orbit-union:gens=[1,1;1,1],orbits=1", "(1, 1, 1, 1) is not in SL2"),
+    ("family:line-origin:dir=x", "parameter dir='x' is not an integer"),
+    ("family:orbit-union:gens=[1,1;0,1],orbits=a", "parameter orbits='a' is not an integer"),
+], ids=["int-param", "matrix-no-brackets", "matrix-short-row", "point-unclosed",
+        "matrix-not-sl2", "dir-not-int", "orbit-not-int"])
 @pytest.mark.parametrize("command", ["stab", "family"])
 def test_cli_refuses_a_bad_descriptor_value(command, descriptor, message, tmp_path, capsys):
     argv = [command, "--p", "5", "--set", descriptor]
@@ -1538,6 +1541,42 @@ def test_cli_refuses_a_bad_descriptor_value(command, descriptor, message, tmp_pa
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert os.listdir(tmp_path) == []
+
+
+def test_cli_refuses_a_bad_worker_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SL2LAB_WORKERS", "abc")
+    argv = ["family", "--p", "5", "--set", "family:origin", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: SL2LAB_WORKERS='abc' is not an integer\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["stab", "--p", "5", "--set", "points:(1,0);(0,1)"],
+    ["family", "--p", "5", "--set", "points:(1,0);(0,1)", "--workers", "1"],
+], ids=["stab", "family"])
+def test_cli_violated_bound_exits_1(argv, tmp_path, monkeypatch, capsys):
+    # an order past the two-line bound (|R(E)| <= |E - 0|) is a proved
+    # bound violated: the violations cell names it and the exit code is 1.
+    # Over a prime field the prime-power bound's rhs is |E| = 2 as well
+    real = harness.report_key
+    monkeypatch.setattr(harness, "report_key", lambda ctx, E, order: real(ctx, E, 100 * order))
+    out = tmp_path / "f.csv"
+    if argv[0] == "family":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 1
+    text = capsys.readouterr().out
+    if argv[0] == "stab":
+        assert "bound two_lines: applicable=true rhs=2 ratio=" in text
+        violations = text.splitlines()[-1].removeprefix("violations=")
+    else:
+        assert "rows=1 violations=2 " in text
+        _, header, rows = read_csv(out)
+        assert len(rows) == 1
+        violations = dict(zip(header, rows[0]))["violations"]
+    assert violations == "two_lines;prime_power"
 
 
 def test_unknown_format_is_refused_before_any_file(tmp_path):
@@ -1577,6 +1616,29 @@ def test_failure_after_a_checkpoint_leaves_a_resumable_pair(tmp_path, monkeypatc
     run_campaign(CampaignConfig(out=str(part), resume=True, **kw))
     assert part.read_bytes() == full.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["full.csv", "part.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--p", "5"],
+    ["search", "--p", "5", "--strategy", "random", "--budget", "12"],
+], ids=["family-verify", "search-extremal"])
+def test_failed_resume_without_a_checkpoint_leaves_no_file(argv, tmp_path, monkeypatch, capsys):
+    # --resume with no checkpoint starts afresh, so a failure leaves only
+    # an echo line and a header; no checkpoint backs them and they go
+    real = harness.stabilizer_order
+    calls = []
+
+    def failing(ctx, E):
+        calls.append(E)
+        if len(calls) > 5:
+            raise ValueError("injected failure")
+        return real(ctx, E)
+
+    monkeypatch.setattr(harness, "stabilizer_order", failing)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--workers", "1", "--resume", "--out", str(out)]) == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):

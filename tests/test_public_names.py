@@ -24,7 +24,6 @@ import sl2lab
 TEST_ORACLES = {
     "transport_set",
     "plane_points",
-    "subgroup_closure",
     "stabilizer_fast",
     "triple_coplanar",
 }

@@ -90,11 +90,11 @@ def test_stabilizer_dispatch_and_group_structure(fields):
 
 
 def route_elements(ctx, bits):
-    """R of the points in bits as a set, from the route's transversal
-    times its Stab_R(base)."""
-    fixers, trans = _transport_route(ctx, bits)
-    found = {mat_mul(ctx, t, h) for t in trans.values() for h in fixers}
-    assert len(found) == len(trans) * len(fixers), "cosets of Stab_R(base) must be disjoint"
+    """R of the points in bits as a set: the subgroup the route's
+    generators generate, which must have the route's order."""
+    order, gens = _transport_route(ctx, bits)
+    found = subgroup_closure(ctx, gens)
+    assert len(found) == order, "the accepted elements must generate a group of the route's order"
     return found
 
 
@@ -214,8 +214,8 @@ def test_filter_side_marks_exactly_the_nonzero_points(fields, q):
 
 def orbit_union(ctx, seed):
     """(H, E): a seeded random subgroup H, built by the closure oracle,
-    and a union of its orbits, so R(E) contains H and the transversal
-    has work to do."""
+    and a union of its orbits, so R(E) contains H and the route's orbit
+    BFS has work to do."""
     q = ctx.q
     rng = DetRng(seed)
     gens = [sl2_unrank(ctx, rng.below(sl2_order(q))) for _ in range(1 + rng.below(2))]
@@ -621,6 +621,25 @@ def test_bound_report_two_lines(fields):
     assert rep["two_lines_violated"] is False
     assert not rep["line_set_applicable"]
     assert rep["stab_order"] <= rep["size_nonzero"]
+
+
+@pytest.mark.parametrize("q,key,name", [
+    # two lines, 3 nonzero points: two_lines' rhs is 3, prime_power's 2 * 3
+    (4, (4, 3, (1, 2), False), "two_lines"),
+    # three lines: line_set's cap is 2 * 3^3 * 2^2 = 216, prime_power's
+    # rhs 8 * 45
+    (16, (300, 45, (15, 15, 15), False), "line_set"),
+    # three lines over a prime field: prime_power's rhs is |E| = 3
+    (5, (4, 3, (1, 1, 1), False), "prime_power"),
+], ids=["two_lines", "line_set", "prime_power"])
+def test_bound_report_names_a_violated_bound(fields, q, key, name):
+    # an order past one checked bound's right-hand side, and within the
+    # others', flags that bound alone
+    rep = bound_report(fields[q], key)
+    assert rep[f"{name}_applicable"] is True
+    assert rep[f"{name}_rhs"] < key[0]
+    assert rep[f"{name}_violated"] is True
+    assert rep["violations"] == name
 
 
 def test_bound_report_accepts_precomputed_order(fields):
