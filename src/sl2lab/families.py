@@ -13,7 +13,7 @@ Examples: ``family:line-origin``, ``family:axis-subgroup:c=2``,
 
 Parameters split on commas outside ``[...]`` matrix brackets, and a body
 that starts ``of=`` is complement's one parameter: the nested descriptor,
-commas and all.
+commas and all, nested at most MAX_NESTING deep.
 
 FAMILIES is the one table of the named families: each one's parameter
 keys, its builder and the closed-form |R(E)| of the set it builds, where
@@ -176,18 +176,31 @@ class FamilySpec:
 
 _COMMA = re.compile(r",(?![^\[\]]*\])")  # a comma outside [...]
 
+# The most complement levels one descriptor may nest.  Each level is a
+# few stack frames in every reader (gen_family, expected_order), so an
+# unbounded nesting would end in RecursionError, not a refusal.
+MAX_NESTING = 32
+_NESTED = "family:complement:of="
+
 
 def parse_set_spec(text: str) -> FamilySpec:
     """Parse a descriptor string into a FamilySpec.
 
     Raises ValueError on a non-printable character (a descriptor is
-    echoed on one line of every output file), unknown family names,
-    malformed key=value parts, keys the family does not take or
-    repeated keys, or text matching neither grammar production.
+    echoed on one line of every output file), complements nested more
+    than MAX_NESTING deep, unknown family names, malformed key=value
+    parts, keys the family does not take or repeated keys, or text
+    matching neither grammar production.
     """
     if not text.isprintable():
         raise ValueError(f"descriptor holds a non-printable character ({text!r})")
-    text = text.strip()
+    text = inner = text.strip()
+    depth = 0
+    while inner.startswith(_NESTED):  # each level as its own parse will read it
+        depth += 1
+        inner = inner[len(_NESTED):].strip()
+    if depth > MAX_NESTING:
+        raise ValueError(f"descriptor nests complement {depth} deep; at most {MAX_NESTING} allowed")
     if text.startswith("points:"):
         return FamilySpec("explicit", (("pts", text[len("points:"):]),))
     if not text.startswith("family:"):

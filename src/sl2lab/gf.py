@@ -21,7 +21,8 @@ larger than q = 256; no campaign goes past q = 64.
 The context owns all per-field state: the geometry and campaign tables
 other modules derive from (p, r) are built on first use through
 ctx.memo.  make_field keeps the last field it built, so a process that
-works on one field builds it once.
+works on one field builds it once and holds one context for it.
+Contexts compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -252,15 +253,6 @@ class FieldCtx:
             pass
         value = self._cache[key] = build(*args)
         return value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and (self.p, self.r, self.modulus_code) == (other.p, other.r, other.modulus_code)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.r, self.modulus_code))
 
     def __repr__(self):
         return f"FieldCtx(q={self.q}, p={self.p}, r={self.r}, modulus_code={self.modulus_code})"

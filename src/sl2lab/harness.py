@@ -26,8 +26,9 @@ byte, is:
   * Exit status: 0 clean, 1 when any proved bound is violated (that
     means an implementation bug, so it fails loudly), 2 on bad
     configuration, a file that cannot be read or written, a checkpoint
-    that does not fit its output file, or an internal cross-check
-    failure.
+    that does not fit its output file, an internal cross-check failure,
+    or an interpreter run with -O (or PYTHONOPTIMIZE), which strips the
+    assert statements those cross-checks are.
 
 Each campaign is one row of CAMPAIGNS: its row producer, columns, row
 total, q limits (one of them the q up to which it never pools) and CLI
@@ -49,8 +50,7 @@ and that text.  Workers (or the parent, in a serial run) render each
 chunk, one CSV text or one JSON text per row, and fold it into a partial
 summary; no row is kept.  The parent writes the text, merges the
 summaries in range order and checkpoints.  search-extremal's rows are
-held in the parent until they can be ranked.  CampaignResult.rows reads
-the output file back when it is first asked for.  A pool has no more
+held in the parent until they can be ranked.  A pool has no more
 processes than chunks or CPUs, whatever --workers asks for, and the
 q <= 4 sweeps never pool: their rows are table lookups, cheaper than a
 pool's start-up and pickling, so a campaign's serial_max_q keeps them in
@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import itertools
@@ -161,48 +160,11 @@ class CampaignConfig:
 class CampaignResult:
     summary: dict
     out: str
-    fmt: str
-
-    @property
-    def violations(self) -> int:
-        return self.summary["violations"]
-
-    @functools.cached_property
-    def rows(self) -> list:
-        """The rows of the output file, read back on first use."""
-        if self.fmt == "json":
-            with open(self.out) as fh:
-                return json.load(fh)["rows"]
-        with open(self.out, newline="") as fh:
-            fh.readline()  # the echo line
-            reader = csv.reader(fh)
-            cols = next(reader)
-            text = _TEXT_COLUMNS
-            if CAMPAIGNS[self.summary["campaign"]].rank is not None:
-                text = text | {"index"}  # ranked rows are tagged "12", "12+o"
-            decoders = [str if c in text else _decode_cell for c in cols]
-            return [{c: dec(v) for c, dec, v in zip(cols, decoders, rec)} for rec in reader]
 
 
 def _f6(x):
     """Six significant digits, applied once when the row is built."""
     return None if x is None else float(f"{float(x):.6g}")
-
-
-# CSV columns that hold strings; every other cell is decoded by _decode_cell
-_TEXT_COLUMNS = frozenset({"descriptor", "violations", "audit_error", "strategy"})
-
-
-def _decode_cell(cell: str):
-    """The value v with _fmt(v) == cell, for a column of scalars."""
-    if cell == "":
-        return None
-    if cell in ("true", "false"):
-        return cell == "true"
-    try:
-        return int(cell)
-    except ValueError:
-        return float(cell)
 
 
 def _fmt(v) -> str:
@@ -994,8 +956,19 @@ def _json_close(acc: _Acc) -> str:
     return f'{rows_end},\n "summary": {_json_object(acc.to_dict(), 1)}\n}}\n'
 
 
+def _require_asserts() -> None:
+    """Refuse to run unchecked: the cross-checks and the audit's
+    identities are assert statements, which python -O strips."""
+    if not __debug__:
+        raise ValueError(
+            "python -O (or PYTHONOPTIMIZE) strips the assert statements "
+            "that check every run; run without -O"
+        )
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run one campaign: write the result file, return its summary."""
+    _require_asserts()
     ctx = make_field(config.p, config.r)
     if config.workers is None:
         raw = os.environ.get("SL2LAB_WORKERS", "1")
@@ -1076,7 +1049,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     summary = acc.to_dict()
     summary["campaign"] = config.campaign
     summary["total_indices"] = total
-    return CampaignResult(summary=summary, out=out, fmt=config.fmt)
+    return CampaignResult(summary=summary, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -1199,6 +1172,7 @@ def _cmd_campaign(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _require_asserts()
         return args.run(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -15,10 +15,11 @@ there.  Planes are (normal, offset) pairs with the normal's first
 nonzero coordinate scaled to 1; there are exactly q(q^2 + q + 1) of
 them.  A line lies in exactly q + 1 planes, one per normal in the
 pencil orthogonal to its direction (normal_pencil, memoized per
-direction), so plane richness and triple_coplanar walk that pencil.
-Three parallel lines need no pencil: parallel_coplanar is one
-determinant on their shared direction, and the triple-count audit uses
-it, with triple_coplanar kept as its test oracle.
+direction), so plane richness walks that pencil.  Three parallel lines
+need no pencil: parallel_coplanar is one determinant on their shared
+direction, and the triple-count audit uses it.  The test suite keeps
+the oracles (the brute transport set, plane points and a pencil-walking
+triple test) on plain ctx.add/ctx.mul calls, off these kernels.
 
 The hot kernels (_dot, _det3, line_points, count_incidences,
 plane_richness) index the field's add/mul rows and negation table
@@ -29,8 +30,7 @@ compare them in C.  Two per-line dicts, kept by ctx.memo and fetched
 once per call, serve the campaigns, which meet the same lines again and
 again: count_incidences keeps each line's q points, and plane_richness
 keeps each line's q + 1 planes as integer keys normal_index * q +
-offset, counted in a Counter and turned back into a (normal, offset)
-witness only for the tied maxima.
+offset, counted in a Counter; only the largest count is returned.
 
 incidence_bound_report returns an instance's report cells as a dict
 keyed by INCIDENCE_COLUMNS, in that order, so this module alone names
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf import FieldCtx
-from .plane import mat_apply, sl2_materialize
 
 
 def project_matrix(m) -> tuple:
@@ -131,13 +130,6 @@ def all_lines(ctx: FieldCtx):
 # Transport of plane points and the line it projects to
 
 
-def transport_set(ctx: FieldCtx, src, dst):
-    """All theta in SL2 with theta(src) = dst, by brute filter (size q)."""
-    out = {m for m in sl2_materialize(ctx) if mat_apply(ctx, m, src) == dst}
-    assert len(out) == ctx.q
-    return out
-
-
 def transport_line(ctx: FieldCtx, src, dst) -> Line3:
     """The projected image of the transport set as an explicit Line3.
 
@@ -208,32 +200,10 @@ def normal_pencil(ctx: FieldCtx, dir) -> tuple:
     return pencil
 
 
-def plane_contains_line(ctx: FieldCtx, plane, line: Line3) -> bool:
-    normal, offset = plane
-    return _dot(ctx, normal, line.dir) == 0 and _dot(ctx, normal, line.base) == offset
-
-
-def plane_points(ctx: FieldCtx, plane):
-    normal, offset = plane
-    q = ctx.q
-    return [
-        (x, y, z)
-        for x in range(q)
-        for y in range(q)
-        for z in range(q)
-        if _dot(ctx, normal, (x, y, z)) == offset
-    ]
-
-
-def _normal_table(ctx: FieldCtx) -> tuple:
-    """(normals, index): canonical_normals as a tuple and each normal's
-    position in it, memoized on ctx."""
-    return ctx.memo("normal_table", _index_normals, ctx)
-
-
-def _index_normals(ctx: FieldCtx) -> tuple:
-    normals = tuple(canonical_normals(ctx))
-    return normals, {n: i for i, n in enumerate(normals)}
+def _normal_index(ctx: FieldCtx) -> dict:
+    """Each canonical normal's position in canonical_normals; memoized
+    on ctx by _plane_keys."""
+    return {n: i for i, n in enumerate(canonical_normals(ctx))}
 
 
 def _plane_keys(ctx: FieldCtx, line: Line3) -> tuple:
@@ -241,7 +211,7 @@ def _plane_keys(ctx: FieldCtx, line: Line3) -> tuple:
     normal_index * q + offset (normal_index its position in
     canonical_normals)."""
     q, add, mul = ctx.q, ctx.add_rows, ctx.mul_rows
-    index = _normal_table(ctx)[1]
+    index = ctx.memo("normal_index", _normal_index, ctx)
     bx, by, bz = (mul[b] for b in line.base)  # the offset n . base, inline
     return tuple(
         index[n] * q + add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]]
@@ -249,15 +219,13 @@ def _plane_keys(ctx: FieldCtx, line: Line3) -> tuple:
     )
 
 
-def plane_richness(ctx: FieldCtx, lines):
-    """(M, witness): the max number of the given lines lying in one plane.
+def plane_richness(ctx: FieldCtx, lines) -> int:
+    """The max number of the given lines lying in one plane; 0 for none.
 
     Each line lies in exactly q + 1 planes (its normal pencil), so
     counting those per line is exact without enumerating all
     q(q^2+q+1) planes; the counts run on integer plane keys
-    (_plane_keys, memoized per line), and ties break to the
-    lexicographically smallest (normal, offset) witness.  Empty input
-    gives (0, None).
+    (_plane_keys, memoized per line).
     """
     cache = ctx.memo("plane_keys", dict)
     keys = []
@@ -266,15 +234,7 @@ def plane_richness(ctx: FieldCtx, lines):
         if line_keys is None:
             line_keys = cache[ln] = _plane_keys(ctx, ln)
         keys += line_keys
-    counts = Counter(keys)
-    if not counts:
-        return 0, None
-    best = max(counts.values())
-    normals, q = _normal_table(ctx)[0], ctx.q
-    witness = min(
-        (normals[key // q], key % q) for key, count in counts.items() if count == best
-    )
-    return best, witness
+    return max(Counter(keys).values(), default=0)
 
 
 def relation(ctx: FieldCtx, l1: Line3, l2: Line3) -> str:
@@ -286,17 +246,6 @@ def relation(ctx: FieldCtx, l1: Line3, l2: Line3) -> str:
     if _det3(ctx, l1.dir, l2.dir, _minus(ctx, l2.base, l1.base)) == 0:
         return "intersecting"
     return "skew"
-
-
-def triple_coplanar(ctx: FieldCtx, l1: Line3, l2: Line3, l3: Line3) -> bool:
-    """Whether some plane contains all three lines (exact, O(q) planes).
-
-    The test oracle for parallel_coplanar."""
-    for n in normal_pencil(ctx, l1.dir):
-        plane = (n, _dot(ctx, n, l1.base))
-        if plane_contains_line(ctx, plane, l2) and plane_contains_line(ctx, plane, l3):
-            return True
-    return False
 
 
 def parallel_coplanar(ctx: FieldCtx, l1: Line3, l2: Line3, l3: Line3) -> bool:
@@ -330,8 +279,7 @@ def build_instance(ctx: FieldCtx, points, lines):
     pts = frozenset(points)
     lns = frozenset(lines)
     inc = count_incidences(ctx, pts, lns)
-    rich, _ = plane_richness(ctx, lns)
-    return IncidenceInstance(pts, lns, inc, rich)
+    return IncidenceInstance(pts, lns, inc, plane_richness(ctx, lns))
 
 
 # The keys of incidence_bound_report's dict, in column order: the

@@ -767,7 +767,7 @@ def triple_count_audit(
     inc = count_incidences(ctx, proj, lines3)
     assert inc == mover_part, "mover part must equal the incidence count"
 
-    plane_max, _ = plane_richness(ctx, lines3)
+    plane_max = plane_richness(ctx, lines3)
     plane_cap = 2 * m0
     assert plane_max <= plane_cap, "plane richness cap failed"
 

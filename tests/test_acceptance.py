@@ -23,7 +23,6 @@ from sl2lab.incidence3d import (
     line_points,
     project_matrix,
     transport_line,
-    transport_set,
 )
 from sl2lab.plane import (
     PointSet,
@@ -41,6 +40,8 @@ from sl2lab.stabilizer import (
     stabilizer_order,
     triple_count_audit,
 )
+
+from oracles import read_rows, transport_set
 
 
 def _verdict(capsys, num, label, problems, detail):
@@ -219,15 +220,16 @@ def test_c05_two_line_bound(capsys, tmp_path):
             p=p, r=r, campaign="two-line-exhaustive",
             out=str(tmp_path / f"twoline-{q}.csv"),
         ))
+        rows = read_rows(res.out)
         want = math.comb(q + 1, 2) * (2 ** (q - 1) - 1) ** 2 * 2
-        if len(res.rows) != want:
-            problems.append(f"q={q}: {len(res.rows)} rows, expected {want}")
-        if res.violations:
-            problems.append(f"q={q}: {res.violations} bound violations")
-        over = sum(1 for row in res.rows if row["stab_order"] > row["size_nonzero"])
+        if len(rows) != want:
+            problems.append(f"q={q}: {len(rows)} rows, expected {want}")
+        if res.summary["violations"]:
+            problems.append(f"q={q}: {res.summary['violations']} bound violations")
+        over = sum(1 for row in rows if row["stab_order"] > row["size_nonzero"])
         if over:
             problems.append(f"q={q}: {over} rows with |R| > |E - 0|")
-        total += len(res.rows)
+        total += len(rows)
     dt = time.perf_counter() - t0
     if dt >= 120.0:
         problems.append(f"runtime {dt:.2f}s over the 120s limit")
@@ -249,19 +251,20 @@ def test_c06_line_union_cap(capsys, tmp_path):
             p=q, r=1, campaign="lineset-exhaustive", budget=200,
             out=str(tmp_path / f"lineset-{q}.csv"),
         ))
+        rows = read_rows(res.out)
         want = math.comb(q + 1, 3) + math.comb(q + 1, 4) + 200
-        if len(res.rows) != want:
-            problems.append(f"q={q}: {len(res.rows)} rows, expected {want}")
-        if res.violations:
-            problems.append(f"q={q}: {res.violations} bound violations")
+        if len(rows) != want:
+            problems.append(f"q={q}: {len(rows)} rows, expected {want}")
+        if res.summary["violations"]:
+            problems.append(f"q={q}: {res.summary['violations']} bound violations")
         over = sum(
             1
-            for row in res.rows
+            for row in rows
             if row["stab_order"] > 2 * row["lines_meeting"] ** 3 * (row["lines_meeting"] - 1) ** 2
         )
         if over:
             problems.append(f"q={q}: {over} rows above the line-count cap")
-        total += len(res.rows)
+        total += len(rows)
     dt = time.perf_counter() - t0
     if dt >= 120.0:
         problems.append(f"runtime {dt:.2f}s over the 120s limit")
@@ -286,10 +289,11 @@ def test_c07_prime_power_bound(capsys, tmp_path):
             p=p, r=r, campaign="prime-bound-exhaustive",
             out=str(tmp_path / f"prime-{q}.csv"), workers=1,
         ))
-        if res.violations:
-            problems.append(f"q={q}: {res.violations} bound violations")
+        rows = read_rows(res.out)
+        if res.summary["violations"]:
+            problems.append(f"q={q}: {res.summary['violations']} bound violations")
         over = sum(
-            1 for row in res.rows if row["stab_order"] > p ** (r - 1) * row["size"]
+            1 for row in rows if row["stab_order"] > p ** (r - 1) * row["size"]
         )
         if over:
             problems.append(f"q={q}: {over} rows above p^(r-1)|E|")
@@ -306,9 +310,9 @@ def test_c07_prime_power_bound(capsys, tmp_path):
                 if 0 < (m & ~1).bit_count() < q * q - 1
                 and sum(1 for lm in masks if m & ~1 & lm) >= 2
             )
-            if len(res.rows) != qualify:
-                problems.append(f"q={q}: {len(res.rows)} rows != {qualify} qualifying sets")
-        total += len(res.rows)
+            if len(rows) != qualify:
+                problems.append(f"q={q}: {len(rows)} rows != {qualify} qualifying sets")
+        total += len(rows)
     serial_dt = time.perf_counter() - t0
     if serial_dt >= 600.0:
         problems.append(f"single-worker runtime {serial_dt:.1f}s over the 600s limit")
@@ -321,8 +325,8 @@ def test_c07_prime_power_bound(capsys, tmp_path):
     pool_dt = time.perf_counter() - t0
     if pool_dt >= 120.0:
         problems.append(f"8-worker runtime {pool_dt:.1f}s over the 120s limit")
-    if res8.violations:
-        problems.append(f"8-worker rerun: {res8.violations} violations")
+    if res8.summary["violations"]:
+        problems.append(f"8-worker rerun: {res8.summary['violations']} violations")
     if _read_bytes(tmp_path / "prime-4.csv") != _read_bytes(tmp_path / "prime-4-w8.csv"):
         problems.append("GF(4) output differs between 1 and 8 workers")
     _verdict(capsys, 7, "prime-power bound sweep", problems,
@@ -355,13 +359,14 @@ def test_c08_extremal_ratio_reproducibility(capsys, tmp_path):
             problems.append(f"q={q}: rerun not byte-identical")
         if res_a.summary != res_b.summary:
             problems.append(f"q={q}: summaries differ between reruns")
-        if len(res_a.rows) != 1 << (q * q):
-            problems.append(f"q={q}: {len(res_a.rows)} rows != 2^(q^2)")
+        rows = read_rows(res_a.out)
+        if len(rows) != 1 << (q * q):
+            problems.append(f"q={q}: {len(rows)} rows != 2^(q^2)")
         mx = res_a.summary["max_ratio"]
         if not (isinstance(mx, float) and math.isfinite(mx) and mx > 0):
             problems.append(f"q={q}: max_ratio {mx!r} not a finite positive float")
         best = max(
-            (row["ratio_nonzero"] for row in res_a.rows
+            (row["ratio_nonzero"] for row in rows
              if row["lines_meeting"] >= 2 and row["ratio_nonzero"] is not None),
             default=None,
         )
@@ -379,7 +384,7 @@ def test_c08_extremal_ratio_reproducibility(capsys, tmp_path):
         problems.append("GF(4): summary differs between 1 and 2 workers")
 
     plane_mask = sum(1 << (x * 4 + y) for x in (0, 1) for y in (0, 1))
-    row = res_w.rows[plane_mask]
+    row = read_rows(res_w.out)[plane_mask]
     if row["descriptor"] != "points:(0,0);(0,1);(1,0);(1,1)":
         problems.append(f"GF(4): row {plane_mask} is {row['descriptor']!r}")
     if row["ratio_full"] != 0.75:
@@ -422,19 +427,20 @@ def test_c09_triple_count_audits(capsys, tmp_path):
         p=3, r=2, campaign="triple-audit", set_spec="family:subfield-plane:sub-r=1",
         out=str(tmp_path / "audit-9.csv"),
     ))
-    if res.violations or not res.rows[0]["audit_ok"]:
+    if res.summary["violations"] or not read_rows(res.out)[0]["audit_ok"]:
         problems.append("GF(9): campaign audit row not clean")
 
     rand = run_campaign(CampaignConfig(
         p=7, r=1, campaign="triple-audit", budget=20, seed=5,
         out=str(tmp_path / "audit-7.csv"),
     ))
-    if len(rand.rows) != 20:
-        problems.append(f"GF(7): {len(rand.rows)} audit rows, expected 20")
-    bad = [row["index"] for row in rand.rows if not row["audit_ok"] or row["audit_error"]]
-    if bad or rand.violations:
-        problems.append(f"GF(7): audits failed at {bad}, violations {rand.violations}")
-    over = sum(1 for row in rand.rows if row["plane_max"] > 2 * row["class_count"])
+    rows = read_rows(rand.out)
+    if len(rows) != 20:
+        problems.append(f"GF(7): {len(rows)} audit rows, expected 20")
+    bad = [row["index"] for row in rows if not row["audit_ok"] or row["audit_error"]]
+    if bad or rand.summary["violations"]:
+        problems.append(f"GF(7): audits failed at {bad}, violations {rand.summary['violations']}")
+    over = sum(1 for row in rows if row["plane_max"] > 2 * row["class_count"])
     if over:
         problems.append(f"GF(7): {over} rows with plane richness above 2 m0")
     dt = time.perf_counter() - t0

@@ -252,4 +252,4 @@ def test_make_field_rejects_huge_fields_at_once(p, r):
 
 
 def test_field_cache_identity():
-    assert make_field(3, 2) == make_field(3, 2)
+    assert make_field(3, 2) is make_field(3, 2)

@@ -28,7 +28,7 @@ from sl2lab.harness import (
     random_uniform_class_set,
     run_campaign,
 )
-from sl2lab.families import gen_family, parse_set_spec
+from sl2lab.families import MAX_NESTING, gen_family, parse_set_spec
 from sl2lab.incidence3d import all_lines, build_instance, incidence_bound_report
 from sl2lab.plane import (
     IDENTITY,
@@ -49,6 +49,8 @@ from sl2lab.stabilizer import (
     report_key,
     stabilizer_brute,
 )
+
+from oracles import read_rows
 
 
 def read_csv(path):
@@ -348,19 +350,19 @@ def test_benchmark_child_sequence_builds_its_field_once(tmp_path, monkeypatch):
 def test_family_verify_gf4(tmp_path):
     res = run_campaign(cfg(tmp_path, p=2, r=2, campaign="family-verify"))
     assert res.summary["rows"] == 10
-    assert res.violations == 0
-    by = {row["descriptor"]: row for row in res.rows}
+    assert res.summary["violations"] == 0
+    by = {row["descriptor"]: row for row in read_rows(res.out)}
     sub = by["family:subfield-plane:sub-r=1"]
     assert sub["stab_order"] == 6
     assert sub["ratio_full"] == 0.75
     assert sub["expected_order"] == 6 and sub["expected_match"] is True
-    assert all(row["complement_match"] is True for row in res.rows)
+    assert all(row["complement_match"] is True for row in read_rows(res.out))
     line = by["family:line-origin"]
     assert line["stab_order"] == 12 and line["expected_order"] == 12
     affine = by["family:line-affine"]
     assert affine["stab_order"] == 4 and affine["expected_order"] == 4
     # every expected order in the battery is a closed form and must match
-    assert all(row["expected_match"] in (True, None) for row in res.rows)
+    assert all(row["expected_match"] in (True, None) for row in read_rows(res.out))
     echo, header, rows = read_csv(res.out)
     assert echo.startswith("# slab-v1 campaign=family-verify")
     assert header == CAMPAIGNS["family-verify"].columns
@@ -395,10 +397,10 @@ def test_workers_do_not_change_bytes(tmp_path, monkeypatch, kw):
     pooled = run_campaign(CampaignConfig(workers=2, out=str(b), **kw))
     assert serial.summary["total_indices"] > 64
     assert a.read_bytes() == b.read_bytes()
-    assert serial.rows == pooled.rows
+    assert read_rows(serial.out) == read_rows(pooled.out)
     # the rendered cells are the kept rows' values, formatted
     _, header, body = read_csv(a)
-    assert body == [[_fmt(row.get(c)) for c in header] for row in serial.rows]
+    assert body == [[_fmt(row.get(c)) for c in header] for row in read_rows(serial.out)]
     # JSON rows are rendered in the workers too
     ja = tmp_path / "serial.json"
     jb = tmp_path / "pooled.json"
@@ -463,13 +465,13 @@ def test_decoded_rows_equal_producer_rows(tmp_path, monkeypatch, kw, fmt, worker
     res = run_campaign(config)
     items = producer_items(config)
     assert items, "every configuration here writes rows"
-    assert res.rows == [expand(item)[1] for item in items]
+    assert read_rows(res.out) == [expand(item)[1] for item in items]
     # the merged chunk summaries equal one sequential fold
     assert {k: res.summary[k] for k in harness._Acc().to_dict()} == fold(items)
     if fmt == "csv":
         _, header, body = read_csv(res.out)
-        assert len(body) == len(res.rows)
-        for row, cells in zip(res.rows, body):
+        assert len(body) == len(read_rows(res.out))
+        for row, cells in zip(read_rows(res.out), body):
             assert [_fmt(row[c]) for c in header] == cells
 
 
@@ -510,7 +512,7 @@ def test_output_matches_pinned_digest(tmp_path, kw):
     res = run_campaign(CampaignConfig(out=str(out), **kw))
     data = out.read_bytes()
     got = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-    got.update(rows=res.summary["rows"], violations=res.violations)
+    got.update(rows=res.summary["rows"], violations=res.summary["violations"])
     assert got == pin
 
 
@@ -862,7 +864,7 @@ def test_exhaustive_gf2_summary_matches_table(tmp_path):
                 best = ratio
     assert res.summary["max_ratio"] == best
     # the recorded argmax row achieves the recorded maximum
-    arg = next(r for r in res.rows if r["descriptor"] == res.summary["argmax"])
+    arg = next(r for r in read_rows(res.out) if r["descriptor"] == res.summary["argmax"])
     assert arg["ratio_nonzero"] == best
 
 
@@ -870,10 +872,10 @@ def test_two_line_campaign_gf3(tmp_path):
     res = run_campaign(cfg(tmp_path, p=3, r=1, campaign="two-line-exhaustive"))
     # C(4,2) line pairs x (2^2-1)^2 nonempty masks x with/without origin
     assert res.summary["rows"] == 6 * 9 * 2 == res.summary["total_indices"]
-    assert res.violations == 0
-    descriptors = {row["descriptor"] for row in res.rows}
+    assert res.summary["violations"] == 0
+    descriptors = {row["descriptor"] for row in read_rows(res.out)}
     assert len(descriptors) == 108  # distinct sets: the pair is recoverable
-    for row in res.rows:
+    for row in read_rows(res.out):
         assert row["lines_meeting"] == 2
         assert row["two_lines_applicable"] is True
         assert row["two_lines_violated"] is False
@@ -890,7 +892,7 @@ def test_two_line_order_reuse_across_odd_chunks(tmp_path, monkeypatch):
     res = run_campaign(CampaignConfig(workers=1, out=str(full), **kw))
     assert res.summary["total_indices"] == 10 * 7 * 7 * 2
     ctx = make_field(2, 2)
-    for row in res.rows:
+    for row in read_rows(res.out):
         pts = [parse_point(t) for t in row["descriptor"][len("points:"):].split(";")]
         E = PointSet.from_points(ctx.q, pts)
         assert E.bits & 1 == row["index"] % 2
@@ -942,8 +944,8 @@ def test_lineset_campaign_gf5(tmp_path):
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="lineset-exhaustive",
                            budget=10))
     assert res.summary["rows"] == 20 + 15 + 10  # C(6,3) + C(6,4) + random 5-sets
-    assert res.violations == 0
-    for row in res.rows:
+    assert res.summary["violations"] == 0
+    for row in read_rows(res.out):
         m = row["lines_meeting"]
         assert m in (3, 4, 5)
         assert row["stab_order"] <= 2 * m**3 * (m - 1) ** 2
@@ -958,9 +960,9 @@ def test_prime_bound_campaign_gf3(tmp_path):
         and lines_meeting(ctx, PointSet(3, bits)) >= 2
     )
     assert res.summary["rows"] == want
-    assert res.violations == 0
+    assert res.summary["violations"] == 0
     table = all_subset_stabilizer_orders(ctx)
-    for row in res.rows:
+    for row in read_rows(res.out):
         assert row["prime_power_applicable"] is True
         assert row["prime_power_violated"] is False
         # r = 1 so the bound is just |E|
@@ -1002,7 +1004,7 @@ def test_incidence_campaign_gf3(tmp_path):
     res = run_campaign(cfg(tmp_path, p=3, r=1, campaign="incidence-report",
                            budget=30))
     assert res.summary["rows"] == 30
-    for row in res.rows:
+    for row in read_rows(res.out):
         assert row["points"] >= 1 and row["lines"] >= 1
         assert 0 <= row["incidences"] <= row["points"] * row["lines"]
         assert row["plane_max"] >= 1
@@ -1014,7 +1016,7 @@ def test_audit_campaign_subfield_gf9(tmp_path):
     res = run_campaign(cfg(tmp_path, p=3, r=2, campaign="triple-audit",
                            set_spec="family:subfield-plane:sub-r=1"))
     assert res.summary["rows"] == 1
-    row = res.rows[0]
+    row = read_rows(res.out)[0]
     assert row["audit_ok"] is True
     assert row["multiplicity"] == 2 and row["class_count"] == 4
     assert row["plane_max"] == 4 and row["plane_cap"] == 8
@@ -1025,8 +1027,8 @@ def test_audit_campaign_subfield_gf9(tmp_path):
 def test_audit_campaign_random_gf5(tmp_path):
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="triple-audit", budget=8))
     assert res.summary["rows"] == 8
-    assert all(row["audit_ok"] is True for row in res.rows)
-    assert res.violations == 0
+    assert all(row["audit_ok"] is True for row in read_rows(res.out))
+    assert res.summary["violations"] == 0
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -1052,7 +1054,7 @@ def test_random_uniform_class_set_shapes():
 def test_search_random_gf5(tmp_path):
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="search-extremal",
                            strategy="random", budget=40))
-    rows = res.rows
+    rows = read_rows(res.out)
     assert rows, "random search over GF(5) finds candidates"
     ratios = [row["ratio_nonzero"] for row in rows]
     assert ratios == sorted(ratios, reverse=True)
@@ -1065,9 +1067,9 @@ def test_search_random_gf5(tmp_path):
 def test_search_orbit_union_reaches_subfield_plane(tmp_path):
     # with this seed the sampled generators produce the embedded copy of
     # the two-element-field group within the first hundred candidates
-    rows = run_campaign(CampaignConfig(
+    rows = read_rows(run_campaign(CampaignConfig(
         p=2, r=2, campaign="search-extremal", strategy="orbit-union",
-        budget=100, seed=30, out=str(tmp_path / "s.csv"))).rows
+        budget=100, seed=30, out=str(tmp_path / "s.csv"))).out)
     by = {row["descriptor"]: row for row in rows}
     hit = by["points:(0,0);(0,1);(1,0);(1,1)"]
     assert hit["stab_order"] == 6
@@ -1082,9 +1084,9 @@ def test_search_orbit_union_reaches_subfield_plane(tmp_path):
 def test_search_rows_contain_subgroup_always(tmp_path):
     res = run_campaign(cfg(tmp_path, p=3, r=1, campaign="search-extremal",
                            strategy="orbit-union", budget=60))
-    assert res.violations == 0
-    assert all(row["contains_subgroup"] is True for row in res.rows)
-    assert all(row["subgroup_order"] >= 1 for row in res.rows)
+    assert res.summary["violations"] == 0
+    assert all(row["contains_subgroup"] is True for row in read_rows(res.out))
+    assert all(row["subgroup_order"] >= 1 for row in read_rows(res.out))
 
 
 def test_undercounting_order_route_is_flagged(tmp_path, monkeypatch):
@@ -1100,8 +1102,8 @@ def test_undercounting_order_route_is_flagged(tmp_path, monkeypatch):
     assert main(argv) == 1
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="search-extremal", budget=20,
                            workers=1))
-    assert any(row["subgroup_order"] > 1 for row in res.rows)
-    for row in res.rows:
+    assert any(row["subgroup_order"] > 1 for row in read_rows(res.out))
+    for row in read_rows(res.out):
         flagged = "orbit_union_containment" in row["violations"].split(";")
         assert flagged == (row["subgroup_order"] > 1)
         assert row["contains_subgroup"] is not flagged
@@ -1131,9 +1133,9 @@ def test_json_output(tmp_path):
     assert doc["campaign"] == "family-verify"
     assert doc["config"]["p"] == 2 and doc["config"]["r"] == 2
     assert len(doc["rows"]) == 10 == doc["summary"]["rows"]
-    assert doc["rows"] == res.rows or all(
+    assert doc["rows"] == read_rows(res.out) or all(
         json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-        for a, b in zip(doc["rows"], res.rows))
+        for a, b in zip(doc["rows"], read_rows(res.out)))
 
 
 @pytest.mark.parametrize("bad", [
@@ -1187,11 +1189,11 @@ def test_complement_mismatch_is_reported(tmp_path, monkeypatch, fault):
     monkeypatch.setattr(stabmod, "_transport_route", faulty)
     res = run_campaign(cfg(tmp_path, p=5, r=1, campaign="family-verify",
                            set_spec=spec, workers=1))
-    row = res.rows[0]
+    row = read_rows(res.out)[0]
     assert row["stab_order"] == 20 and row["expected_match"] is True
     assert row["complement_match"] is False
     assert row["violations"].split(";") == ["complement_mismatch"]
-    assert res.violations == 1
+    assert res.summary["violations"] == 1
 
 
 def one_more(got):
@@ -1259,10 +1261,10 @@ def test_audit_flags_accepted_element_outside_s(tmp_path, monkeypatch):
         stabmod.triple_count_audit(ctx, E, 2)
     res = run_campaign(cfg(tmp_path, p=3, r=2, campaign="triple-audit",
                            set_spec="family:subfield-plane:sub-r=1", workers=1))
-    row = res.rows[0]
+    row = read_rows(res.out)[0]
     assert row["audit_ok"] is False
     assert row["audit_error"] == "symmetries must permute the class sets"
-    assert res.violations == 1
+    assert res.summary["violations"] == 1
 
 
 def test_cli_family_gf64(tmp_path):
@@ -1553,6 +1555,74 @@ def test_cli_refuses_a_bad_worker_variable(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
 
 
+NESTED = "family:complement:of="
+
+
+@pytest.mark.parametrize("command", ["stab", "family"])
+def test_cli_refuses_a_deeply_nested_complement(command, tmp_path, capsys):
+    # 500 levels used to end in RecursionError, a traceback and exit 1
+    argv = [command, "--p", "5", "--set", NESTED * 500 + "family:origin"]
+    if command != "stab":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: descriptor nests complement 500 deep; at most {MAX_NESTING} allowed\n"
+    )
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["stab", "family"])
+def test_cli_runs_a_complement_nested_to_the_cap(command, tmp_path, capsys):
+    # an even number of complements of the origin is the origin again,
+    # whose R is all of SL2(5); one level more is refused
+    assert MAX_NESTING % 2 == 0
+    out = tmp_path / "x.csv"
+    for levels, code in [(MAX_NESTING, 0), (MAX_NESTING + 1, 2)]:
+        argv = [command, "--p", "5", "--set", NESTED * levels + "family:origin"]
+        if command != "stab":
+            argv += ["--out", str(out)]
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: descriptor nests complement {MAX_NESTING + 1} deep; "
+        f"at most {MAX_NESTING} allowed\n"
+    )
+    if command == "stab":
+        assert " stab_order=120\n" in captured.out
+    else:
+        assert read_rows(out)[0]["stab_order"] == 120
+
+
+@pytest.mark.parametrize("optimize", [["-O"], ["-OO"], []], ids=["-O", "-OO", "PYTHONOPTIMIZE"])
+def test_an_optimized_interpreter_is_refused(optimize, tmp_path):
+    # -O strips assert statements, the audit's identities among them; a
+    # patched count_incidences used to pass every audit row with exit 0
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    if not optimize:
+        env["PYTHONOPTIMIZE"] = "1"
+    out = tmp_path / "a.csv"
+    done = subprocess.run(
+        [sys.executable, *optimize, "-m", "sl2lab.harness", "audit", "--p", "7",
+         "--budget", "3", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: python -O (or PYTHONOPTIMIZE) strips")
+    assert done.stdout == ""
+    # run_campaign refuses on its own, for callers that skip main
+    call = ("from sl2lab.harness import CampaignConfig, run_campaign\n"
+            "run_campaign(CampaignConfig(p=7, r=1, campaign='triple-audit', budget=3, "
+            f"out={str(out)!r}))")
+    done = subprocess.run([sys.executable, *optimize, "-c", call],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert "ValueError: python -O (or PYTHONOPTIMIZE) strips" in done.stderr
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["stab", "--p", "5", "--set", "points:(1,0);(0,1)"],
     ["family", "--p", "5", "--set", "points:(1,0);(0,1)", "--workers", "1"],
@@ -1664,4 +1734,4 @@ def test_campaign_result_type(tmp_path):
     assert isinstance(res, CampaignResult)
     assert res.summary["campaign"] == "exhaustive-subsets"
     assert res.summary["total_indices"] == 16
-    assert isinstance(res.violations, int)
+    assert isinstance(res.summary["violations"], int)

@@ -20,17 +20,15 @@ from sl2lab.incidence3d import (
     normal_pencil,
     on_line,
     parallel_coplanar,
-    plane_contains_line,
-    plane_points,
     plane_richness,
     project_matrix,
     relation,
     transport_line,
-    transport_set,
-    triple_coplanar,
 )
 from sl2lab.plane import line_of_point, mat_apply, sl2_elements, sl2_order
 from sl2lab.rng import DetRng, nth_seed
+
+from oracles import plane_contains_line, plane_points, transport_set, triple_coplanar
 
 
 def all_planes(ctx):
@@ -38,17 +36,9 @@ def all_planes(ctx):
 
 
 def brute_richness(ctx, lines):
-    """(M, witness) over every plane: the richest count and the
-    lexicographically smallest plane reaching it."""
+    """The richest count over every plane."""
     lines = set(lines)
-    if not lines:
-        return 0, None
-    counts = {
-        pl: sum(1 for ln in lines if plane_contains_line(ctx, pl, ln))
-        for pl in all_planes(ctx)
-    }
-    best = max(counts.values())
-    return best, min(pl for pl, c in counts.items() if c == best)
+    return max(sum(1 for ln in lines if plane_contains_line(ctx, pl, ln)) for pl in all_planes(ctx))
 
 
 def random_lines(ctx, rng, count):
@@ -200,10 +190,8 @@ def test_plane_richness_matches_brute(fields, q):
     for trial in range(12):
         rng = DetRng(nth_seed(100 + q, trial))
         lines = random_lines(ctx, rng, 1 + rng.below(3 * q))
-        got, witness = plane_richness(ctx, lines)
-        assert (got, witness) == brute_richness(ctx, lines)
-        assert sum(1 for ln in lines if plane_contains_line(ctx, witness, ln)) == got
-    assert plane_richness(ctx, []) == (0, None)
+        assert plane_richness(ctx, lines) == brute_richness(ctx, lines)
+    assert plane_richness(ctx, []) == 0 == brute_richness(ctx, [])
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -257,7 +245,7 @@ def test_build_instance(fields):
     inst = build_instance(ctx, pts, lines)
     assert isinstance(inst, IncidenceInstance)
     assert inst.incidences == count_incidences_brute(ctx, pts, lines)
-    assert inst.plane_max == brute_richness(ctx, lines)[0]
+    assert inst.plane_max == brute_richness(ctx, lines)
 
 
 def test_incidence_bound_report_shapes(fields):

@@ -1,10 +1,11 @@
 """Every public top-level name and public method in the package is used
 by the package.
 
-A helper only the tests call is dead weight in src/; the exceptions are
-brute-force oracles that exist for the tests to compare against.  Only
-a load of the name counts as a use, so an import or re-export alone
-does not; a plain method counts only where it is called.
+A helper only the tests call is dead weight in src/: the brute-force
+oracles the tests compare against live in tests/oracles.py, and
+TEST_ORACLES names the one still kept in src/.  Only a load of the name
+counts as a use, so an import or re-export alone does not; a plain
+method counts only where it is called.
 """
 
 import ast
@@ -16,17 +17,11 @@ from pathlib import Path
 
 import sl2lab
 
-# stabilizer_fast builds R(E) as a set, which no campaign needs; the
-# oracle tests compare it with stabilizer_brute, and the benchmark's
-# layer trace wraps it by name, so it stays.  triple_coplanar walks a
-# pencil of planes; the audit uses parallel_coplanar's one determinant,
-# and the tests hold the two together on parallel transport lines.
-TEST_ORACLES = {
-    "transport_set",
-    "plane_points",
-    "stabilizer_fast",
-    "triple_coplanar",
-}
+# The other oracles live in tests/oracles.py.  stabilizer_fast builds
+# R(E) as a set, which no campaign needs; the oracle tests compare it
+# with stabilizer_brute, and it stays in src/, with subgroup_closure,
+# only while the benchmark's layer trace wraps it there by name.
+TEST_ORACLES = {"stabilizer_fast"}
 
 
 def _defined(stmt) -> list:
@@ -89,6 +84,25 @@ def _method_calls(node) -> Counter:
     )
 
 
+def _property_reads(tree) -> Counter:
+    """Loads of x.name, less those inside a class that assigns
+    self.name: there a load may read that class's own attribute."""
+    reads = _attribute_loads(tree)
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        inside = _attribute_loads(cls)
+        for name in {
+            n.attr
+            for n in ast.walk(cls)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Store)
+            and getattr(n.value, "id", None) == "self"
+        }:
+            reads[name] -= inside[name]
+    return reads
+
+
 def _is_property(fn) -> bool:
     return any(
         getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
@@ -98,12 +112,14 @@ def _is_property(fn) -> bool:
 
 def test_every_public_method_is_used_in_src():
     # A plain method counts as used only where src/ calls it, x.name(...),
-    # outside its own body; a property is read, not called, so any load
-    # of its name counts.  Matching is by name alone, so a call of another
-    # class's method with the same name still hides a dead one.
+    # outside its own body; a property is read, not called, so a load of
+    # its name counts, except inside a class that assigns self.<name>
+    # (_Acc.merge reads part.violations, _Acc's own counter).  Matching is
+    # by name alone, so a call of another class's method with the same
+    # name still hides a dead one.
     src = Path(sl2lab.__file__).resolve().parent
     trees = [(path.name, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
-    loads = sum((_attribute_loads(tree) for _, tree in trees), Counter())
+    loads = sum((_property_reads(tree) for _, tree in trees), Counter())
     calls = sum((_method_calls(tree) for _, tree in trees), Counter())
     unused = []
     for module, tree in trees:
@@ -122,6 +138,20 @@ def test_every_public_method_is_used_in_src():
                 if uses[fn.name] == own(fn)[fn.name]:
                     unused.append(f"{module}: {cls.name}.{fn.name}")
     assert not unused, "public methods nothing in src/ uses: " + ", ".join(unused)
+
+
+def test_oracles_stay_off_the_kernels():
+    # an oracle that imported a private kernel would check that kernel
+    # against itself
+    path = Path(__file__).resolve().parent / "oracles.py"
+    private = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sl2lab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not private, "tests/oracles.py imports private names: " + ", ".join(private)
 
 
 def test_only_gf_touches_the_field_memo():

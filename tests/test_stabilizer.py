@@ -6,7 +6,6 @@ import pytest
 
 import sl2lab.stabilizer as stabmod
 from sl2lab.gf import make_field, multiplicative_subgroup, subfield_elements
-from sl2lab.incidence3d import transport_set
 from sl2lab.plane import (
     IDENTITY,
     PointSet,
@@ -40,6 +39,8 @@ from sl2lab.stabilizer import (
     subgroup_orbits,
     triple_count_audit,
 )
+
+from oracles import transport_set
 
 
 def report(ctx, E, constants=Constants()):
