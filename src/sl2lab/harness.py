@@ -81,6 +81,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -201,6 +202,15 @@ def _spot(ctx: FieldCtx, E: PointSet, stab_order: int, index: int) -> None:
 
 def _constants(config) -> Constants:  # a CampaignConfig or the stab args
     return Constants(config.c1, config.c2, config.alpha, config.beta)
+
+
+def _require_finite(config, names) -> None:
+    """Refuse a NaN or infinite constant: JSON has no literal for it,
+    and every comparison with NaN is false."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, not {value}")
 
 
 class _Entry(NamedTuple):
@@ -497,14 +507,14 @@ def _gen_incidence(config, start, stop):
         nlns = 1 + rng.below(min(cap, len(pool)))
         points = {_decode3(q, c) for c in rng.sample(q**3, npts)}
         lines = {pool[i] for i in rng.sample(len(pool), nlns)}
-        inst = build_instance(ctx, points, lines)
+        counts = build_instance(ctx, points, lines)  # |P|, |L|, I(P, L), plane max
         if index % SPOT_EVERY == 0:
             brute = count_incidences_brute(ctx, points, lines)
-            if brute != inst.incidences:
+            if brute != counts[2]:
                 raise AssertionError(
-                    f"incidence spot check failed at {index}: {brute} != {inst.incidences}"
+                    f"incidence spot check failed at {index}: {brute} != {counts[2]}"
                 )
-        yield index, None, _entry(incidence_bound_report(ctx, inst, c=config.c), 0, config.fmt)
+        yield index, None, _entry(incidence_bound_report(ctx, counts, c=config.c), 0, config.fmt)
 
 
 def random_uniform_class_set(ctx: FieldCtx, seed: int):
@@ -790,6 +800,7 @@ def _validate(config: CampaignConfig, ctx: FieldCtx) -> None:
         raise ValueError("budget must be >= 0")
     if config.workers < 1:
         raise ValueError("workers must be >= 1")
+    _require_finite(config, ("c",) + Constants._fields)
     if config.resume and config.fmt != "csv":
         raise ValueError("resume is only supported for csv output")
     if config.m1 is not None:
@@ -1134,6 +1145,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_stab(args) -> int:
+    _require_finite(args, Constants._fields)
     ctx = make_field(args.p, args.r)
     E = gen_family(ctx, parse_set_spec(args.set_spec))
     rep = bound_report(ctx, report_key(ctx, E, stabilizer_order(ctx, E)), _constants(args))

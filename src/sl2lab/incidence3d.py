@@ -3,10 +3,13 @@ stabilizer bounds.
 
 The bridge from the group to 3-space is project_matrix: (a b; c d) maps
 to (a, d, c), forgetting b.  On matrices with c != 0 the entry b is
-recoverable as (ad - 1)/c, so the projection is injective there, and
-the set of solutions of theta(src) = dst projects onto an explicit line
-(transport_line).  Counting point-line incidences among such lines is
-what turns stabilizer questions into 3-space geometry.
+recoverable as (ad - 1)/c, so the projection is injective there.  The
+solutions of theta(src) = dst are the coset theta_b = M0 + b*M1 that
+plane._frame's matrices give (the one the transport route tests), and
+the projection is linear, so they project onto the line through
+pi(M0) with direction pi(M1) (transport_line).  Counting point-line
+incidences among such lines is what turns stabilizer questions into
+3-space geometry.
 
 Lines are kept in a canonical form so that equal point sets compare
 equal: the direction is scaled to make its first nonzero coordinate 1
@@ -15,35 +18,36 @@ there.  Planes are (normal, offset) pairs with the normal's first
 nonzero coordinate scaled to 1; there are exactly q(q^2 + q + 1) of
 them.  A line lies in exactly q + 1 planes, one per normal in the
 pencil orthogonal to its direction (normal_pencil, memoized per
-direction), so plane richness walks that pencil.  Three parallel lines
-need no pencil: parallel_coplanar is one determinant on their shared
-direction, and the triple-count audit uses it.  The test suite keeps
+direction), so plane richness walks that pencil.  The test suite keeps
 the oracles (the brute transport set, plane points and a pencil-walking
 triple test) on plain ctx.add/ctx.mul calls, off these kernels.
 
-The hot kernels (_dot, _det3, line_points, count_incidences,
-plane_richness) index the field's add/mul rows and negation table
-directly, one subscript per field operation; on_line and
+The hot kernels (_dot, line_points, planes_of) index the field's
+add/mul rows directly, one subscript per field operation; on_line and
 count_incidences_brute, the incidence oracle, keep the ctx.add/ctx.mul
-calls.  Line3 is a NamedTuple, so the sets and dicts of lines hash and
-compare them in C.  Two per-line dicts, kept by ctx.memo and fetched
-once per call, serve the campaigns, which meet the same lines again and
-again: count_incidences keeps each line's q points, and plane_richness
-keeps each line's q + 1 planes as integer keys normal_index * q +
-offset, counted in a Counter; only the largest count is returned.
+calls.  Line3 is a NamedTuple, so the sets and
+dicts of lines hash and compare them in C.  Two per-line tables, kept
+by ctx.memo, serve the campaigns, which meet the same lines again and
+again: points_of holds each line's q points, which count_incidences
+intersects, and planes_of each line's q + 1 planes as integer keys
+normal_index * q + offset, which plane_richness counts in a Counter.
+The triple-count audit reads the same two tables to tell how its
+transport lines meet: two lines share a point exactly when a point
+lists both, and lie in one plane exactly when a plane key does.
 
-incidence_bound_report returns an instance's report cells as a dict
-keyed by INCIDENCE_COLUMNS, in that order, so this module alone names
-the incidence campaign's columns.
+build_instance returns an instance's four counts, and
+incidence_bound_report returns its report cells as a dict keyed by
+INCIDENCE_COLUMNS, in that order, so this module alone names the
+incidence campaign's columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf import FieldCtx
+from .plane import _frame, mat_inv, mat_mul
 
 
 def project_matrix(m) -> tuple:
@@ -55,21 +59,6 @@ def project_matrix(m) -> tuple:
 def _dot(ctx, u, v):
     add, mul = ctx.add_rows, ctx.mul_rows
     return add[add[mul[u[0]][v[0]]][mul[u[1]][v[1]]]][mul[u[2]][v[2]]]
-
-
-def _minus(ctx, u, v) -> tuple:
-    """u - v in F_q^3, read as u + (-v)."""
-    add, neg = ctx.add_rows, ctx.neg_table
-    return (add[u[0]][neg[v[0]]], add[u[1]][neg[v[1]]], add[u[2]][neg[v[2]]])
-
-
-def _det3(ctx, u, v, w):
-    """det of the rows u, v, w, expanded along u; each x - y is x + (-y)."""
-    add, mul, neg = ctx.add_rows, ctx.mul_rows, ctx.neg_table
-    m1 = add[mul[v[1]][w[2]]][neg[mul[v[2]][w[1]]]]
-    m2 = add[mul[v[0]][w[2]]][neg[mul[v[2]][w[0]]]]
-    m3 = add[mul[v[0]][w[1]]][neg[mul[v[1]][w[0]]]]
-    return add[add[mul[u[0]][m1]][neg[mul[u[1]][m2]]]][mul[u[2]][m3]]
 
 
 class Line3(NamedTuple):
@@ -133,13 +122,13 @@ def all_lines(ctx: FieldCtx):
 def transport_line(ctx: FieldCtx, src, dst) -> Line3:
     """The projected image of the transport set as an explicit Line3.
 
+    The elements carrying src to dst are theta_b = F_dst (1 b; 0 1)
+    F_src^-1 = M0 + b*M1, F_x being _frame's matrix for x, with
+    M0 = F_dst F_src^-1 and M1 = F_dst (0 1; 0 0) F_src^-1; they
+    project onto the line through pi(M0) with direction pi(M1).
     Requires src = (u1, v1), dst = (u2, v2) with u1 != 0, u2 != 0 and
-    (v1, v2) != (0, 0); under those conditions the three defining
-    equations (two linear, one determinant) project to the line
-    base + b * dir with
-
-      base = (u2/u1, u1/u2, v2/u1 - v1/u2)
-      dir  = (-v1/u1, v2/u2, -v1*v2/(u1*u2)).
+    (v1, v2) != (0, 0), where pi(M1) = (-u2 v1, u1 v2, -v1 v2) is
+    nonzero.
     """
     u1, v1 = src
     u2, v2 = dst
@@ -147,31 +136,37 @@ def transport_line(ctx: FieldCtx, src, dst) -> Line3:
         raise ValueError("transport_line needs nonzero first coordinates")
     if v1 == 0 and v2 == 0:
         raise ValueError("transport_line needs (v1, v2) != (0, 0)")
-    div, sub, neg, mul = ctx.div, ctx.sub, ctx.neg, ctx.mul
-    base = (div(u2, u1), div(u1, u2), sub(div(v2, u1), div(v1, u2)))
-    dir = (neg(div(v1, u1)), div(v2, u2), neg(div(mul(v1, v2), mul(u1, u2))))
-    return line3(ctx, base, dir)
+    f_dst = _frame(ctx, u2 * ctx.q + v2)
+    f_src_inv = mat_inv(ctx, _frame(ctx, u1 * ctx.q + v1))
+    m0 = mat_mul(ctx, f_dst, f_src_inv)
+    m1 = mat_mul(ctx, mat_mul(ctx, f_dst, (0, 1, 0, 0)), f_src_inv)
+    return line3(ctx, project_matrix(m0), project_matrix(m1))
 
 
 # ---------------------------------------------------------------------------
 # Incidence counting
 
 
+def points_of(ctx: FieldCtx, line: Line3) -> tuple:
+    """line_points(line) as a tuple, kept per line by ctx.memo."""
+    cache = ctx.memo("line_points", dict)
+    pts = cache.get(line)
+    if pts is None:
+        pts = cache[line] = tuple(line_points(ctx, line))
+    return pts
+
+
 def count_incidences(ctx: FieldCtx, points, lines) -> int:
     """I(P, L) = number of (p, l) pairs with p on l.
 
-    Intersects the q distinct points of each line with a hashed point
-    set; the quadratic double loop lives in count_incidences_brute as
-    the independent check.
+    Intersects the q distinct points of each line (points_of) with a
+    hashed point set; the quadratic double loop lives in
+    count_incidences_brute as the independent check.
     """
     pset = set(points)
-    cache = ctx.memo("line_points", dict)
     total = 0
     for ln in lines:
-        pts = cache.get(ln)
-        if pts is None:
-            pts = cache[ln] = tuple(line_points(ctx, ln))
-        total += len(pset.intersection(pts))
+        total += len(pset.intersection(points_of(ctx, ln)))
     assert 0 <= total <= len(pset) * len(set(lines))
     return total
 
@@ -202,21 +197,25 @@ def normal_pencil(ctx: FieldCtx, dir) -> tuple:
 
 def _normal_index(ctx: FieldCtx) -> dict:
     """Each canonical normal's position in canonical_normals; memoized
-    on ctx by _plane_keys."""
+    on ctx by planes_of."""
     return {n: i for i, n in enumerate(canonical_normals(ctx))}
 
 
-def _plane_keys(ctx: FieldCtx, line: Line3) -> tuple:
+def planes_of(ctx: FieldCtx, line: Line3) -> tuple:
     """The q + 1 planes holding line, each as the integer key
     normal_index * q + offset (normal_index its position in
-    canonical_normals)."""
-    q, add, mul = ctx.q, ctx.add_rows, ctx.mul_rows
-    index = ctx.memo("normal_index", _normal_index, ctx)
-    bx, by, bz = (mul[b] for b in line.base)  # the offset n . base, inline
-    return tuple(
-        index[n] * q + add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]]
-        for n in normal_pencil(ctx, line.dir)
-    )
+    canonical_normals); kept per line by ctx.memo."""
+    cache = ctx.memo("plane_keys", dict)
+    keys = cache.get(line)
+    if keys is None:
+        q, add, mul = ctx.q, ctx.add_rows, ctx.mul_rows
+        index = ctx.memo("normal_index", _normal_index, ctx)
+        bx, by, bz = (mul[b] for b in line.base)  # the offset n . base, inline
+        keys = cache[line] = tuple(
+            index[n] * q + add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]]
+            for n in normal_pencil(ctx, line.dir)
+        )
+    return keys
 
 
 def plane_richness(ctx: FieldCtx, lines) -> int:
@@ -225,61 +224,21 @@ def plane_richness(ctx: FieldCtx, lines) -> int:
     Each line lies in exactly q + 1 planes (its normal pencil), so
     counting those per line is exact without enumerating all
     q(q^2+q+1) planes; the counts run on integer plane keys
-    (_plane_keys, memoized per line).
+    (planes_of).
     """
-    cache = ctx.memo("plane_keys", dict)
-    keys = []
-    for ln in set(lines):
-        line_keys = cache.get(ln)
-        if line_keys is None:
-            line_keys = cache[ln] = _plane_keys(ctx, ln)
-        keys += line_keys
-    return max(Counter(keys).values(), default=0)
-
-
-def relation(ctx: FieldCtx, l1: Line3, l2: Line3) -> str:
-    """Classify a line pair: equal | parallel | intersecting | skew."""
-    if l1 == l2:
-        return "equal"
-    if l1.dir == l2.dir:  # canonical directions, so proportional == equal
-        return "parallel"
-    if _det3(ctx, l1.dir, l2.dir, _minus(ctx, l2.base, l1.base)) == 0:
-        return "intersecting"
-    return "skew"
-
-
-def parallel_coplanar(ctx: FieldCtx, l1: Line3, l2: Line3, l3: Line3) -> bool:
-    """Whether three lines with one shared direction v lie in one plane.
-
-    Every plane holding l1 and l2 contains v and b2 - b1 (b the bases),
-    so the three are coplanar iff det(v, b2 - b1, b3 - b1) = 0: one
-    determinant, where triple_coplanar walks l1's pencil of q + 1 planes.
-    """
-    if not l1.dir == l2.dir == l3.dir:
-        raise ValueError("parallel_coplanar needs three lines with one direction")
-    gap2, gap3 = _minus(ctx, l2.base, l1.base), _minus(ctx, l3.base, l1.base)
-    return _det3(ctx, l1.dir, gap2, gap3) == 0
+    keys = Counter(k for ln in set(lines) for k in planes_of(ctx, ln))
+    return max(keys.values(), default=0)
 
 
 # ---------------------------------------------------------------------------
 # Bound reports for an incidence instance
 
 
-@dataclass(frozen=True)
-class IncidenceInstance:
-    """A point set, line set, their incidence count and plane richness."""
-
-    points: frozenset
-    lines: frozenset
-    incidences: int
-    plane_max: int
-
-
-def build_instance(ctx: FieldCtx, points, lines):
-    pts = frozenset(points)
-    lns = frozenset(lines)
-    inc = count_incidences(ctx, pts, lns)
-    return IncidenceInstance(pts, lns, inc, plane_richness(ctx, lns))
+def build_instance(ctx: FieldCtx, points, lines) -> tuple:
+    """(|P|, |L|, I(P, L), plane richness): the counts
+    incidence_bound_report reads."""
+    pts, lns = set(points), set(lines)
+    return len(pts), len(lns), count_incidences(ctx, pts, lns), plane_richness(ctx, lns)
 
 
 # The keys of incidence_bound_report's dict, in column order: the
@@ -291,9 +250,10 @@ INCIDENCE_COLUMNS = ("points", "lines", "incidences", "plane_max") + tuple(
 )
 
 
-def incidence_bound_report(ctx: FieldCtx, inst: IncidenceInstance, c: float = 1.0) -> dict:
-    """Observed-versus-bound cells for one instance, keyed by
-    INCIDENCE_COLUMNS in that order, floats unrounded.
+def incidence_bound_report(ctx: FieldCtx, counts: tuple, c: float = 1.0) -> dict:
+    """Observed-versus-bound cells for one instance, from its
+    build_instance counts, keyed by INCIDENCE_COLUMNS in that order,
+    floats unrounded.
 
     Each bound compares I(P, L) (or its deviation from the mean value
     |P||L|/q^2) against a standard upper bound; `c` scales the
@@ -302,9 +262,8 @@ def incidence_bound_report(ctx: FieldCtx, inst: IncidenceInstance, c: float = 1.
     not applicable.  With no points, projection_scale's observed and
     ratio cells are None.
     """
-    np_, nl = len(inst.points), len(inst.lines)
+    np_, nl, inc, rich = counts
     q, p = ctx.q, ctx.p
-    inc, rich = inst.incidences, inst.plane_max
     cells = {"points": np_, "lines": nl, "incidences": inc, "plane_max": rich}
 
     def add(name, applicable, observed, rhs):

@@ -73,6 +73,15 @@ def mat_inv(ctx: FieldCtx, m):
     return (d, neg(b), neg(c), a)
 
 
+def _frame(ctx: FieldCtx, code: int):
+    """A member of SL2 carrying e1 = (1, 0) to the nonzero point code:
+    its first column is the point."""
+    x, y = divmod(code, ctx.q)
+    if x:
+        return (x, 0, y, ctx.inv(x))
+    return (0, ctx.neg(ctx.inv(y)), y, 0)
+
+
 def is_sl2(ctx: FieldCtx, m) -> bool:
     return all(0 <= e < ctx.q for e in m) and mat_det(ctx, m) == 1
 

@@ -13,11 +13,12 @@ symmetry set of the complement.  Two independent routes compute it:
     only go to points of its class).  The q elements carrying base to
     a point dst form a line, theta_b = F_dst (1 b; 0 1) F_base^-1 =
     M0 + b*M1 for b in the field, with F_x a frame carrying e1 = (1, 0)
-    to x.  All q are tested only for the base itself, which gives
-    Stab_R(base) as the b that pass, a span of b under field addition.
-    The orbit R * base is closed by a BFS on points under the elements
-    accepted so far, and only a point of the class it has not reached
-    is tested, so by orbit-stabilizer |R(E)| = |R * base| *
+    to x (plane._frame; the audit's transport lines are this coset's
+    projections).  All q are tested only for the base itself, which
+    gives Stab_R(base) as the b that pass, a span of b under field
+    addition.  The orbit R * base is closed by a BFS on points under the
+    elements accepted so far, and only a point of the class it has not
+    reached is tested, so by orbit-stabilizer |R(E)| = |R * base| *
     |Stab_R(base)| comes from points alone.  The route returns that
     order and the elements it accepted, which generate R(E):
     stabilizer_order reports the order, and a check that holds on the
@@ -53,27 +54,32 @@ over the group, one per (direction, image direction) pair, built once
 per field from the action on directions.  The audit's group S of
 class-set permuters is R(U) for the union U of the class sets, found by
 stabilizer_brute, so it shares no candidates with the transport route
-it checks.
+it checks.  It classifies its transport lines by set equalities on the
+points and plane keys that count_incidences and plane_richness keep per
+line, not by visiting pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .gf import FieldCtx
 from .incidence3d import (
     count_incidences,
-    parallel_coplanar,
     plane_richness,
+    planes_of,
+    points_of,
     project_matrix,
-    relation,
     transport_line,
 )
 from .plane import (
     IDENTITY,
     PointSet,
+    _frame,
     act,
     affine_line_mask,
     apply_to_set,
@@ -81,7 +87,6 @@ from .plane import (
     line_apply,
     line_index,
     line_nonzero_masks,
-    line_of_point,
     mat_inv,
     mat_mul,
     normalize_two_lines,
@@ -143,14 +148,6 @@ def stabilizer_brute(ctx: FieldCtx, E: PointSet) -> set:
     out = {m for m in sl2_materialize(ctx) if _maps_into(ctx, m, pts, member)}
     _group_spot_check(ctx, out)
     return out
-
-
-def _frame(ctx: FieldCtx, code: int):
-    """A member of SL2 carrying e1 = (1, 0) to the nonzero point code."""
-    x, y = divmod(code, ctx.q)
-    if x:
-        return (x, 0, y, ctx.inv(x))
-    return (0, ctx.neg(ctx.inv(y)), y, 0)
 
 
 def _transport_candidates(ctx: FieldCtx, src, dst) -> list:
@@ -771,38 +768,42 @@ def triple_count_audit(
     plane_cap = 2 * m0
     assert plane_max <= plane_cap, "plane richness cap failed"
 
-    # Skew / parallel structure of the transport lines from one probe:
-    # same-origin-line targets give parallel lines (and no three of those
-    # are coplanar); targets on distinct origin lines give skew lines
-    # UNLESS they share their second coordinate, in which case both
+    # How the transport lines from one probe meet, read off the points
+    # and plane keys count_incidences and plane_richness keep per line:
+    # targets on one origin line give parallel lines, and no three of
+    # those lie in a plane; targets on distinct origin lines give skew
+    # lines UNLESS they share their second coordinate, in which case both
     # lines pass through the one projected point that forgets the
     # upper-right entry of an axis-fixing transporter.  That exception
-    # is real (not an artifact), so it is asserted too.
-    skew_pairs = meeting_pairs = parallel_pairs = parallel_triples = 0
+    # is real (not an artifact), so it is asserted too.  Off-axis targets
+    # with one second coordinate lie on distinct origin lines.
+    target_classes = {frozenset(filter(off_axes, cs)) for cs in class_sets} - {frozenset()}
+    # targets ascend, so each pair here and in meeting is (smaller, larger)
+    same_y = {(v, w) for v, w in itertools.combinations(targets, 2) if v % q == w % q}
     for u in probes:
         by_dir: dict = {}
+        by_point: dict = {}
         for v in targets:
-            by_dir.setdefault(line_of_point(ctx, divmod(v, q)), []).append(v)
-        for d1, d2 in itertools.combinations(sorted(by_dir), 2):
-            for v in by_dir[d1]:
-                for w in by_dir[d2]:
-                    rel = relation(ctx, by_pair[(u, v)], by_pair[(u, w)])
-                    if v % q == w % q:  # equal second coordinates
-                        assert rel == "intersecting"
-                        meeting_pairs += 1
-                    else:
-                        assert rel == "skew"
-                        skew_pairs += 1
-        for d in sorted(by_dir):
-            vs = by_dir[d]
-            for v, w in itertools.combinations(vs, 2):
-                assert relation(ctx, by_pair[(u, v)], by_pair[(u, w)]) == "parallel"
-                parallel_pairs += 1
-            for v, w, z in itertools.combinations(vs, 3):
-                assert not parallel_coplanar(
-                    ctx, by_pair[(u, v)], by_pair[(u, w)], by_pair[(u, z)]
-                )
-                parallel_triples += 1
+            ln = by_pair[(u, v)]
+            by_dir.setdefault(ln.dir, []).append(v)
+            for pt in points_of(ctx, ln):
+                by_point.setdefault(pt, []).append(v)
+        assert {frozenset(vs) for vs in by_dir.values()} == target_classes, (
+            "transport lines must be parallel exactly for targets on one origin line"
+        )
+        meeting = {pair for vs in by_point.values() for pair in itertools.combinations(vs, 2)}
+        assert meeting == same_y, (
+            "transport lines must meet exactly for targets with one second coordinate"
+        )
+        for vs in by_dir.values():
+            keys = Counter(k for v in vs for k in planes_of(ctx, by_pair[(u, v)]))
+            assert max(keys.values()) <= 2, "three parallel transport lines lie in a plane"
+    # Two distinct lines are parallel, meeting or skew
+    sizes = [len(vs) for vs in target_classes]
+    parallel_pairs = len(probes) * sum(math.comb(n, 2) for n in sizes)
+    parallel_triples = len(probes) * sum(math.comb(n, 3) for n in sizes)
+    meeting_pairs = len(probes) * len(same_y)
+    skew_pairs = len(probes) * math.comb(len(targets), 2) - parallel_pairs - meeting_pairs
 
     # R(E) sits inside S: S is a group, so it is enough that the elements
     # the transport route accepted, which generate R(E), lie in S

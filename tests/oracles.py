@@ -1,9 +1,12 @@
 """Test oracles and the output-file reader, kept out of the package.
 
 The oracles recompute by definition what sl2lab computes through its
-kernels: each field operation is a ctx.add/ctx.mul call and the group is
-streamed by sl2_elements, so none of them reads the add/mul rows, _dot
-or normal_pencil that plane_richness and parallel_coplanar run on.
+kernels: each field operation is a ctx.add/ctx.mul/ctx.sub call and the
+group is streamed by sl2_elements, so none of them reads the add/mul
+rows, _dot, normal_pencil or the per-line point and plane-key tables
+that count_incidences, plane_richness and the triple-count audit run on.
+line_pair_counts classifies the audit's transport lines pair by pair,
+on point sets and triple_coplanar.
 
 read_rows reads a campaign's output file back as row dicts, with each
 CSV cell decoded to the value it was written from.
@@ -11,6 +14,7 @@ CSV cell decoded to the value it was written from.
 
 import csv
 import functools
+import itertools
 import json
 
 from sl2lab.harness import CAMPAIGNS
@@ -65,6 +69,52 @@ def triple_coplanar(ctx, l1, l2, l3) -> bool:
         if plane_contains_line(ctx, plane, l2) and plane_contains_line(ctx, plane, l3):
             return True
     return False
+
+
+def line_point_set(ctx, line) -> frozenset:
+    """The q points base + t * dir of a Line3."""
+    add, mul = ctx.add, ctx.mul
+    return frozenset(
+        tuple(add(b, mul(t, d)) for b, d in zip(line.base, line.dir)) for t in range(ctx.q)
+    )
+
+
+def line_pair_counts(ctx, lines_by_probe) -> dict:
+    """The triple-count audit's four line-pair counts, pair by pair, over
+    the transport lines of each probe (one list per probe).
+
+    Two of a probe's lines meet when their point sets share a point.
+    Disjoint lines are parallel when they have the same direction, that
+    is, the same points less one of their own points, and skew
+    otherwise.  Every triple of parallel lines is asserted not to lie in
+    one plane (triple_coplanar) and counted.
+    """
+    sub = ctx.sub
+    counts = dict.fromkeys(("skew_pairs", "meeting_pairs", "parallel_pairs", "parallel_triples"), 0)
+    for lines in lines_by_probe:
+        points = [line_point_set(ctx, ln) for ln in lines]
+        dirs = []
+        for pts in points:
+            x0 = min(pts)
+            dirs.append(frozenset(tuple(map(sub, x, x0)) for x in pts))
+        for i, j in itertools.combinations(range(len(lines)), 2):
+            shared = len(points[i] & points[j])
+            assert shared <= 1, "two transport lines coincide"
+            if dirs[i] == dirs[j]:
+                assert not shared
+                counts["parallel_pairs"] += 1
+            elif shared:
+                counts["meeting_pairs"] += 1
+            else:
+                counts["skew_pairs"] += 1
+        classes: dict = {}  # the lines of each direction
+        for d, ln in zip(dirs, lines):
+            classes.setdefault(d, []).append(ln)
+        for parallel in classes.values():
+            for triple in itertools.combinations(parallel, 3):
+                assert not triple_coplanar(ctx, *triple), "three parallel lines lie in a plane"
+                counts["parallel_triples"] += 1
+    return counts
 
 
 # CSV columns that hold strings; every other cell is decoded by _decode_cell

@@ -475,14 +475,15 @@ def test_c10_incidence_counts(capsys):
                 continue
             if trial % 25:
                 continue
-            inst = build_instance(ctx, pts, lns)
-            rep = incidence_bound_report(ctx, inst)
+            counts = build_instance(ctx, pts, lns)
+            _, _, inc, rich = counts
+            rep = incidence_bound_report(ctx, counts)
             window = npts**0.875 < nlns < npts ** (8 / 7)
             if rep["projection_applicable"] != window:
                 problems.append(f"q={q} trial {trial}: projection flag != window")
-            if rep["rich_plane_applicable"] != (inst.plane_max <= nlns**0.5):
+            if rep["rich_plane_applicable"] != (rich <= nlns**0.5):
                 problems.append(f"q={q} trial {trial}: rich_plane flag wrong")
-            want = abs(inst.incidences - npts * nlns / q**2)
+            want = abs(inc - npts * nlns / q**2)
             if not (rep["balanced_deviation_applicable"]
                     and rep["balanced_deviation_observed"] == want
                     and rep["balanced_deviation_rhs"] > 0):

@@ -1,13 +1,12 @@
 """3-space layer: canonical lines, transport lines, incidence counts, planes."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from sl2lab.gf import make_field
 from sl2lab.incidence3d import (
-    IncidenceInstance,
-    _det3,
     _dot,
     all_lines,
     build_instance,
@@ -19,10 +18,9 @@ from sl2lab.incidence3d import (
     line_points,
     normal_pencil,
     on_line,
-    parallel_coplanar,
     plane_richness,
+    planes_of,
     project_matrix,
-    relation,
     transport_line,
 )
 from sl2lab.plane import line_of_point, mat_apply, sl2_elements, sl2_order
@@ -206,27 +204,6 @@ def test_normal_pencil(fields, q):
         assert normal_pencil(ctx, d) is pencil
 
 
-def test_relation_matches_point_sets(fields):
-    ctx = fields[3]
-    lines = list(all_lines(ctx))
-    for l1, l2 in itertools.combinations(lines[::7], 2):
-        got = relation(ctx, l1, l2)
-        s1, s2 = set(line_points(ctx, l1)), set(line_points(ctx, l2))
-        coplanar = any(
-            plane_contains_line(ctx, pl, l1) and plane_contains_line(ctx, pl, l2)
-            for pl in all_planes(ctx))
-        if s1 == s2:
-            expect = "equal"
-        elif len(s1 & s2) == 1:
-            expect = "intersecting"
-        elif coplanar:
-            expect = "parallel"
-        else:
-            expect = "skew"
-        assert got == expect
-        assert got == relation(ctx, l2, l1)
-
-
 def test_triple_coplanar_matches_brute(fields):
     ctx = fields[3]
     lines = list(all_lines(ctx))[::11]
@@ -242,10 +219,9 @@ def test_build_instance(fields):
     rng = DetRng(0)
     lines = random_lines(ctx, rng, 6)
     pts = list(itertools.product(range(3), repeat=3))[:14]
-    inst = build_instance(ctx, pts, lines)
-    assert isinstance(inst, IncidenceInstance)
-    assert inst.incidences == count_incidences_brute(ctx, pts, lines)
-    assert inst.plane_max == brute_richness(ctx, lines)
+    counts = build_instance(ctx, pts + pts[:3], lines + lines[:2])  # repeats count once
+    assert counts == (
+        14, 6, count_incidences_brute(ctx, pts, lines), brute_richness(ctx, lines))
 
 
 def test_incidence_bound_report_shapes(fields):
@@ -253,22 +229,22 @@ def test_incidence_bound_report_shapes(fields):
     rng = DetRng(1)
     lines = random_lines(ctx, rng, 10)
     pts = [(x, y, z) for x in range(5) for y in range(5) for z in range(2)]
-    inst = build_instance(ctx, pts, lines)
-    rep = incidence_bound_report(ctx, inst, c=1.0)
+    P, L, inc, rich = counts = build_instance(ctx, pts, lines)
+    rep = incidence_bound_report(ctx, counts, c=1.0)
     names = [k.removesuffix("_applicable") for k in rep if k.endswith("_applicable")]
     assert names == [
         "plane_cap", "balanced_deviation", "rich_plane",
         "projection", "projection_scale",
     ]
     assert rep["plane_cap_applicable"] and rep["balanced_deviation_applicable"]
-    P, L = len(inst.points), len(inst.lines)
+    assert (P, L) == (len(pts), len(lines))
     assert (rep["points"], rep["lines"]) == (P, L)
-    assert (rep["incidences"], rep["plane_max"]) == (inst.incidences, inst.plane_max)
+    assert (rep["incidences"], rep["plane_max"]) == (inc, rich)
     assert rep["projection_applicable"] == (P**0.875 < L < P ** (8 / 7))
-    assert rep["rich_plane_applicable"] == (inst.plane_max <= L**0.5)
-    assert rep["plane_cap_observed"] == float(inst.incidences)
+    assert rep["rich_plane_applicable"] == (rich <= L**0.5)
+    assert rep["plane_cap_observed"] == float(inc)
     mean = P * L / 25
-    assert rep["balanced_deviation_observed"] == abs(inst.incidences - mean)
+    assert rep["balanced_deviation_observed"] == abs(inc - mean)
     for name in names:
         observed, rhs = rep[f"{name}_observed"], rep[f"{name}_rhs"]
         if observed is not None and rhs > 0:
@@ -281,8 +257,7 @@ def test_projection_flag_tracks_window(fields):
     pts = list(itertools.product(range(3), repeat=3))
     # 27 points: window is (27^0.875, 27^(8/7)) ~ (17.9, 43.2)
     for nl, inside in [(10, False), (18, True), (43, True), (44, False)]:
-        inst = build_instance(ctx, pts, lines[:nl])
-        rep = incidence_bound_report(ctx, inst)
+        rep = incidence_bound_report(ctx, build_instance(ctx, pts, lines[:nl]))
         assert rep["projection_applicable"] == inside
         assert rep["projection_scale_applicable"] == inside
 
@@ -293,22 +268,24 @@ def test_table_kernels_match_field_ops(p, r):
     # independent of the kernels' table indexing: field ops written out
     ctx = make_field(p, r)
     q = ctx.q
-    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    add, mul = ctx.add, ctx.mul
     rng = DetRng(q)
     for _ in range(200):
-        u, v, w = (tuple(rng.below(q) for _ in range(3)) for _ in range(3))
+        u, v = (tuple(rng.below(q) for _ in range(3)) for _ in range(2))
         dot = add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
         assert _dot(ctx, u, v) == dot
-        m1 = sub(mul(v[1], w[2]), mul(v[2], w[1]))
-        m2 = sub(mul(v[0], w[2]), mul(v[2], w[0]))
-        m3 = sub(mul(v[0], w[1]), mul(v[1], w[0]))
-        det = add(sub(mul(u[0], m1), mul(u[1], m2)), mul(u[2], m3))
-        assert _det3(ctx, u, v, w) == det
         if v != (0, 0, 0):
             ln = line3(ctx, u, v)
             b, d = ln.base, ln.dir
             want = [tuple(add(b[i], mul(t, d[i])) for i in range(3)) for t in range(q)]
             assert line_points(ctx, ln) == want
+
+
+def share_a_plane(ctx, *lines) -> bool:
+    """The audit's plane-key test: some plane key (planes_of) is held by
+    every one of the lines."""
+    keys = Counter(k for ln in lines for k in planes_of(ctx, ln))
+    return max(keys.values()) == len(lines)
 
 
 def parallel_transport_triples(ctx):
@@ -331,7 +308,7 @@ def test_parallel_coplanar_matches_triple_coplanar_on_transport_lines(fields, q)
     triples = 0
     for l1, l2, l3 in parallel_transport_triples(ctx):
         assert l1.dir == l2.dir == l3.dir
-        got = parallel_coplanar(ctx, l1, l2, l3)
+        got = share_a_plane(ctx, l1, l2, l3)
         assert got == triple_coplanar(ctx, l1, l2, l3)
         assert not got  # the audit's claim: no three are coplanar
         triples += 1
@@ -351,10 +328,7 @@ def test_parallel_coplanar_matches_triple_coplanar(fields, q):
         triples = list(itertools.combinations(lines, 3))
         for i in rng.sample(len(triples), min(len(triples), 60)):
             l1, l2, l3 = triples[i]
-            got = parallel_coplanar(ctx, l1, l2, l3)
+            got = share_a_plane(ctx, l1, l2, l3)
             assert got == triple_coplanar(ctx, l1, l2, l3)
             coplanar += got
     assert coplanar > 0
-    l1, l2 = by_dir[(1, 0, 0)][:2]
-    with pytest.raises(ValueError):
-        parallel_coplanar(ctx, l1, l2, by_dir[(0, 0, 1)][0])

@@ -6,9 +6,11 @@ import pytest
 
 import sl2lab.stabilizer as stabmod
 from sl2lab.gf import make_field, multiplicative_subgroup, subfield_elements
+from sl2lab.incidence3d import transport_line
 from sl2lab.plane import (
     IDENTITY,
     PointSet,
+    _frame,
     act,
     apply_to_set,
     line_of_point,
@@ -22,7 +24,6 @@ from sl2lab.plane import (
 from sl2lab.rng import DetRng, nth_seed
 from sl2lab.stabilizer import (
     Constants,
-    _frame,
     _transport_candidates,
     _transport_route,
     all_subset_stabilizer_orders,
@@ -40,7 +41,7 @@ from sl2lab.stabilizer import (
     triple_count_audit,
 )
 
-from oracles import transport_set
+from oracles import line_pair_counts, transport_set
 
 
 def report(ctx, E, constants=Constants()):
@@ -801,6 +802,46 @@ def test_audit_preservers_match_act_images(fields, q, monkeypatch):
         assert got == set(act_image_preservers(ctx, class_sets))
         assert len(got) == audit.preserver_count
     assert normalized  # some cases went through normalize_two_lines
+
+
+def audit_lines_by_probe(ctx, E, audit):
+    """The transport lines from each of the audit's probes to its
+    targets, found again from its normalizer: the class sets are the
+    points of the normalized E - 0 on the lines holding multiplicity of
+    them, the probes their smallest points and the targets all their
+    points, each off both axes."""
+    q = ctx.q
+    moved = apply_to_set(ctx, audit.normalizer, E.without_origin())
+    by_line = {}
+    for code in moved.nonzero_codes:
+        by_line.setdefault(line_of_point(ctx, divmod(code, q)), []).append(code)
+    class_sets = [cs for cs in by_line.values() if len(cs) == audit.multiplicity]
+
+    def off_axes(code):
+        return code // q != 0 and code % q != 0
+
+    probes = [min(cs) for cs in class_sets if off_axes(min(cs))]
+    targets = sorted(code for cs in class_sets for code in cs if off_axes(code))
+    assert (len(probes), len(targets)) == (audit.probe_count, audit.target_count)
+    return [[transport_line(ctx, divmod(u, q), divmod(v, q)) for v in targets] for u in probes]
+
+
+@pytest.mark.parametrize("q,rows", [(5, 40), (7, 40), (8, 40), (9, 40), (16, 12)])
+def test_audit_line_pair_counts_match_oracle(fields, q, rows):
+    # the audit reads the four counts off set equalities; the oracle
+    # classifies every pair and parallel triple of transport lines
+    from sl2lab.harness import random_uniform_class_set
+
+    ctx = fields[q]
+    totals = dict.fromkeys(("skew_pairs", "meeting_pairs", "parallel_pairs", "parallel_triples"), 0)
+    for t in range(rows):
+        E, _, m1 = random_uniform_class_set(ctx, nth_seed(7300 + q, t))
+        audit = triple_count_audit(ctx, E, m1)
+        want = line_pair_counts(ctx, audit_lines_by_probe(ctx, E, audit))
+        assert {name: getattr(audit, name) for name in want} == want, t
+        for name, count in want.items():
+            totals[name] += count
+    assert all(totals.values()), totals  # every kind of pair and triple occurs
 
 
 def test_audit_rejects_missing_multiplicity(fields):
