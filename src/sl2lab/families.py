@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf import FieldCtx, multiplicative_subgroup, subfield_elements
@@ -147,8 +146,7 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A parsed descriptor: family name plus its parameter mapping.
 
     params values are kept as strings exactly as written; gen_family

@@ -14,9 +14,10 @@ byte, is:
   * Integers are written exactly; every float cell of a row is rounded
     to six significant digits (_f6) when the row's entry is built, so
     CSV and JSON agree.
-  * Exhaustive campaigns checkpoint progress to <out>.ckpt after each
-    chunk, sealed by the sha256 of every byte written so far followed
-    by the checkpoint's own fields; rerunning with --resume checks that
+  * Exhaustive campaigns checkpoint progress to <out>.ckpt after every
+    chunk but the last (so a run of one chunk writes none), sealed by
+    the sha256 of every byte written so far followed by the
+    checkpoint's own fields; rerunning with --resume checks that
     seal over the kept prefix and the checkpoint, appends the remaining
     rows, and the concatenated file is identical to an uninterrupted
     run (CSV only).  JSON is written to <out>.tmp and
@@ -46,11 +47,13 @@ string tag ("12+o") as a search row's index and None as an incidence
 row's descriptor.  The entry (_entry) holds the rounded cells after
 them, their text in the run's format alone, the violation count and the
 values the summary folds; a row is written as its index, its descriptor
-and that text.  Workers (or the parent, in a serial run) render each
-chunk, one CSV text or one JSON text per row, and fold it into a partial
-summary; no row is kept.  The parent writes the text, merges the
-summaries in range order and checkpoints.  search-extremal's rows are
-held in the parent until they can be ranked.  A pool has no more
+and that text.  _render yields a chunk's text, one CSV text for the
+chunk or one JSON text per row, and folds each row into the chunk's
+partial summary as it goes; no row is kept.  A serial run writes each
+piece as it is rendered, and a pool worker lists its chunk's pieces
+before it returns them, since a generator does not pickle.  The parent
+merges the summaries in range order and checkpoints.  search-extremal's
+rows are held in the parent until they can be ranked.  A pool has no more
 processes than chunks or CPUs, whatever --workers asks for, and the
 q <= 4 sweeps never pool: their rows are table lookups, cheaper than a
 pool's start-up and pickling, so a campaign's serial_max_q keeps them in
@@ -71,13 +74,18 @@ built only for a spot check.
 One percent of rows (every index divisible by 100, fields up to q = 9)
 get their symmetry order recomputed by the brute-force oracle; a
 mismatch aborts the run.  SL2LAB_WORKERS sets the default worker count.
+
+A campaign process loads only what its run uses.  hashlib, which loads
+OpenSSL, is imported by a run that will checkpoint and by _read_ckpt;
+concurrent.futures by a run that pools; argparse by the CLI's parser.
+The record types are NamedTuples, so dataclasses, and the inspect it
+imports, are never loaded.  csv stays a module global, which the
+benchmark's tracer replaces.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
-import hashlib
 import io
 import itertools
 import json
@@ -86,7 +94,6 @@ import os
 import sys
 from collections.abc import Callable
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 from .families import default_battery, expected_order, gen_family, parse_set_spec
@@ -96,7 +103,9 @@ from .incidence3d import (
     all_lines,
     build_instance,
     count_incidences_brute,
+    decode_point,
     incidence_bound_report,
+    line_tables,
 )
 from .plane import (
     PointSet,
@@ -135,8 +144,7 @@ SPOT_EVERY = 100  # brute-oracle recheck on every index divisible by this
 MAX_Q_BRUTE_SPOT = 9
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     p: int
     r: int
     campaign: str
@@ -157,8 +165,7 @@ class CampaignConfig:
     allow_sampled: bool = False
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     summary: dict
     out: str
 
@@ -490,26 +497,22 @@ def _gen_family(config, start, stop):
         yield index, spec.text(), _extend(entry, extra, failed, config.fmt)
 
 
-def _decode3(q, code):
-    z = code % q
-    y = (code // q) % q
-    return (code // (q * q), y, z)
-
-
 def _gen_incidence(config, start, stop):
     ctx = make_field(config.p, config.r)
     q = ctx.q
-    pool = ctx.memo("lines3", lambda: list(all_lines(ctx)))
+    tables = ctx.memo("line_tables", lambda: line_tables(ctx, all_lines(ctx)))
+    pool = tables.pool
     cap = 2 * q * q
     for index in range(start, stop):
         rng = DetRng(nth_seed(config.seed, index))
         npts = 1 + rng.below(min(cap, q**3))
         nlns = 1 + rng.below(min(cap, len(pool)))
-        points = {_decode3(q, c) for c in rng.sample(q**3, npts)}
-        lines = {pool[i] for i in rng.sample(len(pool), nlns)}
-        counts = build_instance(ctx, points, lines)  # |P|, |L|, I(P, L), plane max
+        codes = rng.sample(q**3, npts)
+        positions = rng.sample(len(pool), nlns)
+        counts = build_instance(ctx, tables, codes, positions)  # |P|, |L|, I(P, L), plane max
         if index % SPOT_EVERY == 0:
-            brute = count_incidences_brute(ctx, points, lines)
+            points = [decode_point(q, c) for c in codes]
+            brute = count_incidences_brute(ctx, points, [pool[i] for i in positions])
             if brute != counts[2]:
                 raise AssertionError(
                     f"incidence spot check failed at {index}: {brute} != {counts[2]}"
@@ -558,7 +561,7 @@ def _gen_audit(config, start, stop):
             cells = {**dict.fromkeys(AUDIT_COLUMNS), "multiplicity": m1}
             cells.update(audit_ok=False, audit_error=str(err))
         else:
-            cells = {name: getattr(aud, name) for name in AUDIT_COLUMNS}
+            cells = dict(zip(AUDIT_COLUMNS, aud))  # the audit's fields up to its normalizer
             cells.update(audit_ok=True, audit_error="")
         yield index, E.text(), _entry(cells, 0 if cells["audit_ok"] else 1, config.fmt)
 
@@ -619,8 +622,7 @@ def _rank_search_rows(collected: list) -> list:
     return [item for _, _, item in kept]
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(NamedTuple):
     """One campaign: everything that sets it apart from the others."""
 
     command: str  # CLI subcommand that runs it
@@ -730,27 +732,26 @@ def _json_object(d: dict, depth: int) -> str:
     return "{\n" + _json_members(d, " " * (depth + 1)) + "\n" + " " * depth + "}"
 
 
-def _render(config: CampaignConfig, items) -> tuple:
-    """(summary, pieces) of rows: the rows folded into a partial summary,
-    and their text as pieces to write in order, one CSV text for the
-    chunk or one JSON text per row (each starts with its line break; the
-    writer puts a comma between rows).  A row is its index, its
-    descriptor and its entry's text.  A descriptor has built its set, so
-    it holds commas but no quote or line break (a family's values are
-    integers, "inf" or descriptors): csv.writer quotes it exactly when
-    it holds a comma.  JSON escapes it, and a search tag, as json.dump
-    does."""
-    part = _Acc()
+def _render(config: CampaignConfig, items, part: _Acc):
+    """The text of rows, yielded as pieces to write in order: one CSV
+    text for the chunk or one JSON text per row (each starts with its
+    line break; the writer puts a comma between rows).  Each row is
+    folded into the partial summary part as its piece is rendered, so
+    part is whole once the last piece has been taken.  A row is its
+    index, its descriptor and its entry's text.  A descriptor has built
+    its set, so it holds commas but no quote or line break (a family's
+    values are integers, "inf" or descriptors): csv.writer quotes it
+    exactly when it holds a comma.  JSON escapes it, and a search tag,
+    as json.dump does."""
     fold = part.fold
     if config.fmt == "json":
-        pieces = []
         for index, descriptor, entry in items:
             fold(descriptor, entry)
             head = index if index.__class__ is int else _json_str(index)
             if descriptor is not None:
                 head = f'{head},\n{_ROW_PAD}"descriptor": {_json_str(descriptor)}'
-            pieces.append(f'\n  {{\n{_ROW_PAD}"index": {head},\n{entry.text}\n  }}')
-        return part, pieces
+            yield f'\n  {{\n{_ROW_PAD}"index": {head},\n{entry.text}\n  }}'
+        return
     buf = io.StringIO()
     write = buf.write
     for index, descriptor, entry in items:
@@ -761,27 +762,37 @@ def _render(config: CampaignConfig, items) -> tuple:
             write(f'{index},"{descriptor}",{entry.text}')
         else:
             write(f"{index},{descriptor},{entry.text}")
-    return part, [buf.getvalue()]
+    yield buf.getvalue()
 
 
 def _run_range(config: CampaignConfig, start: int, stop: int) -> tuple:
-    """(summary of the rows of [start, stop), their rendered pieces).
+    """(summary of the rows of [start, stop), their pieces).
 
-    The producer is consumed once and no row is kept.  A ranked campaign
-    instead returns (None, its items), which the parent holds until it
-    can rank them."""
+    The pieces are rendered as they are taken, and the summary is whole
+    once they all have been; the producer is consumed once and no row is
+    kept.  A ranked campaign instead returns (None, its items), which
+    the parent holds until it can rank them."""
     spec = CAMPAIGNS[config.campaign]
     items = spec.produce(config, start, stop)
     if spec.rank is not None:
         return None, list(items)
-    return _render(config, items)
+    part = _Acc()
+    return part, _render(config, items, part)
+
+
+def _run_listed(config: CampaignConfig, start: int, stop: int) -> tuple:
+    """_run_range in a pool worker: a generator does not pickle, so the
+    chunk's pieces are rendered into a list before they return."""
+    part, pieces = _run_range(config, start, stop)
+    return part, list(pieces)
 
 
 def _ranked(config: CampaignConfig, batches) -> tuple:
     """A ranked campaign's whole output as one (summary, pieces) batch,
     from the (None, items) batches of all its chunks."""
     items = [item for _, chunk in batches for item in chunk]
-    return _render(config, CAMPAIGNS[config.campaign].rank(items))
+    part = _Acc()
+    return part, _render(config, CAMPAIGNS[config.campaign].rank(items), part)
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +944,8 @@ def _read_ckpt(path: str, out: str, echo: str, total: int) -> tuple:
         raise ValueError(f"cannot resume: {out} is missing")
     if os.path.getsize(out) < state["offset"]:
         raise ValueError(f"cannot resume: {out} is shorter than its checkpoint offset")
+    import hashlib  # loads OpenSSL: only a run that checkpoints imports it
+
     digest = hashlib.sha256()
     with open(out, "rb") as raw:
         digest.update(raw.read(state["offset"]))
@@ -956,7 +969,7 @@ def _head(config: CampaignConfig, echo: str) -> str:
     """Everything an output file holds before its first row."""
     if config.fmt == "csv":
         return echo + "\n" + _csv_text([CAMPAIGNS[config.campaign].columns])
-    echoed = {k: v for k, v in asdict(config).items() if v is not None and k not in _RUN_FIELDS}
+    echoed = {k: v for k, v in config._asdict().items() if v is not None and k not in _RUN_FIELDS}
     named = _json_members({"schema": SCHEMA, "campaign": config.campaign}, " ")
     return f'{{\n{named},\n "config": {_json_object(echoed, 1)},\n "rows": ['
 
@@ -984,7 +997,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     if config.workers is None:
         raw = os.environ.get("SL2LAB_WORKERS", "1")
         try:
-            config = replace(config, workers=int(raw))
+            config = config._replace(workers=int(raw))
         except ValueError:
             raise ValueError(f"SL2LAB_WORKERS={raw!r} is not an integer") from None
     _validate(config, ctx)
@@ -993,18 +1006,17 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     total = spec.total(config, ctx)
     echo = _echo(config)
     ckpt_path = out + ".ckpt"
-    # only unranked CSV runs write checkpoints; JSON goes to a temporary
-    # file renamed into place once the run has finished
-    checkpoints = config.fmt == "csv" and spec.rank is None
+    # only unranked CSV runs can resume; JSON goes to a temporary file
+    # renamed into place once the run has finished
+    resumable = config.fmt == "csv" and spec.rank is None
     path = out if config.fmt == "csv" else out + ".tmp"
     joiner = "," if config.fmt == "json" else ""  # written between two pieces
 
     start = 0
     acc = _Acc()
-    # the sha256 of every byte written so far, which only checkpoints read
-    digest = hashlib.sha256() if checkpoints else None
+    digest = None  # the sha256 of every byte written so far, which only checkpoints read
     mode = "wb"
-    if config.resume and checkpoints and os.path.exists(ckpt_path):
+    if config.resume and resumable and os.path.exists(ckpt_path):
         state, digest = _read_ckpt(ckpt_path, out, echo, total)
         start = state["next_start"]
         acc = _Acc.from_dict(state["acc"])
@@ -1015,6 +1027,16 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     starts = range(start, total, CHUNK)
     stops = [min(s + CHUNK, total) for s in starts]
+    # a checkpoint follows every chunk but the last: after the last it
+    # could only say "done", and the run removes it at once.  So a run of
+    # one chunk computes no digest and never loads hashlib (OpenSSL).
+    checkpoints = resumable and len(starts) > 1
+    if not checkpoints:
+        digest = None
+    elif digest is None:
+        import hashlib
+
+        digest = hashlib.sha256()
     # a failed run removes the file it opened unless a checkpoint backs
     # it: the one a resumed run started from, or one this run wrote
     remove = False
@@ -1024,7 +1046,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             remove = mode == "wb"
             if mode == "wb":
                 _emit(fh, digest, _head(config, echo))
-            run = map
+            run, chunk = map, _run_range
             if config.workers > 1 and total - start > CHUNK and ctx.q > spec.serial_max_q:
                 # imported here to keep concurrent.futures and multiprocessing off start-up
                 from concurrent.futures import ProcessPoolExecutor
@@ -1033,16 +1055,17 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 # there are chunks or CPUs
                 workers = min(config.workers, len(starts), os.cpu_count() or 1)
                 run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-            batches = run(_run_range, itertools.repeat(config), starts, stops)
+                chunk = _run_listed
+            batches = run(chunk, itertools.repeat(config), starts, stops)
             if spec.rank is not None:
                 batches = [_ranked(config, batches)]
             sep = ""
             for stop, (part, pieces) in zip(stops, batches):
-                acc.merge(part)
-                for piece in pieces:
+                for piece in pieces:  # written as each is rendered
                     _emit(fh, digest, sep + piece)
                     sep = joiner
-                if checkpoints:
+                acc.merge(part)
+                if checkpoints and stop < total:
                     fh.flush()
                     _write_ckpt(ckpt_path, echo, stop, fh.tell(), digest, acc)
                     remove = False
@@ -1067,7 +1090,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 # CLI
 
 
-def _add_field_and_constants(sub: argparse.ArgumentParser) -> None:
+def _add_field_and_constants(sub) -> None:
     sub.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
     sub.add_argument("--r", type=int, default=1, help="extension degree, q = p^r")
     sub.add_argument("--c1", type=float, default=1.0)
@@ -1076,7 +1099,7 @@ def _add_field_and_constants(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=float, default=0.75)
 
 
-def _campaign_parser(subs, command: str, help: str) -> argparse.ArgumentParser:
+def _campaign_parser(subs, command: str, help: str):
     """The subcommand that runs the table's campaigns for `command`; when
     there are several, --campaign picks one and the first is the default."""
     names = [name for name, spec in CAMPAIGNS.items() if spec.command == command]
@@ -1095,7 +1118,11 @@ def _campaign_parser(subs, command: str, help: str) -> argparse.ArgumentParser:
     return sub
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    # imported here, as the pool's concurrent.futures is, so a campaign
+    # run through run_campaign never loads it
+    import argparse
+
     # flags are spelled in full; subparsers do not inherit allow_abbrev
     parser = argparse.ArgumentParser(
         prog="sl2lab",
@@ -1164,7 +1191,7 @@ def _cmd_stab(args) -> int:
 def _campaign_from_args(args) -> CampaignConfig:
     # a field without a flag on this subcommand keeps its default
     return CampaignConfig(
-        **{f.name: getattr(args, f.name, f.default) for f in fields(CampaignConfig)}
+        **{name: getattr(args, name) for name in CampaignConfig._fields if hasattr(args, name)}
     )
 
 

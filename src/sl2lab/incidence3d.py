@@ -22,18 +22,28 @@ direction), so plane richness walks that pencil.  The test suite keeps
 the oracles (the brute transport set, plane points and a pencil-walking
 triple test) on plain ctx.add/ctx.mul calls, off these kernels.
 
-The hot kernels (_dot, line_points, planes_of) index the field's
+The hot kernels (_dot, line_points, _plane_keys) index the field's
 add/mul rows directly, one subscript per field operation; on_line and
 count_incidences_brute, the incidence oracle, keep the ctx.add/ctx.mul
-calls.  Line3 is a NamedTuple, so the sets and
-dicts of lines hash and compare them in C.  Two per-line tables, kept
-by ctx.memo, serve the campaigns, which meet the same lines again and
-again: points_of holds each line's q points, which count_incidences
-intersects, and planes_of each line's q + 1 planes as integer keys
-normal_index * q + offset, which plane_richness counts in a Counter.
-The triple-count audit reads the same two tables to tell how its
-transport lines meet: two lines share a point exactly when a point
-lists both, and lie in one plane exactly when a plane key does.
+calls.  Line3 is a NamedTuple, so the sets and dicts of lines hash and
+compare them in C.  A line's q points come from line_points and its
+q + 1 planes, as integer keys normal_index * q + offset, from
+_plane_keys; each formula is written once, and two table layouts hold
+what they give.
+
+  * The incidence campaign draws its lines from all of them, so
+    line_tables builds, in one pass, the pool of every line and two
+    flat arrays indexed by pool position: each line's q point codes
+    x*q^2 + y*q + z, and its q + 1 plane keys.  build_instance counts
+    a draw of point codes and pool positions from those arrays.
+  * The triple-count audit meets a few hundred of the ~q^4 lines, and
+    a dense table would not fit at its larger q, so it keeps per-line
+    memos on ctx: points_of holds a line's points, which
+    count_incidences intersects, and planes_of its plane keys, which
+    plane_richness counts in a Counter.  The audit reads the same two
+    memos to tell how its transport lines meet: two lines share a
+    point exactly when a point lists both, and lie in one plane
+    exactly when a plane key does.
 
 build_instance returns an instance's four counts, and
 incidence_bound_report returns its report cells as a dict keyed by
@@ -43,7 +53,9 @@ incidence campaign's columns.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .gf import FieldCtx
@@ -201,20 +213,24 @@ def _normal_index(ctx: FieldCtx) -> dict:
     return {n: i for i, n in enumerate(canonical_normals(ctx))}
 
 
-def planes_of(ctx: FieldCtx, line: Line3) -> tuple:
+def _plane_keys(ctx: FieldCtx, line: Line3) -> tuple:
     """The q + 1 planes holding line, each as the integer key
     normal_index * q + offset (normal_index its position in
-    canonical_normals); kept per line by ctx.memo."""
+    canonical_normals)."""
+    q, add, mul = ctx.q, ctx.add_rows, ctx.mul_rows
+    index = ctx.memo("normal_index", _normal_index, ctx)
+    bx, by, bz = (mul[b] for b in line.base)  # the offset n . base, inline
+    return tuple(
+        index[n] * q + add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]] for n in normal_pencil(ctx, line.dir)
+    )
+
+
+def planes_of(ctx: FieldCtx, line: Line3) -> tuple:
+    """_plane_keys(line), kept per line by ctx.memo."""
     cache = ctx.memo("plane_keys", dict)
     keys = cache.get(line)
     if keys is None:
-        q, add, mul = ctx.q, ctx.add_rows, ctx.mul_rows
-        index = ctx.memo("normal_index", _normal_index, ctx)
-        bx, by, bz = (mul[b] for b in line.base)  # the offset n . base, inline
-        keys = cache[line] = tuple(
-            index[n] * q + add[add[bx[n[0]]][by[n[1]]]][bz[n[2]]]
-            for n in normal_pencil(ctx, line.dir)
-        )
+        keys = cache[line] = _plane_keys(ctx, line)
     return keys
 
 
@@ -234,11 +250,46 @@ def plane_richness(ctx: FieldCtx, lines) -> int:
 # Bound reports for an incidence instance
 
 
-def build_instance(ctx: FieldCtx, points, lines) -> tuple:
-    """(|P|, |L|, I(P, L), plane richness): the counts
-    incidence_bound_report reads."""
-    pts, lns = set(points), set(lines)
-    return len(pts), len(lns), count_incidences(ctx, pts, lns), plane_richness(ctx, lns)
+class LineTables(NamedTuple):
+    """A pool of lines and two flat tables indexed by pool position i,
+    built by line_tables: the incidence campaign's per-field tables."""
+
+    pool: list  # the Line3s, in the order given
+    codes: array  # line i's q point codes x*q^2 + y*q + z at [i*q, (i+1)*q)
+    keys: array  # line i's q + 1 plane keys (_plane_keys) at [i*(q+1), (i+1)*(q+1))
+
+
+def line_tables(ctx: FieldCtx, lines) -> LineTables:
+    """The LineTables of lines, in one pass over them: each line's point
+    codes from line_points and its plane keys from _plane_keys."""
+    q = ctx.q
+    pool, codes, keys = [], array("i"), array("i")
+    for ln in lines:
+        pool.append(ln)
+        codes.extend((x * q + y) * q + z for x, y, z in line_points(ctx, ln))
+        keys.extend(_plane_keys(ctx, ln))
+    return LineTables(pool, codes, keys)
+
+
+def decode_point(q: int, code: int) -> tuple:
+    """The point (x, y, z) of the code x*q^2 + y*q + z that LineTables lists."""
+    rest, z = divmod(code, q)
+    return (*divmod(rest, q), z)
+
+
+def build_instance(ctx: FieldCtx, tables: LineTables, codes, positions) -> tuple:
+    """(|P|, |L|, I(P, L), plane richness) of the points with these codes
+    and the lines at these positions of tables.pool: the counts
+    incidence_bound_report reads.  A repeated code or position counts
+    once.  I(P, L) is the number of point codes of the lines that are
+    in P, and plane richness the largest count among their plane keys."""
+    q, k = ctx.q, ctx.q + 1
+    pts, lns = set(codes), set(positions)
+    line_codes, line_keys = tables.codes, tables.keys
+    on = chain.from_iterable(line_codes[i * q : i * q + q] for i in lns)
+    inc = sum(map(pts.__contains__, on))
+    keys = Counter(chain.from_iterable(line_keys[i * k : i * k + k] for i in lns))
+    return len(pts), len(lns), inc, max(keys.values(), default=0)
 
 
 # The keys of incidence_bound_report's dict, in column order: the

@@ -64,7 +64,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .gf import FieldCtx
@@ -632,8 +631,7 @@ def bound_report(ctx: FieldCtx, key: tuple, constants: Constants = Constants()) 
 # The triple-count audit
 
 
-@dataclass(frozen=True)
-class TripleCountAudit:
+class TripleCountAudit(NamedTuple):
     """Every quantity of the triple-count argument for one (E, class).
 
     The argument bounds the set S of group elements permuting the
@@ -680,7 +678,7 @@ class TripleCountAudit:
     normalizer: tuple
 
 
-AUDIT_COLUMNS = tuple(f.name for f in fields(TripleCountAudit)[:-1])
+AUDIT_COLUMNS = TripleCountAudit._fields[:-1]
 
 
 def triple_count_audit(

@@ -21,6 +21,7 @@ from sl2lab.incidence3d import (
     count_incidences_brute,
     incidence_bound_report,
     line_points,
+    line_tables,
     project_matrix,
     transport_line,
 )
@@ -461,21 +462,28 @@ def test_c10_incidence_counts(capsys):
     t0 = time.perf_counter()
     for q in (3, 5, 7):
         ctx = make_field(q, 1)
+        # a point's position in pool_pts is its code x*q^2 + y*q + z
         pool_pts = list(itertools.product(range(q), repeat=3))
-        pool_lns = list(all_lines(ctx))
+        tables = line_tables(ctx, all_lines(ctx))
+        pool_lns = tables.pool
         mismatches = 0
         for trial in range(1000):
             rng = DetRng(nth_seed(q, trial))
             npts = 1 + rng.below(min(2 * q * q, len(pool_pts)))
             nlns = 1 + rng.below(min(2 * q * q, len(pool_lns)))
-            pts = [pool_pts[i] for i in rng.sample(len(pool_pts), npts)]
-            lns = [pool_lns[i] for i in rng.sample(len(pool_lns), nlns)]
-            if count_incidences(ctx, pts, lns) != count_incidences_brute(ctx, pts, lns):
+            codes = rng.sample(len(pool_pts), npts)
+            positions = rng.sample(len(pool_lns), nlns)
+            pts = [pool_pts[i] for i in codes]
+            lns = [pool_lns[i] for i in positions]
+            brute = count_incidences_brute(ctx, pts, lns)
+            if count_incidences(ctx, pts, lns) != brute:
                 mismatches += 1
                 continue
             if trial % 25:
                 continue
-            counts = build_instance(ctx, pts, lns)
+            counts = build_instance(ctx, tables, codes, positions)
+            if counts[2] != brute:
+                problems.append(f"q={q} trial {trial}: table count != brute")
             _, _, inc, rich = counts
             rep = incidence_bound_report(ctx, counts)
             window = npts**0.875 < nlns < npts ** (8 / 7)

@@ -10,7 +10,6 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,7 @@ from sl2lab.harness import (
     run_campaign,
 )
 from sl2lab.families import MAX_NESTING, gen_family, parse_set_spec
-from sl2lab.incidence3d import all_lines, build_instance, incidence_bound_report
+from sl2lab.incidence3d import all_lines, build_instance, incidence_bound_report, line_tables
 from sl2lab.plane import (
     IDENTITY,
     PointSet,
@@ -188,13 +187,13 @@ def test_report_keys_are_their_campaigns_columns(monkeypatch):
         rep = bound_report(ctx, report_key(ctx, PointSet(3, bits), table[bits]))
         assert ["index", "descriptor", *rep] == stab_header
     inc_header = CAMPAIGNS["incidence-report"].columns
-    pool = list(all_lines(ctx))
+    tables = line_tables(ctx, all_lines(ctx))
     for i in range(60):
         rng = DetRng(nth_seed(11, i))
         # from no points up, so the empty-instance cells are keyed too
-        pts = {(c // 9, c // 3 % 3, c % 3) for c in rng.sample(27, rng.below(27))}
-        lns = {pool[k] for k in rng.sample(len(pool), 1 + rng.below(40))}
-        rep = incidence_bound_report(ctx, build_instance(ctx, pts, lns))
+        codes = rng.sample(27, rng.below(27))
+        positions = rng.sample(len(tables.pool), 1 + rng.below(40))
+        rep = incidence_bound_report(ctx, build_instance(ctx, tables, codes, positions))
         assert ["index", *rep] == inc_header
     audit_header = CAMPAIGNS["triple-audit"].columns
     config = CampaignConfig(p=7, r=1, campaign="triple-audit", seed=12)
@@ -528,7 +527,7 @@ def test_json_bytes_match_json_dump(tmp_path, monkeypatch, kw, workers):
     doc = {
         "schema": "slab-v1",
         "campaign": config.campaign,
-        "config": {k: v for k, v in vars(config).items() if v is not None and k not in run_only},
+        "config": {k: v for k, v in config._asdict().items() if v is not None and k not in run_only},
         "rows": producer_rows(config),
         "summary": {k: v for k, v in res.summary.items() if k not in ("campaign", "total_indices")},
     }
@@ -844,6 +843,67 @@ def test_checkpoint_removed_after_clean_run(tmp_path):
     assert not os.path.exists(res.out + ".ckpt")
 
 
+def record_checkpoints(monkeypatch) -> list:
+    """Record the next_start of every checkpoint run_campaign writes."""
+    real = harness._write_ckpt
+    starts = []
+
+    def write(path, echo, next_start, *rest):
+        starts.append(next_start)
+        return real(path, echo, next_start, *rest)
+
+    monkeypatch.setattr(harness, "_write_ckpt", write)
+    return starts
+
+
+@pytest.mark.parametrize("kw", [
+    dict(campaign="exhaustive-subsets", p=3, r=1),
+    dict(campaign="incidence-report", p=3, r=1, budget=5),
+], ids=campaign_id)
+def test_one_chunk_run_writes_no_checkpoint(tmp_path, monkeypatch, kw):
+    # a checkpoint after the last chunk could only say "done"
+    starts = record_checkpoints(monkeypatch)
+    res = run_campaign(cfg(tmp_path, workers=1, **kw))
+    assert 0 < res.summary["total_indices"] <= harness.CHUNK
+    assert starts == []
+
+
+def test_checkpoint_follows_every_chunk_but_the_last(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    starts = record_checkpoints(monkeypatch)
+    run_campaign(cfg(tmp_path, p=3, r=1, campaign="exhaustive-subsets", workers=1))
+    assert starts == list(range(64, 512, 64))
+
+
+def test_resume_after_a_crash_in_the_last_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK", 64)
+    kw = dict(p=3, r=1, campaign="exhaustive-subsets", workers=1)
+    full = tmp_path / "full.csv"
+    run_campaign(CampaignConfig(out=str(full), **kw))
+    part = tmp_path / "part.csv"
+    crash_campaign(monkeypatch, CampaignConfig(out=str(part), **kw), at=448)
+    state = json.loads((tmp_path / "part.csv.ckpt").read_text())
+    assert state["next_start"] == 448 and state["offset"] == part.stat().st_size
+    res = run_campaign(CampaignConfig(out=str(part), resume=True, **kw))
+    assert part.read_bytes() == full.read_bytes()
+    assert res.summary["rows"] == 512
+    assert sorted(os.listdir(tmp_path)) == ["full.csv", "part.csv"]
+
+
+@pytest.mark.parametrize("kw", EVERY_CAMPAIGN + NO_ROWS, ids=campaign_id)
+def test_json_bytes_do_not_depend_on_chunk_or_workers(tmp_path, monkeypatch, kw):
+    # a JSON row is written as it is rendered, in the parent or, pooled,
+    # from the worker's list of the chunk's pieces
+    runs = set()
+    for chunk in (1, 64, 4096):
+        monkeypatch.setattr(harness, "CHUNK", chunk)
+        for workers in (1, 2):
+            out = tmp_path / f"c{chunk}-w{workers}.json"
+            run_campaign(CampaignConfig(workers=workers, fmt="json", out=str(out), **kw))
+            runs.add(out.read_bytes())
+    assert len(runs) == 1
+
+
 def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     res = run_campaign(CampaignConfig(p=2, r=1, campaign="exhaustive-subsets"))
@@ -1113,14 +1173,16 @@ def test_undercounting_order_route_is_flagged(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kw", [
     dict(campaign="two-line-exhaustive", p=2, r=1, fmt="json"),
     dict(campaign="search-extremal", p=3, r=1, budget=10),
+    dict(campaign="incidence-report", p=3, r=1, budget=5),
 ])
 def test_runs_without_checkpoints_skip_the_digest(tmp_path, monkeypatch, kw):
     # only checkpoints read the output digest, so JSON and ranked runs
-    # never compute it
+    # never compute it, nor does a CSV run of one chunk, which writes
+    # no checkpoint
     def no_digest():
         raise AssertionError("digest computed")
 
-    monkeypatch.setattr(harness.hashlib, "sha256", no_digest)
+    monkeypatch.setattr(hashlib, "sha256", no_digest)
     out = str(tmp_path / f"out.{kw.get('fmt', 'csv')}")
     assert run_campaign(CampaignConfig(out=out, workers=1, **kw)).summary["rows"] > 0
 
@@ -1697,7 +1759,7 @@ def test_failure_after_a_checkpoint_leaves_a_resumable_pair(tmp_path, monkeypatc
                 raise ValueError("injected failure")
             return spec.produce(config, start, stop)
 
-        return replace(spec, produce=produce)
+        return spec._replace(produce=produce)
 
     part = tmp_path / "part.csv"
     monkeypatch.setitem(CAMPAIGNS, "exhaustive-subsets", failing_from(64))

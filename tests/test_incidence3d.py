@@ -13,9 +13,11 @@ from sl2lab.incidence3d import (
     canonical_normals,
     count_incidences,
     count_incidences_brute,
+    decode_point,
     incidence_bound_report,
     line3,
     line_points,
+    line_tables,
     normal_pencil,
     on_line,
     plane_richness,
@@ -214,22 +216,73 @@ def test_triple_coplanar_matches_brute(fields):
         assert triple_coplanar(ctx, l1, l2, l3) == brute
 
 
+def pool_tables(ctx):
+    """line_tables over every line, in all_lines order, as the incidence
+    campaign builds them."""
+    return line_tables(ctx, all_lines(ctx))
+
+
 def test_build_instance(fields):
     ctx = fields[3]
-    rng = DetRng(0)
-    lines = random_lines(ctx, rng, 6)
+    tables = pool_tables(ctx)
+    positions = DetRng(0).sample(len(tables.pool), 6)
+    lines = [tables.pool[i] for i in positions]
+    codes = list(range(14))  # the first 14 points in (x, y, z) order
     pts = list(itertools.product(range(3), repeat=3))[:14]
-    counts = build_instance(ctx, pts + pts[:3], lines + lines[:2])  # repeats count once
+    # repeats count once
+    counts = build_instance(ctx, tables, codes + codes[:3], positions + positions[:2])
     assert counts == (
         14, 6, count_incidences_brute(ctx, pts, lines), brute_richness(ctx, lines))
 
 
+def test_line_tables_match_per_line_kernels(fields):
+    # each line's slice of the flat tables decodes to its line_points and
+    # equals its planes_of keys; the pool is all_lines in order
+    for q in (2, 3, 4, 5):
+        ctx = fields[q]
+        tables = pool_tables(ctx)
+        assert tables.pool == list(all_lines(ctx))
+        assert len(tables.codes) == q * len(tables.pool)
+        assert len(tables.keys) == (q + 1) * len(tables.pool)
+        for i, ln in enumerate(tables.pool):
+            codes = tables.codes[i * q : (i + 1) * q]
+            assert [decode_point(q, c) for c in codes] == line_points(ctx, ln)
+            assert tuple(tables.keys[i * (q + 1) : (i + 1) * (q + 1)]) == planes_of(ctx, ln)
+    assert [decode_point(3, c) for c in range(27)] == list(itertools.product(range(3), repeat=3))
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_table_counts_match_oracles(p, r):
+    # the campaign's draws, counted from the flat tables, against the
+    # brute incidence loop and the plane-by-plane richness on the decoded
+    # points and lines
+    ctx = make_field(p, r)
+    q = ctx.q
+    tables = pool_tables(ctx)
+    for trial in range(6):
+        rng = DetRng(nth_seed(200 + q, trial))
+        # at most q^2 draws of each, so the brute richness stays quick at q = 9
+        codes = rng.sample(q**3, 1 + rng.below(q * q))
+        positions = rng.sample(len(tables.pool), 1 + rng.below(q * q))
+        pts = [decode_point(q, c) for c in codes]
+        lines = [tables.pool[i] for i in positions]
+        assert build_instance(ctx, tables, codes, positions) == (
+            len(set(pts)),
+            len(set(lines)),
+            count_incidences_brute(ctx, pts, lines),
+            brute_richness(ctx, lines),
+        )
+
+
 def test_incidence_bound_report_shapes(fields):
     ctx = fields[5]
-    rng = DetRng(1)
-    lines = random_lines(ctx, rng, 10)
+    tables = pool_tables(ctx)
+    positions = DetRng(1).sample(len(tables.pool), 10)
     pts = [(x, y, z) for x in range(5) for y in range(5) for z in range(2)]
-    P, L, inc, rich = counts = build_instance(ctx, pts, lines)
+    codes = [(x * 5 + y) * 5 + z for x, y, z in pts]
+    lines = [tables.pool[i] for i in positions]
+    P, L, inc, rich = counts = build_instance(ctx, tables, codes, positions)
+    assert inc == count_incidences_brute(ctx, pts, lines)
     rep = incidence_bound_report(ctx, counts, c=1.0)
     names = [k.removesuffix("_applicable") for k in rep if k.endswith("_applicable")]
     assert names == [
@@ -253,11 +306,10 @@ def test_incidence_bound_report_shapes(fields):
 
 def test_projection_flag_tracks_window(fields):
     ctx = fields[3]
-    lines = list(all_lines(ctx))
-    pts = list(itertools.product(range(3), repeat=3))
+    tables = pool_tables(ctx)
     # 27 points: window is (27^0.875, 27^(8/7)) ~ (17.9, 43.2)
     for nl, inside in [(10, False), (18, True), (43, True), (44, False)]:
-        rep = incidence_bound_report(ctx, build_instance(ctx, pts, lines[:nl]))
+        rep = incidence_bound_report(ctx, build_instance(ctx, tables, range(27), range(nl)))
         assert rep["projection_applicable"] == inside
         assert rep["projection_scale_applicable"] == inside
 
